@@ -48,6 +48,7 @@ def format_matching(result: MatchResult) -> str:
         f"# k: {s.k}",
         f"# max_product: {s.max_product}",
         f"# rng_seed: {s.rng_seed}",
+        f"# label_time_s: {s.label_time_s:.6f}",
         f"# seed_time_s: {s.seed_time_s:.6f}",
         f"# match_time_s: {s.match_time_s:.6f}",
         f"# matched: {s.matched}",
@@ -172,7 +173,7 @@ def _cmd_validate(args) -> int:
         print(f"pairs_excluded_missing_coords: {rep.excluded_missing_coords}")
     else:
         print("threshold_ratio: n/a (coordinates missing)")
-    for key in ("seed_time_s", "match_time_s"):
+    for key in ("label_time_s", "seed_time_s", "match_time_s"):
         if key in stats:
             print(f"{key}: {stats[key]:.6f}")
     if args.hist:

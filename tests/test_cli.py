@@ -75,6 +75,7 @@ class TestPipeline:
         assert code == 0
         assert "approximation_ratio:" in out
         assert "threshold_ratio: 1.0000" in out
+        assert "label_time_s:" in out
         assert hist.read_text().startswith("bucket_km,count\n")
 
     def test_match_determinism(self, tmp_path, capsys):
@@ -189,6 +190,11 @@ class TestMatchingFormat:
         assert u2 == res.unmatched2
         assert stats["k"] == res.stats.k
         assert stats["matched"] == res.stats.matched
+        assert 0 <= stats["label_time_s"] <= stats["seed_time_s"]
+
+    def test_stats_without_label_time_still_parse(self):
+        _, _, _, stats = parse_matching("m 0 0\n# stats\n# seed_time_s: 0.5\n")
+        assert stats == {"seed_time_s": 0.5}
 
     def test_malformed_record_names_line(self):
         with pytest.raises(InputError, match="line 2"):

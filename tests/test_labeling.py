@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,53 @@ def brute_min_rotations(g, v):
         options.append((tuple(g.degree(u) for u in seq), seq))
     best = min(key for key, _ in options)
     return [seq for key, seq in options if key == best]
+
+
+def reference_ball(g, v, k):
+    """(label, order) by a per-vertex deque BFS from every canonical start."""
+    d = g.degree(v)
+    if k <= 0 or d == 0:
+        return (d,), []
+    best = None
+    for start in brute_min_rotations(g, v):
+        seen = {v, *start}
+        order = list(start)
+        queue = deque((u, v, 1) for u in start)
+        while queue:
+            u, parent, dist = queue.popleft()
+            if dist == k:
+                continue
+            rot = g.rotation[u]
+            i = rot.index(parent)
+            for w in rot[i + 1 :] + rot[:i]:
+                if w not in seen:
+                    seen.add(w)
+                    order.append(w)
+                    queue.append((w, u, dist + 1))
+        lab = (d,) + tuple(g.degree(u) for u in order)
+        if best is None or lab < best[0]:
+            best = (lab, order)
+    return best
+
+
+def renumbered(g, perm):
+    """Copy of g with vertex v renamed perm[v]."""
+    rotation = [None] * g.vertex_count
+    for v, rot in enumerate(g.rotation):
+        rotation[perm[v]] = tuple(perm[u] for u in rot)
+    return EmbeddedGraph(tuple(rotation))
+
+
+@st.composite
+def scattered_graphs(draw):
+    """Two components plus isolated vertices, their ids interleaved."""
+    parts = [draw(embedded_graphs(max_vertices=7)) for _ in range(2)]
+    rotation = [()] * draw(st.integers(0, 3))
+    for part in parts:
+        base = len(rotation)
+        rotation += [tuple(base + u for u in rot) for rot in part.rotation]
+    g = EmbeddedGraph(tuple(rotation))
+    return renumbered(g, draw(st.permutations(range(g.vertex_count))))
 
 
 class TestCanonicalStartRotations:
@@ -119,13 +167,21 @@ class TestLabelNodes:
         rng = random.Random(17)
         perm = list(range(g.vertex_count))
         rng.shuffle(perm)
-        rotation = [None] * g.vertex_count
-        for v, rot in enumerate(g.rotation):
-            rotation[perm[v]] = tuple(perm[u] for u in rot)
-        h = EmbeddedGraph(tuple(rotation))
         _, lab_g = label_nodes(g, k)
-        _, lab_h = label_nodes(h, k)
-        assert sorted(lab_g) == sorted(lab_h)
+        _, lab_h = label_nodes(renumbered(g, perm), k)
+        assert all(lab_h[perm[v]] == lab_g[v] for v in range(g.vertex_count))
+
+    @given(scattered_graphs(), st.integers(0, 4))
+    @settings(max_examples=100)
+    def test_matches_reference_bfs(self, g, k):
+        table, labels = label_nodes(g, k)
+        for v in range(g.vertex_count):
+            lab, order = reference_ball(g, v, k)
+            assert labels[v] == lab
+            assert lexicographic_bfs(g, v, k) == order
+        assert table == {
+            lab: [v for v in range(g.vertex_count) if labels[v] == lab] for lab in set(labels)
+        }
 
     @given(embedded_graphs(min_vertices=2), st.integers(0, 3))
     @settings(max_examples=50)
