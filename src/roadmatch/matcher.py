@@ -3,10 +3,11 @@
 The outer loop repeatedly pops the label with minimal cross product and
 enumerates every seed pair for that label, times every combination of
 canonical starting rotations of the two seeds.  Each combination runs as an
-isolated trial: a conformal BFS flood whose data-structure updates are
-journaled so the trial can be rolled back exactly.  The best (largest)
-trial for the label is re-run and committed; its vertices leave the seed
-index permanently.  The loop ends when no cross-present label remains.
+isolated trial: a conformal BFS flood that writes only the two match arrays
+and a journal of its pairs, so rolling it back resets the journaled
+entries.  Every trial of a label starts from the same state, so the best
+(largest) trial's journal is committed as it stands; its vertices leave the
+seed index permanently.  The loop ends when no cross-present label remains.
 """
 
 from __future__ import annotations
@@ -42,22 +43,34 @@ class MatchState:
             raise InternalError("trial already in progress")
         self.trial = []
 
-    def abort_trial(self, idx: SeedIndex) -> None:
-        """Replay the trial journal in reverse, restoring the pre-trial state."""
-        if self.trial is None:
-            raise InternalError("no trial to abort")
-        for v1, v2 in reversed(self.trial):
-            self.matched1[v1] = None
-            self.matched2[v2] = None
-            idx.add_vertex(0, v1)
-            idx.add_vertex(1, v2)
-        self.trial = None
+    def abort_trial(self) -> list[tuple[int, int]]:
+        """Unmatch the trial's journaled pairs, restoring the pre-trial state.
 
-    def commit_trial(self) -> None:
-        if self.trial is None:
-            raise InternalError("no trial to commit")
-        self.total.extend(self.trial)
+        Returns the journal, which `commit` can apply later.
+        """
+        journal = self.trial
+        if journal is None:
+            raise InternalError("no trial to abort")
+        matched1, matched2 = self.matched1, self.matched2
+        for v1, v2 in journal:
+            matched1[v1] = None
+            matched2[v2] = None
         self.trial = None
+        return journal
+
+    def commit(self, pairs: list[tuple[int, int]], idx: SeedIndex) -> None:
+        """Keep a rolled-back trial's pairs and drop their vertices from idx.
+
+        The trial must have been flooded from the current state, so that
+        applying its journal gives exactly what re-running it would.
+        """
+        if self.trial is not None:
+            raise InternalError("commit during a trial")
+        idx.remove_pairs(pairs)
+        for v1, v2 in pairs:
+            self.matched1[v1] = v2
+            self.matched2[v2] = v1
+        self.total.extend(pairs)
 
 
 def _conformal_at(g1: EmbeddedGraph, g2: EmbeddedGraph, matched1, x: int) -> bool:
@@ -103,7 +116,6 @@ def pair_admissible(state: MatchState, v1: int, v2: int) -> bool:
 
 def process_nodes(
     state: MatchState,
-    idx: SeedIndex,
     u1: int,
     u2: int,
     queue: deque,
@@ -120,15 +132,12 @@ def process_nodes(
     state.matched1[u1] = u2
     state.matched2[u2] = u1
     state.trial.append((u1, u2))
-    idx.remove_vertex(0, u1)
-    idx.remove_vertex(1, u2)
     for a, b in zip(nbrs1, nbrs2):
         queue.append((a, b, u1, u2))
 
 
 def run_trial(
     state: MatchState,
-    idx: SeedIndex,
     s1: int,
     s2: int,
     rotation1: tuple[int, ...],
@@ -136,20 +145,20 @@ def run_trial(
 ) -> int:
     """Flood from one seed pair under one starting-orientation combination.
 
+    The caller checks the seed pair with `pair_admissible` first; `match`
+    does so once per pair, since the check does not depend on rotations.
     A dequeued pair where either vertex is already matched, where the
     degrees differ, or where matching would break conformality against
     already-matched neighbors, silently terminates that branch.  Returns
-    the trial's cardinality (0 when the seed pair itself is inadmissible).
+    the trial's cardinality.
     """
     g1, g2 = state.g1, state.g2
     if state.matched1[s1] is not None or state.matched2[s2] is not None:
         raise InternalError("seed already matched")
     if g1.degree(s1) != g2.degree(s2):
         raise InternalError("seed degrees differ")
-    if not pair_admissible(state, s1, s2):
-        return 0
     queue: deque = deque()
-    process_nodes(state, idx, s1, s2, queue, rotation1, rotation2)
+    process_nodes(state, s1, s2, queue, rotation1, rotation2)
     rot1, rot2 = g1.rotation, g2.rotation
     matched1, matched2 = state.matched1, state.matched2
     while queue:
@@ -165,7 +174,6 @@ def run_trial(
         i2 = r2.index(p2)
         process_nodes(
             state,
-            idx,
             v1,
             v2,
             queue,
@@ -240,28 +248,32 @@ def match(
             break
         seeds1 = idx.vertices(0, lid)
         seeds2 = idx.vertices(1, lid)
-        best = None  # (cardinality, s1, s2, rotation1, rotation2)
+        # pair_admissible would silently unmatch a matched seed, so a stale
+        # index must fail here rather than in run_trial.
+        if any(state.matched1[v] is not None for v in seeds1) or any(
+            state.matched2[v] is not None for v in seeds2
+        ):
+            raise InternalError(f"seed index offers matched vertices for label {lid}")
+        starts2 = [(s2, canonical_start_rotations(g2, s2)) for s2 in seeds2]
+        best: list[tuple[int, int]] = []  # journal of the earliest largest trial
         for s1 in seeds1:
             rots1 = canonical_start_rotations(g1, s1)
-            for s2 in seeds2:
-                rots2 = canonical_start_rotations(g2, s2)
+            for s2, rots2 in starts2:
+                if not pair_admissible(state, s1, s2):
+                    continue
                 for r1 in rots1:
                     for r2 in rots2:
                         state.checkpoint()
-                        card = run_trial(state, idx, s1, s2, r1, r2)
-                        state.abort_trial(idx)
-                        if best is None or card > best[0]:
-                            best = (card, s1, s2, r1, r2)
-        if best[0] == 0:
+                        run_trial(state, s1, s2, r1, r2)
+                        journal = state.abort_trial()
+                        if len(journal) > len(best):
+                            best = journal
+        if not best:
             # No admissible trial for this label; retire it so the loop
             # advances (its vertices can still be matched by other floods).
             idx.retire_label(lid)
             continue
-        # Re-run the winning trial and keep it.
-        _, s1, s2, r1, r2 = best
-        state.checkpoint()
-        run_trial(state, idx, s1, s2, r1, r2)
-        state.commit_trial()
+        state.commit(best, idx)
     match_time = time.perf_counter() - t1
 
     pairs = sorted(state.total)

@@ -107,11 +107,3 @@ def pair_distance_histogram(
                 b = int(haversine_km(c1, c2) // bucket_km)
                 counts[b] = counts.get(b, 0) + 1
     return [(b * bucket_km, counts[b]) for b in sorted(counts)]
-
-
-@dataclass
-class EvalReport:
-    approximation_ratio: float
-    threshold: ThresholdReport
-    seed_time_s: float | None = None
-    match_time_s: float | None = None

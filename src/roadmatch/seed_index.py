@@ -3,9 +3,10 @@
 For every label L present in both graphs the index tracks the product
 n1(L)*n2(L) of its occurrence counts.  A vEB tree over products answers
 min-product queries; a product table maps each product back to the labels
-currently holding it.  Matched vertices are removed incrementally and the
-affected label's product is recomputed.  Labels are interned to integer ids
-at build time; all internal structures work on ids.
+currently holding it.  The vertices of each committed trial are removed in
+one batch and every affected label's product is recomputed once.  Labels
+are interned to integer ids at build time; all internal structures work on
+ids.
 """
 
 from __future__ import annotations
@@ -111,20 +112,26 @@ class SeedIndex:
     def vertices(self, side: int, lid: int) -> list[int]:
         return sorted(self.side_vertices[side][lid])
 
-    def remove_vertex(self, side: int, v: int) -> None:
+    def _take(self, side: int, v: int) -> int:
+        """Drop v from its label's vertex set and return the label id."""
         lid = self.vertex_label[side].get(v)
         if lid is None or v not in self.side_vertices[side][lid]:
             raise InternalError(f"vertex {v} not present on side {side} (double removal?)")
         self.side_vertices[side][lid].discard(v)
-        self._reindex(lid)
+        return lid
 
-    def add_vertex(self, side: int, v: int) -> None:
-        """Reverse of remove_vertex; used by trial rollback."""
-        lid = self.vertex_label[side].get(v)
-        if lid is None or v in self.side_vertices[side][lid]:
-            raise InternalError(f"vertex {v} already present on side {side}")
-        self.side_vertices[side][lid].add(v)
-        self._reindex(lid)
+    def remove_vertex(self, side: int, v: int) -> None:
+        self._reindex(self._take(side, v))
+
+    def remove_pairs(self, pairs: list[tuple[int, int]]) -> None:
+        """Remove both vertices of every matched pair, re-indexing each
+        touched label once; equal to one remove_vertex call per vertex."""
+        touched = set()
+        for v1, v2 in pairs:
+            touched.add(self._take(0, v1))
+            touched.add(self._take(1, v2))
+        for lid in touched:
+            self._reindex(lid)
 
     def snapshot(self):
         """Canonical structural fingerprint, for rollback-exactness checks."""

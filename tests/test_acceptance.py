@@ -137,12 +137,9 @@ def test_a5_flood_trial_differential():
         best = 0
         for r1 in canonical_start_rotations(g1, s1):
             for r2 in canonical_start_rotations(g2, s2):
-                mt1, _ = label_nodes(g1, 1)
-                mt2, _ = label_nodes(g2, 1)
                 state = MatchState(g1, g2)
-                idx = build_seed_index(mt1, mt2, 10**6)
                 state.checkpoint()
-                best = max(best, run_trial(state, idx, s1, s2, r1, r2))
+                best = max(best, run_trial(state, s1, s2, r1, r2))
         disagreements += best != exhaustive_flood_from(g1, g2, s1, s2)
         checked += 1
     report("A5 flood-trial differential", disagreements == 0, f"{disagreements} of 500")
@@ -154,14 +151,11 @@ def test_a6_junction_alignment_fixture():
     g1 = figure_star((1, 4, 3, 2))
     names2 = {1: 1, 5: 2, 6: 3, 7: 4}
     g2 = figure_star(tuple(names2[x] for x in (1, 7, 6, 5)))
-    mt1, _ = label_nodes(g1, 1)
-    mt2, _ = label_nodes(g2, 1)
     state = MatchState(g1, g2)
-    idx = build_seed_index(mt1, mt2, 10**6)
     state.checkpoint()
     q = deque()
     process_nodes(
-        state, idx, 0, 0, q,
+        state, 0, 0, q,
         g1.neighbors_clockwise_from(0, 1),
         g2.neighbors_clockwise_from(0, names2[1]),
     )
@@ -250,7 +244,9 @@ def test_a10_haversine_references():
 
 
 def test_a11_rollback_exactness():
-    # 100 random checkpoint/trial/abort sequences restore state exactly.
+    # 100 random checkpoint/trial/abort sequences restore state exactly, and
+    # committing each trial's journal leaves the seed index as per-vertex
+    # removals would.
     rng = random.Random(11)
     g1 = gen_irregular_grid(5, 6, 0.3, 20)
     g2, _ = perturb(g1, 0.1, 0.05, 0.0, 21)
@@ -259,6 +255,7 @@ def test_a11_rollback_exactness():
     state = MatchState(g1, g2)
     idx = build_seed_index(mt1, mt2, 10**6)
     failures = 0
+    commit_failures = 0
     for _ in range(100):
         candidates = [
             (s1, s2)
@@ -279,11 +276,11 @@ def test_a11_rollback_exactness():
         )
         state.checkpoint()
         run_trial(
-            state, idx, s1, s2,
+            state, s1, s2,
             canonical_start_rotations(g1, s1)[0],
             canonical_start_rotations(g2, s2)[0],
         )
-        state.abort_trial(idx)
+        journal = state.abort_trial()
         after = (
             list(state.matched1),
             list(state.matched2),
@@ -291,4 +288,18 @@ def test_a11_rollback_exactness():
             deepcopy(idx.snapshot()),
         )
         failures += before != after
-    report("A11 rollback exactness", failures == 0, f"{failures} of 100")
+        per_vertex = deepcopy(idx)
+        for v1, v2 in journal:
+            per_vertex.remove_vertex(0, v1)
+            per_vertex.remove_vertex(1, v2)
+        committed, committed_idx = deepcopy((state, idx))
+        committed.commit(journal, committed_idx)
+        commit_failures += (
+            committed_idx.snapshot() != per_vertex.snapshot()
+            or committed_idx.veb.min() != per_vertex.veb.min()
+        )
+    report(
+        "A11 rollback exactness",
+        failures == 0 and commit_failures == 0,
+        f"{failures} of 100 rollbacks, {commit_failures} commits differ",
+    )

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 from roadmatch.errors import InputError
 from roadmatch.generator import gen_irregular_grid
 from roadmatch.graph import EmbeddedGraph, verify_conformal
-from roadmatch.labeling import canonical_start_rotations, label_nodes
+from roadmatch.labeling import canonical_start_rotations
 from roadmatch.matcher import MatchState, match, run_trial
 from roadmatch.oracle import brute_force_max_conformal, exhaustive_flood_from
-from roadmatch.seed_index import build_seed_index
 
 from conftest import cycle_graph, embedded_graphs, path_graph, random_graph, star_graph
 
@@ -99,11 +98,8 @@ class TestExhaustiveFlood:
             best = 0
             for r1 in canonical_start_rotations(g1, s1):
                 for r2 in canonical_start_rotations(g2, s2):
-                    mt1, _ = label_nodes(g1, 1)
-                    mt2, _ = label_nodes(g2, 1)
                     state = MatchState(g1, g2)
-                    idx = build_seed_index(mt1, mt2, 10**6)
                     state.checkpoint()
-                    best = max(best, run_trial(state, idx, s1, s2, r1, r2))
+                    best = max(best, run_trial(state, s1, s2, r1, r2))
             assert best == exhaustive_flood_from(g1, g2, s1, s2)
             checked += 1

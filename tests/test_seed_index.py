@@ -95,15 +95,13 @@ class TestRemoveVertex:
         with pytest.raises(InternalError):
             idx.remove_vertex(0, 0)
 
-    def test_add_vertex_reverses(self):
-        mt1, mt2 = tables_for(path_graph(5), path_graph(5), 1)
+    def test_batch_removal_checks_each_vertex(self):
+        mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
         idx = build_seed_index(mt1, mt2, 24)
-        before = idx.snapshot()
-        idx.remove_vertex(0, 2)
-        idx.remove_vertex(1, 3)
-        idx.add_vertex(1, 3)
-        idx.add_vertex(0, 2)
-        assert idx.snapshot() == before
+        with pytest.raises(InternalError):
+            idx.remove_pairs([(0, 0), (0, 2)])  # vertex 0 of g1 twice
+        with pytest.raises(InternalError):
+            idx.remove_pairs([(1, 5)])  # g2 has no vertex 5
 
     def test_removals_match_fresh_rebuild(self):
         # Replaying any removal sequence must equal building from reduced tables.
@@ -152,7 +150,7 @@ class TestRetireLabel:
         idx.retire_label(lid)
         assert lid not in idx.product
         idx.remove_vertex(0, 0)
-        idx.add_vertex(0, 0)
+        idx.remove_pairs([(2, 0)])
         assert lid not in idx.product
 
 
