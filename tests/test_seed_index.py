@@ -150,8 +150,18 @@ class TestRetireLabel:
         idx.retire_label(lid)
         assert lid not in idx.product
         idx.remove_vertex(0, 0)
-        idx.remove_pairs([(2, 0)])
+        # Counts are now (1, 2): an unretired label would be back at product 2.
         assert lid not in idx.product
+
+    def test_retired_label_stays_out_after_batch_removal(self):
+        mt1, mt2 = tables_for(path_graph(4), path_graph(4), 1)
+        idx = build_seed_index(mt1, mt2, 24)
+        lid = idx.label_id[(1, 2)]
+        idx.retire_label(lid)
+        idx.remove_pairs([(0, 0)])
+        # Counts are now (1, 1): an unretired label would be back at product 1.
+        assert lid not in idx.product
+        assert idx.veb.min() == 4  # only (2, 1, 2) with counts (2, 2) is left
 
 
 class TestAutoTuneK:
