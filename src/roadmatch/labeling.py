@@ -9,17 +9,27 @@ several cyclic rotations are minimal, the label is computed under each and
 the lexicographically smallest full label wins, so identical neighborhoods
 always collide.
 
-One kernel computes this canonical BFS for both ``label_nodes`` and
-``lexicographic_bfs``.  It first renumbers the graph in breadth-first order
-over every component, so the vertices of one ball sit close together in
-memory, and maps results back to the caller's ids at the end; labels are
-degree sequences, so renumbering cannot change them.  The BFS itself is
-level-synchronous: each level is a list of directed edges, a per-call table
-gives the clockwise successor edges of every directed edge, and a stamp
-array marks the vertices already listed.
+One kernel computes this canonical BFS for ``label_nodes``,
+``lexicographic_bfs`` and ``labels_by_depth``.  It first renumbers the graph
+in breadth-first order over every component, so the vertices of one ball
+sit close together in memory, and maps results back to the caller's ids at
+the end; labels are degree sequences, so renumbering cannot change them.
+The BFS itself is level-synchronous: each level is a list of directed
+edges, a table gives the clockwise successor edges of every directed edge,
+and a stamp array marks the vertices already listed.  ``_BallKernel.grow``
+is the one place that expands levels.
+
+The ball within distance k holds the same vertices whatever the start
+rotation, and the depth-k order from a start is a prefix of its
+depth-(k+1) order.  So a start whose label loses at depth k loses at every
+greater depth, and ``labels_by_depth`` can grow every ball by one level per
+k, carrying only the starts still tied, instead of walking it again.
 """
 
 from __future__ import annotations
+
+from array import array
+from collections.abc import Iterator, Sequence
 
 from .graph import EmbeddedGraph
 
@@ -67,86 +77,127 @@ def _breadth_first_ids(rotation) -> list[int]:
 
 
 class _BallKernel:
-    """Depth-k canonical BFS over one graph, on breadth-first local ids.
+    """Canonical BFS over one graph, on breadth-first local ids.
 
     ``old[x]`` is the caller's id of local vertex x and ``new[v]`` the local
     id of the caller's vertex v.  Directed edges are numbered so that the
     out-edges of x are ``first[x] .. first[x] + deg[x] - 1`` in clockwise
-    order; ``head[e]`` is the vertex edge e enters, and ``succ[e]`` lists
-    the out-edges of that vertex clockwise after the one leading back along
-    e.  A depth-1 ball is the start rotation alone, so ``succ`` is built
-    only for k >= 2.  The tables live as long as the kernel.
+    order; ``head[e]`` is the vertex edge e enters, ``head_deg[e]`` its
+    degree, and ``succ[e]`` lists the out-edges of that vertex clockwise
+    after the one leading back along e.  A depth-1 ball is the start
+    rotation alone, so ``succ`` is built only when a ball first grows past
+    depth 1.  The tables live as long as the kernel.
     """
 
-    def __init__(self, g: EmbeddedGraph, k: int):
-        self.k = k
+    def __init__(self, g: EmbeddedGraph):
         self.old = old = _breadth_first_ids(g.rotation)
         self.new = new = [0] * len(old)
         for x, v in enumerate(old):
             new[v] = x
         rot = [tuple(map(new.__getitem__, g.rotation[v])) for v in old]
         self.deg = deg = [len(r) for r in rot]
-        self.first = first = []
+        # Never read inside a walk, so machine ints will do.
+        self.first = first = array("i")
         edges = 0
         for d in deg:
             first.append(edges)
             edges += d
         # One int object per edge id, shared by every table that names it.
-        self.edge_ids = ids = list(range(edges))
+        self.edge_ids = list(range(edges))
         self.head = [u for r in rot for u in r]
-        self.succ = succ = [()] * edges
-        for u, r in enumerate(rot if k >= 2 else ()):
-            d = len(r)
-            out = ids[first[u] : first[u] + d] * 2
-            for i, x in enumerate(r):
-                succ[first[x] + rot[x].index(u)] = tuple(out[i + 1 : i + d])
+        self.head_deg = [deg[u] for u in self.head]
+        self.succ: list[tuple[int, ...]] | None = None
         self.stamp = [0] * len(old)
         self.mark = 0
 
-    def canonical_ball(self, x: int) -> tuple[Label, list[int]]:
-        """(label, local BFS order) of local vertex x.
+    def _successors(self) -> list[tuple[int, ...]]:
+        deg, first, head, ids = self.deg, self.first, self.head, self.edge_ids
+        self.succ = succ = [()] * len(ids)
+        for u, d in enumerate(deg):
+            a = first[u]
+            out = ids[a : a + d] * 2
+            for i in range(d):
+                x = head[a + i]
+                # The edge x -> u, found among the out-edges of x.
+                succ[head.index(u, first[x], first[x] + deg[x])] = tuple(out[i + 1 : i + d])
+        return succ
 
-        Minimal start rotation first, then the smallest full label among
-        tied rotations; the order is the one that gave the label.
+    def starts(self, x: int) -> list[list[Sequence[int]]]:
+        """Depth-1 BFS of local vertex x under each minimal start rotation,
+        in offset order: one level, the out-edges in that rotation.  An
+        isolated vertex gets one empty start."""
+        a, b = self.first[x], self.first[x] + self.deg[x]
+        out = self.edge_ids[a:b]
+        return [[out[i:] + out[:i]] for i in _min_rotation_offsets(self.head_deg[a:b])]
+
+    def grow(
+        self, x: int, prev: Sequence[int], balls: list[list[Sequence[int]]], levels: int
+    ) -> list[list[Sequence[int]]]:
+        """Extend the BFS of local vertex x by ``levels`` levels under each start.
+
+        ``balls`` holds, for each start rotation still tied, the edges of
+        its levels so far in discovery order, deepest last; only that last
+        one must be there.  ``prev`` holds the edges of the level before it
+        (empty at depth 1, where that level is x alone).  A level holds the
+        same vertices under every start, only in another order, so one
+        ``prev`` serves them all.  The stamp array is reset to x and the
+        last two levels, because walks from other vertices reuse it; only
+        their neighbours can be new.  Each new level is appended to its
+        ball, and after each level only the starts whose new vertices have
+        the smallest degree sequence go on.  Returns those balls, winner
+        (the first) first.
         """
-        k, deg, head, succ, stamp = self.k, self.deg, self.head, self.succ, self.stamp
-        d = deg[x]
-        if k <= 0 or d == 0:
-            return (d,), []
-        out = self.edge_ids[self.first[x] : self.first[x] + d]
-        best: Label | None = None
-        best_order: list[int] = []
-        for i in _min_rotation_offsets([deg[head[e]] for e in out]):
-            level = out[i:] + out[:i]
-            order = [head[e] for e in level]
-            if k > 1:
-                self.mark += 1
-                mark = self.mark
-                stamp[x] = mark
-                for u in order:
-                    stamp[u] = mark
-                for _ in range(k - 2):
-                    nxt = []
+        head, head_deg, stamp = self.head, self.head_deg, self.stamp
+        if levels and self.succ is None:
+            self._successors()
+        succ = self.succ
+        for step in range(levels):
+            # Every start's walk stamps the same vertices, so a lone start
+            # goes on from whatever stamps the last walk left.
+            fresh = step == 0 or len(balls) > 1
+            for ball in balls:
+                level = ball[-1]
+                if fresh:
+                    self.mark += 1
+                    mark = self.mark
+                    stamp[x] = mark
+                    for e in prev:
+                        stamp[head[e]] = mark
                     for e in level:
-                        for f in succ[e]:
-                            u = head[f]
-                            if stamp[u] != mark:
-                                stamp[u] = mark
-                                order.append(u)
-                                nxt.append(f)
-                    level = nxt
-                # Depth k is listed but never expanded.
+                        stamp[head[e]] = mark
+                nxt = []
                 for e in level:
                     for f in succ[e]:
                         u = head[f]
                         if stamp[u] != mark:
                             stamp[u] = mark
-                            order.append(u)
-            lab = (d, *map(deg.__getitem__, order))
-            if best is None or lab < best:
-                best = lab
-                best_order = order
-        return best, best_order
+                            nxt.append(f)
+                ball.append(nxt)
+            prev = level
+            if len(balls) > 1:
+                tails = [[head_deg[f] for f in ball[-1]] for ball in balls]
+                best = min(tails)
+                balls = [ball for ball, tail in zip(balls, tails) if tail == best]
+        return balls
+
+    def canonical_ball(self, x: int, k: int) -> list[Sequence[int]]:
+        """Edges through which the canonical BFS of local vertex x at depth
+        k lists its vertices, level by level; their heads are the order.
+
+        Minimal start rotation first, then the smallest full label among
+        tied rotations; the order is the one that gave the label.
+        """
+        if k <= 0:
+            return []
+        return self.grow(x, (), self.starts(x), k - 1)[0]
+
+
+def master_table(labels: list[Label]) -> MasterTable:
+    """Group vertex ids by label; each entry list is in ascending id."""
+    table: MasterTable = {}
+    for v, lab in enumerate(labels):
+        table.setdefault(lab, []).append(v)
+    return table
 
 
 def lexicographic_bfs(g: EmbeddedGraph, v: int, k: int) -> list[int]:
@@ -156,9 +207,9 @@ def lexicographic_bfs(g: EmbeddedGraph, v: int, k: int) -> list[int]:
     smallest, matching what label_nodes records.  Builds the kernel's
     tables for the whole graph, so one call costs O(n + m).
     """
-    kernel = _BallKernel(g, k)
-    _, order = kernel.canonical_ball(kernel.new[v])
-    return [kernel.old[u] for u in order]
+    kernel = _BallKernel(g)
+    old, head = kernel.old, kernel.head
+    return [old[head[e]] for level in kernel.canonical_ball(kernel.new[v], k) for e in level]
 
 
 def label_nodes(g: EmbeddedGraph, k: int) -> tuple[MasterTable, list[Label]]:
@@ -167,11 +218,66 @@ def label_nodes(g: EmbeddedGraph, k: int) -> tuple[MasterTable, list[Label]]:
     Returns (master table, per-vertex label array).  Master-table entry
     lists are in ascending vertex id.
     """
-    kernel = _BallKernel(g, k)
+    kernel = _BallKernel(g)
+    deg, head_deg = kernel.deg, kernel.head_deg
     labels: list[Label] = [()] * g.vertex_count
     for x, v in enumerate(kernel.old):
-        labels[v] = kernel.canonical_ball(x)[0]
-    table: MasterTable = {}
-    for v, lab in enumerate(labels):
-        table.setdefault(lab, []).append(v)
-    return table, labels
+        ball = kernel.canonical_ball(x, k)
+        labels[v] = (deg[x], *[head_deg[e] for level in ball for e in level])
+    return master_table(labels), labels
+
+
+def labels_by_depth(g: EmbeddedGraph) -> Iterator[list[Label]]:
+    """Yield the per-vertex labels at k = 1, 2, 3, ...
+
+    The k-th list equals ``label_nodes(g, k)[1]``; it is the same list
+    object every time, updated in place before the next yield.  One kernel
+    grows every canonical ball by one level per k, keeping only the last
+    two levels of edges: one flat array per depth holds each vertex's
+    level under every start still tied, back to back, with a per-vertex
+    entry count, and a small dict counts the starts of the vertices that
+    still have more than one.  A ball that covers its component is
+    dropped, since its label no longer changes.
+    """
+    kernel = _BallKernel(g)
+    deg, head_deg, old = kernel.deg, kernel.head_deg, kernel.old
+    n = len(old)
+    labels: list[Label] = [()] * n
+    # Depth 0 is each vertex alone, which grow restamps anyway.
+    prev, prev_n = array("i"), array("i", [0]) * n
+    level, level_n = array("i"), array("i", [0]) * n
+    tied: dict[int, int] = {}
+    for x, v in enumerate(old):
+        starts = kernel.starts(x)
+        labels[v] = (deg[x], *[head_deg[e] for e in starts[0][0]])
+        for (edges,) in starts:
+            level.extend(edges)
+        level_n[x] = len(starts) * deg[x]
+        if len(starts) > 1:
+            tied[x] = len(starts)
+    yield labels
+    while True:
+        grown, grown_n, next_tied = array("i"), array("i", [0]) * n, {}
+        a = b = 0
+        for x in range(n):
+            p, q = prev_n[x], level_n[x]
+            if q:
+                c = tied.get(x)
+                if c is None:
+                    balls = [[level[b : b + q]]]
+                else:
+                    w = q // c
+                    balls = [[level[i : i + w]] for i in range(b, b + q, w)]
+                balls = kernel.grow(x, prev[a : a + p], balls, 1)
+                new = balls[0][-1]
+                if new:
+                    labels[old[x]] = (*labels[old[x]], *[head_deg[e] for e in new])
+                    for ball in balls:
+                        grown.extend(ball[-1])
+                    grown_n[x] = len(balls) * len(new)
+                    if len(balls) > 1:
+                        next_tied[x] = len(balls)
+            a += p
+            b += q
+        prev, prev_n, level, level_n, tied = level, level_n, grown, grown_n, next_tied
+        yield labels

@@ -17,7 +17,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, InternalError
+from .errors import InternalError
 from .graph import EmbeddedGraph
 from .labeling import DEFAULT_K, canonical_start_rotations, label_nodes
 from .seed_index import (
@@ -25,7 +25,6 @@ from .seed_index import (
     SeedIndex,
     auto_tune_k,
     build_seed_index,
-    max_cross_product,
 )
 
 
@@ -230,12 +229,7 @@ def match(
         mt1, _ = label_nodes(g1, k)
         mt2, _ = label_nodes(g2, k)
     label_time = time.perf_counter() - t0
-    top = max_cross_product(mt1, mt2)
-    if top > max_product:
-        raise ConfigurationError(
-            f"max label product {top} exceeds bound {max_product} at k={k}; "
-            f"run tune-k to pick a workable k or raise --max-product"
-        )
+    # Raises ConfigurationError when a label's product is over the bound.
     idx = build_seed_index(mt1, mt2, max_product)
     seed_time = time.perf_counter() - t0
 
@@ -281,7 +275,7 @@ def match(
     unmatched2 = [v for v in range(g2.vertex_count) if state.matched2[v] is None]
     stats = MatchStats(
         k=k,
-        max_product=top,
+        max_product=idx.largest_product,
         rng_seed=rng_seed,
         label_time_s=label_time,
         seed_time_s=seed_time,

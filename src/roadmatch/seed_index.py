@@ -6,17 +6,23 @@ min-product queries; a product table maps each product back to the labels
 currently holding it.  The vertices of each committed trial are removed in
 one batch and every affected label's product is recomputed once.  Labels
 are interned to integer ids at build time; all internal structures work on
-ids.
+ids.  Building the index is also the one place that checks the product
+bound.
+
+``auto_tune_k`` picks the label depth k: it grows both graphs' labels one
+level per k in a single pass (``labeling.labels_by_depth``) and counts them
+at each k, rather than labeling both graphs from scratch at every k.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, InputError, InternalError
 from .graph import EmbeddedGraph
-from .labeling import Label, MasterTable, label_nodes
+from .labeling import Label, MasterTable, label_nodes, labels_by_depth, master_table
 from .veb import VebTree
 
 DEFAULT_MAX_PRODUCT = 24
@@ -46,17 +52,23 @@ class SeedIndex:
         self.bucket: dict[int, set[int]] = {}
         self.retired: set[int] = set()
         self.veb = VebTree(max_product)
+        products = {}
         for lid in range(len(all_labels)):
             n1 = len(self.side_vertices[0][lid])
             n2 = len(self.side_vertices[1][lid])
             if n1 and n2:
-                p = n1 * n2
-                if p > max_product:
-                    raise ConfigurationError(
-                        f"label {self.labels[lid]} has product {p} > bound "
-                        f"{max_product}; re-tune k (see the tune-k command)"
-                    )
-                self._index_label(lid, p)
+                products[lid] = n1 * n2
+        # Largest n1*n2 over labels present on both sides, as built.
+        self.largest_product = max(products.values(), default=0)
+        if self.largest_product > max_product:
+            lid = max(products, key=products.__getitem__)
+            raise ConfigurationError(
+                f"max label product {self.largest_product} exceeds bound {max_product}; "
+                f"re-tune k (see the tune-k command) or raise the bound; "
+                f"the label is {self.labels[lid]}"
+            )
+        for lid, p in products.items():
+            self._index_label(lid, p)
 
     def _index_label(self, lid: int, p: int) -> None:
         self.product[lid] = p
@@ -180,19 +192,30 @@ def auto_tune_k(
     small symmetric components can hold a floor).  If no k qualifies,
     returns the k minimizing the max product, smallest k on ties, flagged
     as unbounded.
+
+    One pass grows both graphs' labels a level per k (``labels_by_depth``)
+    and counts them for each k's max product, so tuning walks each ball
+    about once rather than once per k tried.  Its results, tables included,
+    equal labeling both graphs from scratch at every k.  The growth state
+    is freed before the chosen k's tables are built; only the unbounded
+    case labels again, at the minimizing k.
     """
     if max_product < 1 or k_max < 1:
         raise InputError("max_product and k_max must be >= 1")
     per_k = []
-    best = None  # (max product, k, tables)
-    for k in range(1, k_max + 1):
-        mt1, _ = label_nodes(g1, k)
-        mt2, _ = label_nodes(g2, k)
-        p = max_cross_product(mt1, mt2)
+    depths = zip(range(1, k_max + 1), labels_by_depth(g1), labels_by_depth(g2))
+    for k, labels1, labels2 in depths:
+        counts1 = Counter(labels1)
+        p = max(
+            (n * counts1[lab] for lab, n in Counter(labels2).items() if lab in counts1),
+            default=0,
+        )
         per_k.append((k, p))
-        if best is None or p < best[0]:
-            best = (p, k, (mt1, mt2))
         if p <= max_product:
-            return TuneReport(k, p, True, per_k, (mt1, mt2))
-    p, k, tables = best
-    return TuneReport(k, p, False, per_k, tables)
+            break
+    else:
+        del depths, labels1, labels2  # the growth state and the k_max labels
+        p, k = min((p, k) for k, p in per_k)
+        return TuneReport(k, p, False, per_k, (label_nodes(g1, k)[0], label_nodes(g2, k)[0]))
+    del depths  # frees the growth state; the labels at k stay
+    return TuneReport(k, p, True, per_k, (master_table(labels1), master_table(labels2)))

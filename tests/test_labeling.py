@@ -1,9 +1,11 @@
 import random
 from collections import deque
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roadmatch.generator import gen_irregular_grid
 from roadmatch.graph import EmbeddedGraph
 from roadmatch.labeling import (
     canonical_start_rotations,
@@ -130,6 +132,13 @@ class TestLexicographicBfs:
         order = lexicographic_bfs(g, 0, 3)
         assert len(order) == len(set(order)) == 3
 
+    def test_later_tied_start_wins_at_depth_two(self):
+        # Center 0 sees degrees (2, 2, 2) from every start; depth 2 reads
+        # (2, 1) when the BFS starts at neighbour 1 or 3, (1, 2) at 2.
+        g = EmbeddedGraph(((1, 2, 3), (0, 4), (0, 5), (0, 4), (1, 3), (2,)))
+        assert lexicographic_bfs(g, 0, 2) == [2, 3, 1, 5, 4]
+        assert label_nodes(g, 2)[1][0] == (3, 2, 2, 2, 1, 2)
+
 
 class TestLabelNodes:
     def test_four_cycle_k1(self):
@@ -144,8 +153,6 @@ class TestLabelNodes:
 
     def test_grid_interior_all_fours(self):
         # 5x5 lattice: the center vertex sees only degree-4 vertices at k=1.
-        from roadmatch.generator import gen_irregular_grid
-
         g = gen_irregular_grid(5, 5, 0.0, 0)
         center = 12
         assert g.degree(center) == 4
@@ -183,6 +190,15 @@ class TestLabelNodes:
             lab: [v for v in range(g.vertex_count) if labels[v] == lab] for lab in set(labels)
         }
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_bfs_on_grids(self, seed):
+        # Near-regular grids tie many starts that only deeper levels tell
+        # apart, which components of a few vertices rarely do.
+        g = gen_irregular_grid(6, 7, 0.1, seed)
+        for k in range(1, 5):
+            _, labels = label_nodes(g, k)
+            assert labels == [reference_ball(g, v, k)[0] for v in range(g.vertex_count)]
+
     @given(embedded_graphs(min_vertices=2), st.integers(0, 3))
     @settings(max_examples=50)
     def test_storage_offset_invariance(self, g, k):
@@ -199,8 +215,6 @@ class TestLabelNodes:
         assert label_nodes(g, k)[1] == label_nodes(h, k)[1]
 
     def test_label_length_nondecreasing_in_k(self):
-        from roadmatch.generator import gen_irregular_grid
-
         g = gen_irregular_grid(5, 6, 0.2, 4)
         prev = None
         for k in range(0, 6):

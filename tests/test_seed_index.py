@@ -1,18 +1,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadmatch.errors import ConfigurationError, InternalError
-from roadmatch.generator import gen_irregular_grid
-from roadmatch.labeling import label_nodes
+from roadmatch.generator import gen_irregular_grid, perturb
+from roadmatch.labeling import label_nodes, labels_by_depth
 from roadmatch.seed_index import (
     SeedIndex,
+    TuneReport,
     auto_tune_k,
     build_seed_index,
     max_cross_product,
 )
 
 from conftest import path_graph
+from test_labeling import scattered_graphs
 
 
 def tables_for(g1, g2, k):
@@ -196,3 +200,55 @@ class TestAutoTuneK:
         mt1, _ = label_nodes(g, report.k)
         assert report.tables[0] == mt1
         assert max_cross_product(*report.tables) == report.max_product
+
+    def test_unbounded_tables_match_chosen_k(self):
+        # The product stays 4 at every k, so k=1 is chosen after k=4 was
+        # tried; the leaf labels differ between the two, (1, 2) at k=1.
+        g = path_graph(3)
+        report = auto_tune_k(g, g, 1, 4)
+        assert not report.bounded and report.k == 1
+        mt, _ = label_nodes(g, 1)
+        assert report.tables == (mt, mt)
+
+
+def relabeling_tune(g1, g2, max_product, k_max):
+    """auto_tune_k as a loop that labels both graphs from scratch at each k."""
+    per_k = []
+    best = None  # (max product, k, tables)
+    for k in range(1, k_max + 1):
+        mt1, _ = label_nodes(g1, k)
+        mt2, _ = label_nodes(g2, k)
+        p = max_cross_product(mt1, mt2)
+        per_k.append((k, p))
+        if best is None or p < best[0]:
+            best = (p, k, (mt1, mt2))
+        if p <= max_product:
+            return TuneReport(k, p, True, per_k, (mt1, mt2))
+    p, k, tables = best
+    return TuneReport(k, p, False, per_k, tables)
+
+
+class TestTuneAgainstRelabeling:
+    @given(scattered_graphs(), scattered_graphs(), st.integers(1, 30), st.integers(1, 6))
+    @settings(max_examples=150)
+    def test_equal_report(self, g1, g2, bound, k_max):
+        assert auto_tune_k(g1, g2, bound, k_max) == relabeling_tune(g1, g2, bound, k_max)
+
+    @given(
+        st.integers(3, 8), st.integers(3, 8), st.integers(0, 2**16),
+        st.integers(1, 30), st.integers(1, 6),
+    )
+    @settings(max_examples=60)
+    def test_equal_report_on_snapshot_pairs(self, rows, cols, seed, bound, k_max):
+        # Isolated vertices hold a floor under the product of scattered
+        # graphs, so they almost never meet the bound past k=1; two
+        # snapshots of a grid often do, which checks tables grown past k=1.
+        g1 = gen_irregular_grid(rows, cols, 0.2, seed)
+        g2, _ = perturb(g1, 0.05, 0.0, 0.02, seed + 1)
+        assert auto_tune_k(g1, g2, bound, k_max) == relabeling_tune(g1, g2, bound, k_max)
+
+    @given(scattered_graphs())
+    @settings(max_examples=150)
+    def test_grown_labels_equal_label_nodes(self, g):
+        for k, labels in zip(range(1, 7), labels_by_depth(g)):
+            assert labels == label_nodes(g, k)[1]
