@@ -12,7 +12,11 @@ from roadmatch.generator import gen_irregular_grid, perturb, score_against_groun
 from roadmatch.labeling import label_nodes
 from roadmatch.matcher import match
 from roadmatch.metrics import approximation_ratio
-from roadmatch.seed_index import max_cross_product
+
+
+def max_cross_product(mt1, mt2) -> int:
+    """Largest n1(L)*n2(L) over labels present in both tables; 0 if none."""
+    return max((len(v1) * len(mt2[lab]) for lab, v1 in mt1.items() if lab in mt2), default=0)
 
 
 def main():

@@ -20,7 +20,7 @@ from .metrics import (
 )
 from .generator import gen_irregular_grid, perturb, score_against_ground_truth
 from .oracle import brute_force_max_conformal, exhaustive_flood_from
-from .seed_index import SeedIndex, auto_tune_k, build_seed_index, max_cross_product
+from .seed_index import SeedIndex, auto_tune_k, build_seed_index
 from .veb import VebTree
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "label_nodes",
     "lexicographic_bfs",
     "match",
-    "max_cross_product",
     "pair_distance_histogram",
     "parse_erg",
     "parse_segments",

@@ -22,7 +22,7 @@ from .metrics import (
     threshold_ratio,
 )
 from .oracle import DEFAULT_SIZE_CAP, brute_force_max_conformal
-from .seed_index import DEFAULT_MAX_PRODUCT, auto_tune_k
+from .seed_index import DEFAULT_MAX_PRODUCT, auto_tune_k, label_pair
 
 
 def _add_format(p):
@@ -161,8 +161,7 @@ def _cmd_validate(args) -> int:
     g2 = load_graph(args.graph2, args.format)
     with open(args.matching, encoding="utf-8") as fh:
         pairs, _, _, stats = parse_matching(fh.read())
-    mt1, _ = label_nodes(g1, args.k)
-    mt2, _ = label_nodes(g2, args.k)
+    (mt1, _), (mt2, _) = label_pair(g1, g2, args.k)
     ratio = approximation_ratio(mt1, mt2, g1.vertex_count, g2.vertex_count)
     print(f"approximation_ratio: {ratio:.4f}")
     if g1.coords is not None and g2.coords is not None:

@@ -19,12 +19,13 @@ from dataclasses import dataclass
 
 from .errors import InternalError
 from .graph import EmbeddedGraph
-from .labeling import DEFAULT_K, canonical_start_rotations, label_nodes
+from .labeling import DEFAULT_K, canonical_start_rotations
 from .seed_index import (
     DEFAULT_MAX_PRODUCT,
     SeedIndex,
     auto_tune_k,
     build_seed_index,
+    label_pair,
 )
 
 
@@ -187,7 +188,9 @@ class MatchStats:
     k: int
     max_product: int
     rng_seed: int
-    label_time_s: float  # labeling both graphs, the k search included
+    # Wall time of labeling both graphs, the k search included; the two are
+    # labeled at once when a worker process takes the second.
+    label_time_s: float
     seed_time_s: float  # labeling plus building the seed index
     match_time_s: float
     matched: int
@@ -226,8 +229,7 @@ def match(
         k = report.k
         mt1, mt2 = report.tables
     else:
-        mt1, _ = label_nodes(g1, k)
-        mt2, _ = label_nodes(g2, k)
+        (mt1, _), (mt2, _) = label_pair(g1, g2, k)
     label_time = time.perf_counter() - t0
     # Raises ConfigurationError when a label's product is over the bound.
     idx = build_seed_index(mt1, mt2, max_product)

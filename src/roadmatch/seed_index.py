@@ -9,9 +9,13 @@ are interned to integer ids at build time; all internal structures work on
 ids.  Building the index is also the one place that checks the product
 bound.
 
-``auto_tune_k`` picks the label depth k: it grows both graphs' labels one
-level per k in a single pass (``labeling.labels_by_depth``) and counts them
-at each k, rather than labeling both graphs from scratch at every k.
+``label_pair`` labels both snapshots at a fixed k, the second in a worker
+process while this one labels the first, when that pays
+(``labeling.labeling_job``).  ``auto_tune_k`` picks the label depth k: it
+grows both graphs' labels one level per k in a single pass
+(``labeling.labels_by_depth``), the second in lockstep in the worker, and
+counts them at each k, rather than labeling both graphs from scratch at
+every k.
 """
 
 from __future__ import annotations
@@ -22,7 +26,14 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError, InputError, InternalError
 from .graph import EmbeddedGraph
-from .labeling import Label, MasterTable, label_nodes, labels_by_depth, master_table
+from .labeling import (
+    Label,
+    MasterTable,
+    label_nodes,
+    labeling_job,
+    labels_by_depth,
+    master_table,
+)
 from .veb import VebTree
 
 DEFAULT_MAX_PRODUCT = 24
@@ -163,12 +174,18 @@ def build_seed_index(
     return SeedIndex(mt1, mt2, max_product)
 
 
-def max_cross_product(mt1: MasterTable, mt2: MasterTable) -> int:
-    """Largest n1(L)*n2(L) over labels present in both tables; 0 if none."""
-    return max(
-        (len(v1) * len(mt2[lab]) for lab, v1 in mt1.items() if lab in mt2),
-        default=0,
-    )
+def label_pair(
+    g1: EmbeddedGraph, g2: EmbeddedGraph, k: int
+) -> tuple[tuple[MasterTable, list[Label]], tuple[MasterTable, list[Label]]]:
+    """``label_nodes(g1, k)`` and ``label_nodes(g2, k)``, computed at once.
+
+    g2 is labeled in a worker process while this one labels g1, when that
+    pays (see ``labeling.labeling_job``); the results are the same either
+    way.
+    """
+    with labeling_job(g2, k) as second:
+        first = label_nodes(g1, k)
+        return first, second.receive()
 
 
 @dataclass
@@ -195,27 +212,35 @@ def auto_tune_k(
 
     One pass grows both graphs' labels a level per k (``labels_by_depth``)
     and counts them for each k's max product, so tuning walks each ball
-    about once rather than once per k tried.  Its results, tables included,
-    equal labeling both graphs from scratch at every k.  The growth state
-    is freed before the chosen k's tables are built; only the unbounded
-    case labels again, at the minimizing k.
+    about once rather than once per k tried.  g2's pass runs in lockstep in
+    a worker process when that pays: at each k it sends its label counts
+    and waits for "next" or "stop", and on "stop" sends its table.  Its
+    results, tables included, equal labeling both graphs from scratch at
+    every k.  The growth state is freed before the chosen k's tables are
+    built; only the unbounded case labels again, at the minimizing k.
     """
     if max_product < 1 or k_max < 1:
         raise InputError("max_product and k_max must be >= 1")
     per_k = []
-    depths = zip(range(1, k_max + 1), labels_by_depth(g1), labels_by_depth(g2))
-    for k, labels1, labels2 in depths:
-        counts1 = Counter(labels1)
-        p = max(
-            (n * counts1[lab] for lab, n in Counter(labels2).items() if lab in counts1),
-            default=0,
-        )
-        per_k.append((k, p))
-        if p <= max_product:
-            break
-    else:
-        del depths, labels1, labels2  # the growth state and the k_max labels
-        p, k = min((p, k) for k, p in per_k)
-        return TuneReport(k, p, False, per_k, (label_nodes(g1, k)[0], label_nodes(g2, k)[0]))
-    del depths  # frees the growth state; the labels at k stay
-    return TuneReport(k, p, True, per_k, (master_table(labels1), master_table(labels2)))
+    with labeling_job(g2, k_max, by_depth=True) as second:
+        depths1 = labels_by_depth(g1)
+        for k, labels1 in zip(range(1, k_max + 1), depths1):
+            counts1 = Counter(labels1)
+            p = max(
+                (n * counts1[lab] for lab, n in second.receive().items() if lab in counts1),
+                default=0,
+            )
+            per_k.append((k, p))
+            if p <= max_product:
+                second.send("stop")
+                del counts1
+                depths1.close()  # frees the growth state; the labels at k stay
+                return TuneReport(
+                    k, p, True, per_k, (master_table(labels1), second.receive()[0])
+                )
+            if k < k_max:
+                second.send("next")
+    del depths1, labels1, counts1  # the growth state and the k_max labels
+    p, k = min((p, k) for k, p in per_k)
+    (mt1, _), (mt2, _) = label_pair(g1, g2, k)
+    return TuneReport(k, p, False, per_k, (mt1, mt2))

@@ -5,6 +5,11 @@ from hypothesis import strategies as st
 from roadmatch.graph import EmbeddedGraph
 
 
+def max_cross_product(mt1, mt2) -> int:
+    """Largest n1(L)*n2(L) over labels present in both tables; 0 if none."""
+    return max((len(v1) * len(mt2[lab]) for lab, v1 in mt1.items() if lab in mt2), default=0)
+
+
 def path_graph(n: int) -> EmbeddedGraph:
     rotation = []
     for v in range(n):

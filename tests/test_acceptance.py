@@ -25,10 +25,10 @@ from roadmatch.metrics import (
     haversine_km,
 )
 from roadmatch.oracle import brute_force_max_conformal, exhaustive_flood_from
-from roadmatch.seed_index import build_seed_index, max_cross_product
+from roadmatch.seed_index import build_seed_index
 from roadmatch.veb import VebTree
 
-from conftest import figure_star, random_graph
+from conftest import figure_star, max_cross_product, random_graph
 
 
 def report(name, ok, detail=""):

@@ -120,6 +120,25 @@ class TestErrors:
         assert code == 2
         assert "tune-k" in err
 
+    @pytest.mark.parametrize("command", ["label", "match", "validate"])
+    def test_negative_k_exit_one(self, tmp_path, capsys, command):
+        g = tmp_path / "g.erg"
+        g.write_text(emit_erg(path_graph(3)))
+        m = tmp_path / "match.txt"
+        m.write_text("")
+        files = {"label": [g], "match": [g, g], "validate": [m, g, g]}[command]
+        code, out, err = run(capsys, command, *map(str, files), "--k", "-2")
+        assert code == 1
+        assert "k must be >= 0, got -2" in err
+        assert "# k:" not in out
+
+    def test_zero_k_labels_degrees(self, tmp_path, capsys):
+        g = tmp_path / "g.erg"
+        g.write_text(emit_erg(path_graph(3)))
+        code, out, _ = run(capsys, "label", str(g), "--k", "0")
+        assert code == 0
+        assert out.splitlines()[:3] == ["label 0 1", "label 1 2", "label 2 1"]
+
     def test_unknown_subcommand_exit_one(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1

@@ -1,0 +1,220 @@
+"""Labeling the second snapshot in a worker process (``labeling_job``).
+
+Graphs here are far below the worker's size gate, so the tests that need
+the worker lower ``WORKER_MIN_VERTICES`` to 0 (and report two usable CPUs)
+and record every worker started.  Every test runs under an alarm, so a
+worker that never answers fails the test instead of hanging it, and ends
+by checking that this process has no child left, reaped or not.
+"""
+
+import contextlib
+import os
+import signal
+import subprocess
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from roadmatch import labeling, seed_index
+from roadmatch.errors import InternalError
+from roadmatch.generator import gen_irregular_grid, perturb
+from roadmatch.graph import EmbeddedGraph
+from roadmatch.labeling import label_nodes, labels_by_depth
+from roadmatch.seed_index import auto_tune_k, label_pair
+
+from test_labeling import scattered_graphs
+from test_seed_index import relabeling_tune
+
+DEADLINE_S = 120
+
+
+@pytest.fixture(autouse=True)
+def deadline():
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {DEADLINE_S} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(DEADLINE_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert_no_children()
+
+
+def assert_no_children():
+    # Raises only when this process has no child at all; a zombie would be
+    # reaped here and returned instead.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def forced_worker():
+    """Worker on for any graph; yields the list of workers started."""
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(labeling, "WORKER_MIN_VERTICES", 0)
+        mp.setattr(labeling, "_usable_cpus", lambda: 2)
+        mp.setattr(subprocess, "Popen", Recorded)
+        yield started
+
+
+def with_stray_edges(g, count):
+    """g plus ``count`` disjoint edges, whose label product never falls."""
+    n = g.vertex_count
+    extra = []
+    for i in range(count):
+        a = n + 2 * i
+        extra += [(a + 1,), (a,)]
+    return EmbeddedGraph(g.rotation + tuple(extra))
+
+
+def snapshot_pair(seed, rows=6, cols=6):
+    g1 = gen_irregular_grid(rows, cols, 0.2, seed)
+    g2, _ = perturb(g1, 0.05, 0.0, 0.02, seed + 1)
+    return g1, g2
+
+
+class TestSameResults:
+    @given(scattered_graphs(), scattered_graphs(), st.integers(2, 5))
+    @settings(max_examples=25, deadline=None)
+    def test_label_pair_equals_label_nodes(self, g1, g2, k):
+        with forced_worker() as started:
+            got = label_pair(g1, g2, k)
+        assert len(started) == 1 and started[0].returncode is not None
+        assert got == (label_nodes(g1, k), label_nodes(g2, k))
+
+    def test_label_pair_on_snapshots(self):
+        g1, g2 = snapshot_pair(3, 10, 12)
+        for k in (2, 4):
+            with forced_worker() as started:
+                got = label_pair(g1, g2, k)
+            assert len(started) == 1
+            assert got == (label_nodes(g1, k), label_nodes(g2, k))
+
+    @given(scattered_graphs(), scattered_graphs(), st.integers(1, 30), st.integers(2, 6))
+    @settings(max_examples=25, deadline=None)
+    def test_tune_equals_relabeling(self, g1, g2, bound, k_max):
+        with forced_worker() as started:
+            report = auto_tune_k(g1, g2, bound, k_max)
+        assert started
+        assert report == relabeling_tune(g1, g2, bound, k_max)
+
+    def test_tune_bounded(self):
+        g1, g2 = snapshot_pair(0)
+        with forced_worker() as started:
+            report = auto_tune_k(g1, g2, 1, 6)
+        assert report.bounded and report.k == 3 and len(started) == 1
+        assert report == relabeling_tune(g1, g2, 1, 6)
+
+    def test_tune_unbounded(self):
+        # Two stray edges on each side, four vertices labeled (1, 1), hold
+        # the product at 16 from k = 2 on, so k = 2 is chosen after k = 4
+        # was tried, and labeled again by a second worker.
+        g1, g2 = (with_stray_edges(g, 2) for g in snapshot_pair(0))
+        with forced_worker() as started:
+            report = auto_tune_k(g1, g2, 1, 4)
+        assert not report.bounded and report.k == 2
+        assert [p for _, p in report.per_k] == [36, 16, 16, 16]
+        assert len(started) == 2
+        assert report == relabeling_tune(g1, g2, 1, 4)
+
+
+class TestWorkerEnds:
+    def test_killed_at_fixed_k(self, monkeypatch):
+        g1, g2 = snapshot_pair(1)
+        with forced_worker() as started:
+
+            def label_after_kill(g, k):
+                started[0].kill()
+                return label_nodes(g, k)
+
+            monkeypatch.setattr(seed_index, "label_nodes", label_after_kill)
+            with pytest.raises(InternalError, match="exit status -9"):
+                label_pair(g1, g2, 3)
+        assert started[0].returncode == -signal.SIGKILL
+
+    def test_killed_while_tuning(self, monkeypatch):
+        g1, g2 = (with_stray_edges(g, 2) for g in snapshot_pair(0))
+        with forced_worker() as started:
+
+            def depths(g):
+                # Kill the worker while it grows its labels to k = 2.
+                for k, labels in enumerate(labels_by_depth(g), 1):
+                    if k == 2:
+                        started[0].kill()
+                    yield labels
+
+            monkeypatch.setattr(seed_index, "labels_by_depth", depths)
+            with pytest.raises(InternalError, match="exit status -9"):
+                auto_tune_k(g1, g2, 1, 4)
+        assert len(started) == 1
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_parent_side_exception(self, monkeypatch, error):
+        def fail(g, k):
+            raise error("labeling the first graph failed")
+
+        g1, g2 = snapshot_pair(2)
+        with forced_worker() as started:
+            monkeypatch.setattr(seed_index, "label_nodes", fail)
+            with pytest.raises(error):
+                label_pair(g1, g2, 3)
+        assert len(started) == 1 and started[0].returncode is not None
+
+    def test_worker_error_is_internal(self, monkeypatch):
+        # A worker that fails on its job exits 1 with a traceback: that is
+        # still a dead worker, never bad input.
+        g1, g2 = snapshot_pair(2)
+        with forced_worker() as started:
+            monkeypatch.setattr(labeling, "_WORKER_CODE", "raise SystemExit('no labels here')")
+            with pytest.raises(InternalError, match="exit status 1.*no labels here"):
+                label_pair(g1, g2, 3)
+        assert len(started) == 1
+
+
+class TestInProcess:
+    def test_popen_fails(self, monkeypatch):
+        def no_interpreter(*args, **kwargs):
+            raise OSError("cannot start an interpreter")
+
+        g1, g2 = snapshot_pair(4)
+        g1s, g2s = (with_stray_edges(g, 2) for g in (g1, g2))
+        with forced_worker():
+            monkeypatch.setattr(subprocess, "Popen", no_interpreter)
+            assert label_pair(g1, g2, 3) == (label_nodes(g1, 3), label_nodes(g2, 3))
+            assert auto_tune_k(g1, g2, 1, 6) == relabeling_tune(g1, g2, 1, 6)
+            assert auto_tune_k(g1s, g2s, 1, 4) == relabeling_tune(g1s, g2s, 1, 4)
+
+    def test_one_cpu(self, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a worker was started with one usable CPU")
+
+        g1, g2 = snapshot_pair(4)
+        monkeypatch.setattr(labeling, "WORKER_MIN_VERTICES", 0)
+        monkeypatch.setattr(subprocess, "Popen", unexpected)
+        if hasattr(os, "sched_getaffinity"):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert label_pair(g1, g2, 3) == (label_nodes(g1, 3), label_nodes(g2, 3))
+        assert auto_tune_k(g1, g2, 1, 6) == relabeling_tune(g1, g2, 1, 6)
+
+    def test_small_graphs_and_shallow_k(self, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a worker was started below the gate")
+
+        g1, g2 = snapshot_pair(4)
+        monkeypatch.setattr(subprocess, "Popen", unexpected)
+        assert label_pair(g1, g2, 3) == (label_nodes(g1, 3), label_nodes(g2, 3))
+        monkeypatch.setattr(labeling, "WORKER_MIN_VERTICES", 0)
+        assert label_pair(g1, g2, 1) == (label_nodes(g1, 1), label_nodes(g2, 1))
+        assert auto_tune_k(g1, g2, 24, 1) == relabeling_tune(g1, g2, 24, 1)

@@ -12,10 +12,9 @@ from roadmatch.seed_index import (
     TuneReport,
     auto_tune_k,
     build_seed_index,
-    max_cross_product,
 )
 
-from conftest import path_graph
+from conftest import max_cross_product, path_graph
 from test_labeling import scattered_graphs
 
 
