@@ -21,7 +21,6 @@ from .metrics import (
 from .generator import gen_irregular_grid, perturb, score_against_ground_truth
 from .oracle import brute_force_max_conformal, exhaustive_flood_from
 from .seed_index import SeedIndex, auto_tune_k, build_seed_index
-from .veb import VebTree
 
 __all__ = [
     "ConfigurationError",
@@ -33,7 +32,6 @@ __all__ = [
     "RoadmatchError",
     "SeedIndex",
     "SegmentSet",
-    "VebTree",
     "approximation_ratio",
     "auto_tune_k",
     "brute_force_max_conformal",

@@ -1,13 +1,15 @@
-"""Seed selection: per-label cross products with a vEB priority structure.
+"""Seed selection: per-label cross products and the minimum among them.
 
-For every label L present in both graphs the index tracks the product
-n1(L)*n2(L) of its occurrence counts.  A vEB tree over products answers
-min-product queries; a product table maps each product back to the labels
-currently holding it.  The vertices of each committed trial are removed in
-one batch and every affected label's product is recomputed once.  Labels
-are interned to integer ids at build time; all internal structures work on
-ids.  Building the index is also the one place that checks the product
-bound.
+The index holds only the labels L present in both graphs, the only ones
+that can seed, and tracks the product n1(L)*n2(L) of their counts of
+still-unmatched vertices.  A product table maps each product to the labels
+currently holding it; the minimum is taken over the distinct products
+present, which stay few (at most 117 at a pop on the benchmark's
+workloads, on ``shallow-k1-7k``).  The vertices of each committed trial are removed
+in one batch and every affected label's product is recomputed once.
+Labels are interned to integer ids, in label order, at build time; all
+internal structures work on ids.  Building the index is also the one
+place that checks the product bound.
 
 ``label_pair`` labels both snapshots at a fixed k, the second in a worker
 process while this one labels the first, when that pays
@@ -34,9 +36,12 @@ from .labeling import (
     labels_by_depth,
     master_table,
 )
-from .veb import VebTree
 
 DEFAULT_MAX_PRODUCT = 24
+
+# Entries of SeedIndex.label_of besides label ids.
+UNINDEXED = -1  # the vertex's label is not cross-present
+REMOVED = -2  # removed, or never in the table
 
 
 class SeedIndex:
@@ -44,50 +49,36 @@ class SeedIndex:
         if max_product < 1:
             raise InputError(f"max_product must be >= 1, got {max_product}")
         self.max_product = max_product
-        all_labels = sorted(set(mt1) | set(mt2))
-        self.labels: list[Label] = all_labels
-        self.label_id: dict[Label, int] = {lab: i for i, lab in enumerate(all_labels)}
-        # Per side: label id -> set of still-unmatched vertices with that label.
-        self.side_vertices: tuple[list[set[int]], list[set[int]]] = (
-            [set() for _ in all_labels],
-            [set() for _ in all_labels],
+        # Only a label with vertices on both sides can seed, and counts only
+        # fall, so no other label can ever become cross-present.  Ids follow
+        # label order, which keeps pop_min_label's tie-break on the labels.
+        self.labels: list[Label] = sorted(
+            lab for lab in mt1.keys() & mt2.keys() if mt1[lab] and mt2[lab]
         )
-        self.vertex_label: tuple[dict[int, int], dict[int, int]] = ({}, {})
-        for side, mt in ((0, mt1), (1, mt2)):
-            for lab, verts in mt.items():
-                lid = self.label_id[lab]
-                self.side_vertices[side][lid].update(verts)
-                for v in verts:
-                    self.vertex_label[side][v] = lid
-        self.product: dict[int, int] = {}
-        self.bucket: dict[int, set[int]] = {}
-        self.retired: set[int] = set()
-        self.veb = VebTree(max_product)
-        products = {}
-        for lid in range(len(all_labels)):
-            n1 = len(self.side_vertices[0][lid])
-            n2 = len(self.side_vertices[1][lid])
-            if n1 and n2:
-                products[lid] = n1 * n2
+        # Per side: label id -> set of that side's still-unmatched vertices.
+        self.members: tuple[list[set[int]], list[set[int]]] = (
+            [set(mt1[lab]) for lab in self.labels],
+            [set(mt2[lab]) for lab in self.labels],
+        )
+        # Per side, by vertex id: its label id, UNINDEXED or REMOVED.
+        self.label_of: tuple[list[int], list[int]] = (
+            _label_map(mt1, self.labels), _label_map(mt2, self.labels)
+        )
+        products = [len(a) * len(b) for a, b in zip(*self.members)]
         # Largest n1*n2 over labels present on both sides, as built.
-        self.largest_product = max(products.values(), default=0)
+        self.largest_product = max(products, default=0)
         if self.largest_product > max_product:
-            lid = max(products, key=products.__getitem__)
+            lid = products.index(self.largest_product)
             raise ConfigurationError(
                 f"max label product {self.largest_product} exceeds bound {max_product}; "
                 f"re-tune k (see the tune-k command) or raise the bound; "
                 f"the label is {self.labels[lid]}"
             )
-        for lid, p in products.items():
-            self._index_label(lid, p)
-
-    def _index_label(self, lid: int, p: int) -> None:
-        self.product[lid] = p
-        b = self.bucket.get(p)
-        if b is None:
-            b = self.bucket[p] = set()
-            self.veb.insert(p)
-        b.add(lid)
+        self.product: dict[int, int] = dict(enumerate(products))
+        self.bucket: dict[int, set[int]] = {}
+        for lid, p in self.product.items():
+            self.bucket.setdefault(p, set()).add(lid)
+        self.retired: set[int] = set()
 
     def _unindex_label(self, lid: int) -> None:
         p = self.product.pop(lid)
@@ -95,17 +86,16 @@ class SeedIndex:
         b.discard(lid)
         if not b:
             del self.bucket[p]
-            self.veb.delete(p)
 
     def _reindex(self, lid: int) -> None:
         if lid in self.product:
             self._unindex_label(lid)
         if lid in self.retired:
             return
-        n1 = len(self.side_vertices[0][lid])
-        n2 = len(self.side_vertices[1][lid])
-        if n1 and n2:
-            self._index_label(lid, n1 * n2)
+        p = len(self.members[0][lid]) * len(self.members[1][lid])
+        if p:
+            self.product[lid] = p
+            self.bucket.setdefault(p, set()).add(lid)
 
     def retire_label(self, lid: int) -> None:
         """Permanently stop offering this label as a seed source.
@@ -117,55 +107,56 @@ class SeedIndex:
         if lid in self.product:
             self._unindex_label(lid)
 
-    def __bool__(self) -> bool:
-        return bool(self.veb)
-
     def pop_min_label(self, rng: random.Random) -> int | None:
         """Label id with minimal product, ties broken uniformly by rng.
 
         Returns None when no cross-present label remains (termination
         signal).  The label stays indexed until its vertices are consumed.
         """
-        p = self.veb.min()
-        if p is None:
+        if not self.bucket:
             return None
-        candidates = sorted(self.bucket[p])
+        candidates = sorted(self.bucket[min(self.bucket)])
         return candidates[rng.randrange(len(candidates))]
 
     def vertices(self, side: int, lid: int) -> list[int]:
-        return sorted(self.side_vertices[side][lid])
-
-    def _take(self, side: int, v: int) -> int:
-        """Drop v from its label's vertex set and return the label id."""
-        lid = self.vertex_label[side].get(v)
-        if lid is None or v not in self.side_vertices[side][lid]:
-            raise InternalError(f"vertex {v} not present on side {side} (double removal?)")
-        self.side_vertices[side][lid].discard(v)
-        return lid
-
-    def remove_vertex(self, side: int, v: int) -> None:
-        self._reindex(self._take(side, v))
+        return sorted(self.members[side][lid])
 
     def remove_pairs(self, pairs: list[tuple[int, int]]) -> None:
         """Remove both vertices of every matched pair, re-indexing each
-        touched label once; equal to one remove_vertex call per vertex."""
+        touched label once.  A vertex whose label is not indexed is only
+        marked removed; removing a vertex twice, or one the tables never
+        held, is an InternalError."""
         touched = set()
         for v1, v2 in pairs:
-            touched.add(self._take(0, v1))
-            touched.add(self._take(1, v2))
+            for side, v in ((0, v1), (1, v2)):
+                label_of = self.label_of[side]
+                lid = label_of[v] if 0 <= v < len(label_of) else REMOVED
+                if lid == REMOVED:
+                    raise InternalError(
+                        f"vertex {v} not present on side {side} (double removal?)"
+                    )
+                label_of[v] = REMOVED
+                if lid != UNINDEXED:
+                    self.members[side][lid].discard(v)
+                    touched.add(lid)
         for lid in touched:
             self._reindex(lid)
 
-    def snapshot(self):
-        """Canonical structural fingerprint, for rollback-exactness checks."""
-        return (
-            tuple(tuple(sorted(s)) for s in self.side_vertices[0]),
-            tuple(tuple(sorted(s)) for s in self.side_vertices[1]),
-            tuple(sorted(self.product.items())),
-            tuple(sorted((p, tuple(sorted(b))) for p, b in self.bucket.items())),
-            tuple(sorted(self.bucket)),
-            tuple(sorted(self.retired)),
-        )
+
+def _label_map(mt: MasterTable, labels: list[Label]) -> list[int]:
+    """Flat map from each vertex id of mt to the id of its label in labels.
+
+    Only the indexed labels are looked up: hashing every label of a deep
+    table costs more than the rest of the build.
+    """
+    label_of = [REMOVED] * (max(map(max, filter(None, mt.values())), default=-1) + 1)
+    for verts in mt.values():
+        for v in verts:
+            label_of[v] = UNINDEXED
+    for lid, lab in enumerate(labels):
+        for v in mt[lab]:
+            label_of[v] = lid
+    return label_of
 
 
 def build_seed_index(

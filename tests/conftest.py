@@ -3,11 +3,49 @@ import random
 from hypothesis import strategies as st
 
 from roadmatch.graph import EmbeddedGraph
+from roadmatch.seed_index import SeedIndex
 
 
 def max_cross_product(mt1, mt2) -> int:
     """Largest n1(L)*n2(L) over labels present in both tables; 0 if none."""
     return max((len(v1) * len(mt2[lab]) for lab, v1 in mt1.items() if lab in mt2), default=0)
+
+
+def index_state(idx: SeedIndex):
+    """A seed index's state keyed by label tuple, for comparing two indexes.
+
+    Label ids depend on which labels are cross-present in the tables an
+    index was built from, so indexes over different tables compare by
+    label.  Covers the labels that still have vertices on both sides: their
+    vertex sets, product (None once retired) and retirement, and the labels
+    holding each product.
+    """
+    labels = {
+        lab: (
+            sorted(idx.members[0][lid]),
+            sorted(idx.members[1][lid]),
+            idx.product.get(lid),
+            lid in idx.retired,
+        )
+        for lid, lab in enumerate(idx.labels)
+        if idx.members[0][lid] and idx.members[1][lid]
+    }
+    buckets = {p: sorted(idx.labels[lid] for lid in lids) for p, lids in idx.bucket.items()}
+    return labels, buckets
+
+
+def rebuilt_index(mt1, mt2, keep, retired_labels, max_product) -> SeedIndex:
+    """A fresh index over the vertices v of side s where keep(s, v) holds,
+    with every label in retired_labels retired."""
+    tables = [
+        {lab: [v for v in verts if keep(side, v)] for lab, verts in mt.items()}
+        for side, mt in enumerate((mt1, mt2))
+    ]
+    fresh = SeedIndex(tables[0], tables[1], max_product)
+    for lid, lab in enumerate(fresh.labels):
+        if lab in retired_labels:
+            fresh.retire_label(lid)
+    return fresh
 
 
 def path_graph(n: int) -> EmbeddedGraph:

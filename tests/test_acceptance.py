@@ -26,9 +26,8 @@ from roadmatch.metrics import (
 )
 from roadmatch.oracle import brute_force_max_conformal, exhaustive_flood_from
 from roadmatch.seed_index import build_seed_index
-from roadmatch.veb import VebTree
 
-from conftest import figure_star, max_cross_product, random_graph
+from conftest import figure_star, index_state, max_cross_product, random_graph, rebuilt_index
 
 
 def report(name, ok, detail=""):
@@ -184,31 +183,55 @@ def test_a7_k_trend():
     )
 
 
-def test_a8_veb_differential():
-    # 10^5 randomized ops against a plain-set oracle, plus both universe
-    # boundaries of the default bound 24.
+def test_a8_pop_min_differential():
+    # 10^4 random remove_pairs/retire_label steps on k=1 indexes of small
+    # evolved grids; after each, pop_min_label must give the product and,
+    # under the same rng state, the label of a brute-force minimum over the
+    # reduced tables.
     rng = random.Random(8)
-    t = VebTree(24)
-    reference = set()
-    hi = t.universe - 1
-    mismatches = 0
-    for _ in range(10**5):
-        x = rng.randint(1, hi)
-        op = rng.random()
-        if op < 0.45:
-            t.insert(x)
-            reference.add(x)
-        elif op < 0.9:
-            t.delete(x)
-            reference.discard(x)
-        else:
-            mismatches += t.contains(x) != (x in reference)
-        mismatches += t.min() != (min(reference) if reference else None)
-    b = VebTree(24)
-    b.insert(1)
-    b.insert(24)
-    boundary_ok = b.min() == 1 and (b.delete(1) or b.min() == 24)
-    report("A8 vEB differential", mismatches == 0 and boundary_ok, f"{mismatches} mismatches")
+    steps = mismatches = ties = 0
+    while steps < 10**4:
+        g1 = gen_irregular_grid(rng.randint(3, 6), rng.randint(3, 6), 0.1, rng.randrange(10**6))
+        g2, _ = perturb(g1, 0.1, 0.05, 0.05, rng.randrange(10**6))
+        mt1, _ = label_nodes(g1, 1)
+        mt2, _ = label_nodes(g2, 1)
+        idx = build_seed_index(mt1, mt2, 10**6)
+        left = [set(range(g1.vertex_count)), set(range(g2.vertex_count))]
+        retired = set()
+        while left[0] and left[1]:
+            if idx.product and rng.random() < 0.1:
+                lid = rng.choice(sorted(idx.product))
+                idx.retire_label(lid)
+                retired.add(idx.labels[lid])
+            else:
+                n = rng.randint(1, min(3, len(left[0]), len(left[1])))
+                pairs = list(zip(rng.sample(sorted(left[0]), n), rng.sample(sorted(left[1]), n)))
+                idx.remove_pairs(pairs)
+                for v1, v2 in pairs:
+                    left[0].remove(v1)
+                    left[1].remove(v2)
+            products = {
+                lab: sum(v in left[0] for v in verts) * sum(v in left[1] for v in mt2[lab])
+                for lab, verts in mt1.items()
+                if lab in mt2 and lab not in retired
+            }
+            products = {lab: p for lab, p in products.items() if p}
+            want = None
+            tie_seed = rng.randrange(2**32)
+            if products:
+                p = min(products.values())
+                candidates = sorted(lab for lab, q in products.items() if q == p)
+                ties += len(candidates) > 1
+                want = (p, candidates[random.Random(tie_seed).randrange(len(candidates))])
+            lid = idx.pop_min_label(random.Random(tie_seed))
+            got = None if lid is None else (idx.product[lid], idx.labels[lid])
+            mismatches += got != want
+            steps += 1
+    report(
+        "A8 pop_min_label differential",
+        mismatches == 0 and ties > 0,
+        f"{mismatches} mismatches in {steps} steps, {ties} with tied labels",
+    )
 
 
 def _timed_match(n_rows, n_cols):
@@ -245,8 +268,8 @@ def test_a10_haversine_references():
 
 def test_a11_rollback_exactness():
     # 100 random checkpoint/trial/abort sequences restore state exactly, and
-    # committing each trial's journal leaves the seed index as per-vertex
-    # removals would.
+    # committing each trial's journal leaves the seed index equal to one
+    # rebuilt from the tables reduced to the unmatched vertices.
     rng = random.Random(11)
     g1 = gen_irregular_grid(5, 6, 0.3, 20)
     g2, _ = perturb(g1, 0.1, 0.05, 0.0, 21)
@@ -272,7 +295,7 @@ def test_a11_rollback_exactness():
             list(state.matched1),
             list(state.matched2),
             list(state.total),
-            deepcopy(idx.snapshot()),
+            index_state(idx),
         )
         state.checkpoint()
         run_trial(
@@ -285,19 +308,14 @@ def test_a11_rollback_exactness():
             list(state.matched1),
             list(state.matched2),
             list(state.total),
-            deepcopy(idx.snapshot()),
+            index_state(idx),
         )
         failures += before != after
-        per_vertex = deepcopy(idx)
-        for v1, v2 in journal:
-            per_vertex.remove_vertex(0, v1)
-            per_vertex.remove_vertex(1, v2)
         committed, committed_idx = deepcopy((state, idx))
         committed.commit(journal, committed_idx)
-        commit_failures += (
-            committed_idx.snapshot() != per_vertex.snapshot()
-            or committed_idx.veb.min() != per_vertex.veb.min()
-        )
+        matched = (committed.matched1, committed.matched2)
+        fresh = rebuilt_index(mt1, mt2, lambda side, v: matched[side][v] is None, set(), 10**6)
+        commit_failures += index_state(committed_idx) != index_state(fresh)
     report(
         "A11 rollback exactness",
         failures == 0 and commit_failures == 0,

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import deque
 from copy import deepcopy
@@ -14,7 +15,13 @@ from roadmatch.oracle import brute_force_max_conformal
 from roadmatch.seed_index import SeedIndex, build_seed_index
 from roadmatch.cli import format_matching
 
-from conftest import figure_star, path_graph, random_graph
+from conftest import (
+    figure_star,
+    index_state,
+    path_graph,
+    random_graph,
+    rebuilt_index,
+)
 
 
 def make_state_and_index(g1, g2, k=2, bound=10**6):
@@ -29,7 +36,7 @@ def state_fingerprint(state, idx):
         tuple(state.matched1),
         tuple(state.matched2),
         tuple(state.total),
-        idx.snapshot(),
+        index_state(idx),
     )
 
 
@@ -239,21 +246,32 @@ class TestMatch:
 
 
 def reference_match(g1, g2, k, max_product, rng_seed):
-    """Matcher that keeps the seed index exact at every step.
+    """Matcher that keeps its own exact seed index at every step.
 
-    Each vertex a flood reaches leaves the index at once, a rollback puts
-    it back, and the label's winning trial is flooded a second time to
-    commit it.  Returns (pairs, unmatched1, unmatched2, index, counts), where
-    counts tallies retired labels, inadmissible seed pairs and trials that
-    tie the label's best so far.
+    The index is a dict from each label to its two sets of unmatched
+    vertices; the seed label is the one of minimum product, ties broken by
+    rng over the labels in sorted order.  Each vertex a flood reaches
+    leaves the index at once, a rollback puts it back, and the label's
+    winning trial is flooded a second time to commit it.  Returns (pairs,
+    unmatched1, unmatched2, index state, counts): the index state is in
+    conftest.index_state's form, and counts tallies retired labels,
+    inadmissible seed pairs and trials that tie the label's best so far.
     """
-    mt1, _ = label_nodes(g1, k)
-    mt2, _ = label_nodes(g2, k)
-    idx = build_seed_index(mt1, mt2, max_product)
+    mt1, labels1 = label_nodes(g1, k)
+    mt2, labels2 = label_nodes(g2, k)
+    index = {lab: (set(mt1[lab]), set(mt2[lab])) for lab in mt1.keys() & mt2.keys()}
+    retired = set()
     state = MatchState(g1, g2)
     m1, m2 = state.matched1, state.matched2
 
     counts = {"retired": 0, "inadmissible": 0, "ties": 0}
+
+    def live_products():
+        return {
+            lab: len(a) * len(b)
+            for lab, (a, b) in index.items()
+            if a and b and lab not in retired
+        }
 
     def flood(s1, s2, r1, r2):
         journal = []
@@ -265,8 +283,9 @@ def reference_match(g1, g2, k, max_product, rng_seed):
         def take(v1, v2, nbrs1, nbrs2):
             m1[v1], m2[v2] = v2, v1
             journal.append((v1, v2))
-            idx.remove_vertex(0, v1)
-            idx.remove_vertex(1, v2)
+            for side, lab, v in ((0, labels1[v1], v1), (1, labels2[v2], v2)):
+                if lab in index:
+                    index[lab][side].remove(v)
             queue.extend((a, b, v1, v2) for a, b in zip(nbrs1, nbrs2))
 
         take(s1, s2, r1, r2)
@@ -284,17 +303,19 @@ def reference_match(g1, g2, k, max_product, rng_seed):
     def undo(journal):
         for v1, v2 in reversed(journal):
             m1[v1] = m2[v2] = None
-            for side, v in ((0, v1), (1, v2)):
-                lid = idx.vertex_label[side][v]
-                idx.side_vertices[side][lid].add(v)
-                idx._reindex(lid)
+            for side, lab, v in ((0, labels1[v1], v1), (1, labels2[v2], v2)):
+                if lab in index:
+                    index[lab][side].add(v)
 
     rng = random.Random(rng_seed)
     pairs = []
-    while (lid := idx.pop_min_label(rng)) is not None:
+    while products := live_products():
+        p = min(products.values())
+        candidates = sorted(lab for lab, q in products.items() if q == p)
+        lab = candidates[rng.randrange(len(candidates))]
         best = None  # (cardinality, s1, s2, r1, r2); earliest maximum wins
-        for s1 in idx.vertices(0, lid):
-            for s2 in idx.vertices(1, lid):
+        for s1 in sorted(index[lab][0]):
+            for s2 in sorted(index[lab][1]):
                 for r1 in canonical_start_rotations(g1, s1):
                     for r2 in canonical_start_rotations(g2, s2):
                         journal = flood(s1, s2, r1, r2)
@@ -304,25 +325,33 @@ def reference_match(g1, g2, k, max_product, rng_seed):
                         elif journal and len(journal) == best[0]:
                             counts["ties"] += 1
         if best[0] == 0:
-            idx.retire_label(lid)
+            retired.add(lab)
             counts["retired"] += 1
             continue
         pairs += flood(*best[1:])
     unmatched1 = [v for v in range(g1.vertex_count) if m1[v] is None]
     unmatched2 = [v for v in range(g2.vertex_count) if m2[v] is None]
-    return sorted(pairs), unmatched1, unmatched2, idx, counts
+    exact = {
+        lab: (sorted(a), sorted(b), None if lab in retired else len(a) * len(b), lab in retired)
+        for lab, (a, b) in index.items()
+        if a and b
+    }
+    buckets = {}
+    for lab, (_, _, q, _) in sorted(exact.items()):
+        if q is not None:
+            buckets.setdefault(q, []).append(lab)
+    return sorted(pairs), unmatched1, unmatched2, (exact, buckets), counts
 
 
-def rebuilt_index(idx, state, k):
+def rebuilt_state_index(idx, state, k):
     """A fresh index over the state's unmatched vertices, idx's retirements applied."""
-    tables = []
-    for g, matched in ((state.g1, state.matched1), (state.g2, state.matched2)):
-        mt, _ = label_nodes(g, k)
-        tables.append({lab: [v for v in vs if matched[v] is None] for lab, vs in mt.items()})
-    fresh = build_seed_index(tables[0], tables[1], idx.max_product)
-    for lid in idx.retired:
-        fresh.retire_label(lid)
-    return fresh
+    mt1, _ = label_nodes(state.g1, k)
+    mt2, _ = label_nodes(state.g2, k)
+    matched = (state.matched1, state.matched2)
+    retired = {idx.labels[lid] for lid in idx.retired}
+    return rebuilt_index(
+        mt1, mt2, lambda side, v: matched[side][v] is None, retired, idx.max_product
+    )
 
 
 class TestMatchAgainstReference:
@@ -339,11 +368,16 @@ class TestMatchAgainstReference:
 
     def test_equal_matchings_and_index_at_every_pop(self, monkeypatch):
         states = []
+        indexes = []
 
         class RecordedState(MatchState):
             def __init__(self, g1, g2):
                 super().__init__(g1, g2)
                 states.append(self)
+
+        def recorded_build(*args):
+            indexes.append(build_seed_index(*args))
+            return indexes[-1]
 
         stale_pops = []
         pop = SeedIndex.pop_min_label
@@ -351,10 +385,12 @@ class TestMatchAgainstReference:
         def checked_pop(idx, rng):
             # The index must be exact whenever the matcher reads it.
             (state,) = states
-            stale_pops.append(idx.snapshot() != rebuilt_index(idx, state, k).snapshot())
+            rebuilt = rebuilt_state_index(idx, state, k)
+            stale_pops.append(index_state(idx) != index_state(rebuilt))
             return pop(idx, rng)
 
         monkeypatch.setattr(matcher, "MatchState", RecordedState)
+        monkeypatch.setattr(matcher, "build_seed_index", recorded_build)
         rng = random.Random(3)
         totals = {"pairs": 0, "retired": 0, "inadmissible": 0, "ties": 0}
         for rows, cols, irregularity, k in self.CASES:
@@ -362,10 +398,11 @@ class TestMatchAgainstReference:
                 seed = rng.randrange(10**6)
                 g1 = gen_irregular_grid(rows, cols, irregularity, seed)
                 g2, _ = perturb(g1, 0.03, 0.02, 0.03, seed + 1)
-                ref_pairs, ref_u1, ref_u2, ref_idx, counts = reference_match(
+                ref_pairs, ref_u1, ref_u2, ref_state, counts = reference_match(
                     g1, g2, k, 10**6, seed
                 )
                 states.clear()
+                indexes.clear()
                 stale_pops.clear()
                 monkeypatch.setattr(SeedIndex, "pop_min_label", checked_pop)
                 res = match(g1, g2, k=k, max_product=10**6, rng_seed=seed)
@@ -375,10 +412,56 @@ class TestMatchAgainstReference:
                 assert res.unmatched1 == ref_u1, case
                 assert res.unmatched2 == ref_u2, case
                 assert stale_pops and not any(stale_pops), case
-                final = rebuilt_index(ref_idx, states[0], k)
-                assert final.snapshot() == ref_idx.snapshot(), case
+                (final,) = indexes
+                rebuilt = rebuilt_state_index(final, states[0], k)
+                assert index_state(final) == index_state(rebuilt) == ref_state, case
                 totals["pairs"] += len(res.pairs)
                 for key, n in counts.items():
                     totals[key] += n
         # The cases must exercise every branch of the seed loop.
         assert all(totals.values()), totals
+
+
+class TestPinnedMatchings:
+    # sha256 of the matching file's body (its "#" lines dropped), recorded
+    # when the seed index still kept every label of either graph and a vEB
+    # tree over products.  A change that alters matchings must say why.
+    PAIRS = {
+        # gen_irregular_grid arguments, then perturb's fractions and seed.
+        "irregular": ((30, 30, 0.15, 5), (0.05, 0.02, 0.02, 6)),
+        # Near-regular: many tied labels at k=1, some of them retired.
+        "lattice": ((20, 20, 0.02, 31), (0.03, 0.02, 0.03, 32)),
+    }
+    CASES = [
+        # (pair, match options, k, labels retired, digest)
+        ("irregular", dict(k=1, max_product=10**6), 1, 35,
+         "85c8b4f869e82e0deb5f050fe3e4ade9ed586ffd2a6a4b09b8df093ef854e454"),
+        ("irregular", dict(k=2, max_product=10**6), 2, 1,
+         "a88736e39052d6eafc712242d552c95cdf65129ebc8764f82c24e9298294536b"),
+        ("irregular", dict(k=3, max_product=10**6), 3, 0,
+         "99404dc8192bbc5dc3a3c6becb9fa0b328a8ece2e2dc45762520d01e5dba731e"),
+        ("irregular", dict(auto_k=True, max_product=24), 2, 1,
+         "a88736e39052d6eafc712242d552c95cdf65129ebc8764f82c24e9298294536b"),
+        ("lattice", dict(k=1, max_product=10**6), 1, 16,
+         "87c43472bf9c59f18497492cce0730b85470a22812f0b1adee2add1176dc9d41"),
+    ]
+
+    @pytest.mark.parametrize("pair,options,k,retired,digest", CASES)
+    def test_body_digest(self, monkeypatch, pair, options, k, retired, digest):
+        retirements = []
+        retire = SeedIndex.retire_label
+
+        def counted_retire(idx, lid):
+            retirements.append(lid)
+            retire(idx, lid)
+
+        monkeypatch.setattr(SeedIndex, "retire_label", counted_retire)
+        grid, evolve = self.PAIRS[pair]
+        g1 = gen_irregular_grid(*grid)
+        g2, _ = perturb(g1, *evolve)
+        res = match(g1, g2, rng_seed=7, **options)
+        body = "".join(
+            line + "\n" for line in format_matching(res).splitlines() if not line.startswith("#")
+        )
+        assert (res.stats.k, len(retirements)) == (k, retired)
+        assert hashlib.sha256(body.encode()).hexdigest() == digest

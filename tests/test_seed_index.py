@@ -8,13 +8,14 @@ from roadmatch.errors import ConfigurationError, InternalError
 from roadmatch.generator import gen_irregular_grid, perturb
 from roadmatch.labeling import label_nodes, labels_by_depth
 from roadmatch.seed_index import (
-    SeedIndex,
+    REMOVED,
+    UNINDEXED,
     TuneReport,
     auto_tune_k,
     build_seed_index,
 )
 
-from conftest import max_cross_product, path_graph
+from conftest import index_state, max_cross_product, path_graph, rebuilt_index
 from test_labeling import scattered_graphs
 
 
@@ -22,21 +23,40 @@ def tables_for(g1, g2, k):
     return label_nodes(g1, k)[0], label_nodes(g2, k)[0]
 
 
+def lid_of(idx, label):
+    return idx.labels.index(label)
+
+
 class TestBuild:
     def test_two_path3_graphs_k1(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
         idx = build_seed_index(mt1, mt2, 24)
-        assert idx.product[idx.label_id[(1, 2)]] == 4
-        assert idx.product[idx.label_id[(2, 1, 1)]] == 1
-        assert idx.veb.min() == 1
+        assert idx.product[lid_of(idx, (1, 2))] == 4
+        assert idx.product[lid_of(idx, (2, 1, 1))] == 1
+        assert min(idx.bucket) == 1
 
     def test_one_sided_label_not_indexed(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(2), 1)
         idx = build_seed_index(mt1, mt2, 24)
         # (2,1,1) only occurs in the path of 3; (1,1) only in the path of 2.
-        assert idx.label_id[(2, 1, 1)] not in idx.product
-        assert idx.label_id[(1, 1)] not in idx.product
-        assert not idx.veb
+        assert idx.labels == []
+        assert not idx.bucket
+        assert idx.label_of == ([UNINDEXED] * 3, [UNINDEXED] * 2)
+
+    def test_label_with_empty_list_not_indexed(self):
+        mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
+        mt2[(2, 1, 1)] = []  # its vertex 1 is in no list of g2's table
+        idx = build_seed_index(mt1, mt2, 24)
+        assert idx.labels == [(1, 2)]
+        assert idx.label_of[0][1] == UNINDEXED
+        # An unindexed vertex is only marked removed; g2's vertex 1 was
+        # never in the table.
+        idx.remove_pairs([(1, 0)])
+        assert idx.label_of[0][1] == REMOVED
+        with pytest.raises(InternalError):
+            idx.remove_pairs([(1, 2)])
+        with pytest.raises(InternalError):
+            idx.remove_pairs([(0, 1)])
 
     def test_product_exceeding_bound_names_label(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
@@ -46,7 +66,7 @@ class TestBuild:
     def test_unique_common_label_min_product_one(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
         idx = build_seed_index(mt1, mt2, 24)
-        assert idx.veb.min() == 1
+        assert min(idx.bucket) == 1
 
 
 class TestPopMinLabel:
@@ -79,24 +99,24 @@ class TestRemoveVertex:
     def test_product_recomputed(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
         idx = build_seed_index(mt1, mt2, 24)
-        lid = idx.label_id[(1, 2)]
-        idx.remove_vertex(0, 0)  # counts (2,2) -> (1,2)
+        lid = lid_of(idx, (1, 2))
+        idx.remove_pairs([(0, 1)])  # counts of (1, 2): (2, 2) -> (1, 2)
         assert idx.product[lid] == 2
 
     def test_last_vertex_unindexes_label(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
         idx = build_seed_index(mt1, mt2, 24)
-        lid = idx.label_id[(2, 1, 1)]
-        idx.remove_vertex(0, 1)
+        lid = lid_of(idx, (2, 1, 1))
+        idx.remove_pairs([(1, 0)])
         assert lid not in idx.product
-        assert not idx.veb.contains(1)
+        assert 1 not in idx.bucket
 
     def test_double_removal_is_internal_error(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
         idx = build_seed_index(mt1, mt2, 24)
-        idx.remove_vertex(0, 0)
+        idx.remove_pairs([(0, 0)])
         with pytest.raises(InternalError):
-            idx.remove_vertex(0, 0)
+            idx.remove_pairs([(0, 2)])
 
     def test_batch_removal_checks_each_vertex(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
@@ -105,66 +125,50 @@ class TestRemoveVertex:
             idx.remove_pairs([(0, 0), (0, 2)])  # vertex 0 of g1 twice
         with pytest.raises(InternalError):
             idx.remove_pairs([(1, 5)])  # g2 has no vertex 5
+        with pytest.raises(InternalError):
+            idx.remove_pairs([(-1, 1)])
 
     def test_removals_match_fresh_rebuild(self):
-        # Replaying any removal sequence must equal building from reduced tables.
+        # Any removal sequence must equal building from reduced tables.
         rng = random.Random(11)
         g1 = gen_irregular_grid(4, 5, 0.2, 1)
-        mt1, mt2 = tables_for(g1, g1, 2)
+        g2, _ = perturb(g1, 0.1, 0.05, 0.05, 2)
+        mt1, mt2 = tables_for(g1, g2, 2)
         idx = build_seed_index(mt1, mt2, 10**6)
-        removed = ([], [])
-        for _ in range(10):
-            side = rng.randrange(2)
-            mt = (mt1, mt2)[side]
-            remaining = [
-                v
-                for verts in mt.values()
-                for v in verts
-                if v not in removed[side]
-            ]
-            if not remaining:
-                continue
-            v = rng.choice(remaining)
-            removed[side].append(v)
-            idx.remove_vertex(side, v)
-        red1 = {lab: [v for v in verts if v not in removed[0]] for lab, verts in mt1.items()}
-        red1 = {lab: verts for lab, verts in red1.items() if verts}
-        red2 = {lab: [v for v in verts if v not in removed[1]] for lab, verts in mt2.items()}
-        red2 = {lab: verts for lab, verts in red2.items() if verts}
-        fresh = build_seed_index(red1, red2, 10**6)
-        assert idx.product
-        # Structural comparison keyed by label (interned ids may differ):
-        by_label = lambda i: {
-            i.labels[lid]: (tuple(sorted(i.side_vertices[0][lid])), tuple(sorted(i.side_vertices[1][lid])))
-            for lid in range(len(i.labels))
-            if i.side_vertices[0][lid] or i.side_vertices[1][lid]
-        }
-        assert by_label(fresh) == by_label(idx)
-        assert {idx.labels[lid]: p for lid, p in idx.product.items()} == {
-            fresh.labels[lid]: p for lid, p in fresh.product.items()
-        }
+        left = [list(range(g1.vertex_count)), list(range(g2.vertex_count))]
+        for side in left:
+            rng.shuffle(side)
+        while left[0] and left[1]:
+            n = rng.randint(1, min(3, len(left[0]), len(left[1])))
+            pairs = [(left[0].pop(), left[1].pop()) for _ in range(n)]
+            idx.remove_pairs(pairs)
+            fresh = rebuilt_index(
+                mt1, mt2, lambda side, v: v in left[side], set(), 10**6
+            )
+            assert index_state(idx) == index_state(fresh)
+        assert not idx.product
 
 
 class TestRetireLabel:
     def test_retired_label_stays_out(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
         idx = build_seed_index(mt1, mt2, 24)
-        lid = idx.label_id[(1, 2)]
+        lid = lid_of(idx, (1, 2))
         idx.retire_label(lid)
         assert lid not in idx.product
-        idx.remove_vertex(0, 0)
+        idx.remove_pairs([(0, 1)])
         # Counts are now (1, 2): an unretired label would be back at product 2.
         assert lid not in idx.product
 
     def test_retired_label_stays_out_after_batch_removal(self):
         mt1, mt2 = tables_for(path_graph(4), path_graph(4), 1)
         idx = build_seed_index(mt1, mt2, 24)
-        lid = idx.label_id[(1, 2)]
+        lid = lid_of(idx, (1, 2))
         idx.retire_label(lid)
         idx.remove_pairs([(0, 0)])
         # Counts are now (1, 1): an unretired label would be back at product 1.
         assert lid not in idx.product
-        assert idx.veb.min() == 4  # only (2, 1, 2) with counts (2, 2) is left
+        assert min(idx.bucket) == 4  # only (2, 1, 2) with counts (2, 2) is left
 
 
 class TestAutoTuneK:
