@@ -8,6 +8,11 @@ and a journal of its pairs, so rolling it back resets the journaled
 entries.  Every trial of a label starts from the same state, so the best
 (largest) trial's journal is committed as it stands; its vertices leave the
 seed index permanently.  The loop ends when no cross-present label remains.
+
+The matching is conformal at every step: each pair is admitted by an
+insertion check (`pair_admissible`, inlined in `run_trial`) that looks only
+where the pair enters the cyclic orders and relies on the state being
+conformal already.  `graph.verify_conformal` is the full check.
 """
 
 from __future__ import annotations
@@ -73,67 +78,70 @@ class MatchState:
         self.total.extend(pairs)
 
 
-def _conformal_at(g1: EmbeddedGraph, g2: EmbeddedGraph, matched1, x: int) -> bool:
-    # Local conformality at matched vertex x: matched neighbors map onto
-    # neighbors of x's partner, in the same clockwise cyclic order.
-    w = matched1[x]
-    adj2_w = g2.rotation[w]
-    images = []
-    for u in g1.rotation[x]:
-        img = matched1[u]
-        if img is not None:
-            if img not in adj2_w:
-                return False
-            images.append(img)
-    if len(images) <= 2:
-        return True
-    image_set = set(images)
-    around_w = [y for y in adj2_w if y in image_set]
-    i = around_w.index(images[0])
-    return around_w[i:] + around_w[:i] == images
-
-
 def pair_admissible(state: MatchState, v1: int, v2: int) -> bool:
-    """Would matching (v1, v2) keep the whole matching conformal?
+    """Would adding the pair (v1, v2) keep the matching conformal?
 
-    Checks local conformality at v1 and at every already-matched neighbor
-    of v1 (committed pairs from earlier labels included).  Pairs failing
-    this are skipped, so every returned matching passes verify_conformal.
+    Precondition: v1 and v2 are unmatched and the state is conformal, which
+    holds because every pair in it passed this check when it was added.
+    Adding (v1, v2) then changes the cyclic order only at v1 and at v1's
+    matched neighbours, so the check looks only there:
+
+    * at v1, every matched neighbour's image lies in ``rotation[v2]``, and
+      read in v1's clockwise order their positions there are cyclically
+      increasing (at most one cyclic descent);
+    * at each matched neighbour u with image w, when u has two or more
+      other matched neighbours, v2 lies strictly clockwise between the
+      images of v1's nearest matched neighbours before and after it around
+      u.  (v2 lies in ``rotation[w]`` because w lies in ``rotation[v2]``.)
+
+    Reads the state without writing it and builds no list or set: O(deg)
+    per matched neighbour.
+    ``run_trial`` inlines the same check, anchored at the pair the flood
+    arrived from.  Pairs failing it are skipped, so every returned matching
+    passes verify_conformal.
     """
-    g1, g2 = state.g1, state.g2
     matched1 = state.matched1
-    matched1[v1] = v2  # tentative; undone below
-    state.matched2[v2] = v1
-    ok = _conformal_at(g1, g2, matched1, v1) and all(
-        _conformal_at(g1, g2, matched1, u)
-        for u in g1.rotation[v1]
-        if matched1[u] is not None
-    )
-    matched1[v1] = None
-    state.matched2[v2] = None
-    return ok
-
-
-def process_nodes(
-    state: MatchState,
-    u1: int,
-    u2: int,
-    queue: deque,
-    nbrs1,
-    nbrs2,
-) -> None:
-    """Match (u1, u2), journal it, and enqueue their aligned neighbor pairs."""
-    if state.trial is None:
-        raise InternalError("process_nodes outside a trial")
-    if state.matched1[u1] is not None or state.matched2[u2] is not None:
-        raise InternalError(f"process_nodes on matched vertex: ({u1},{u2})")
-    if len(nbrs1) != len(nbrs2):
-        raise InternalError(f"unaligned neighbor lists at ({u1},{u2})")
-    state.matched1[u1] = u2
-    state.matched2[u2] = u1
-    state.trial.append((u1, u2))
-    for a, b in zip(nbrs1, nbrs2):
-        queue.append((a, b, u1, u2))
+    rot1, rot2 = state.g1.rotation, state.g2.rotation
+    r2 = rot2[v2]
+    first = last = -1
+    descents = 0
+    for u in rot1[v1]:
+        w = matched1[u]
+        if w is None:
+            continue
+        try:
+            pos = r2.index(w)
+        except ValueError:
+            return False
+        if first < 0:
+            first = pos
+        elif pos < last:
+            descents += 1
+        last = pos
+        ru = rot1[u]
+        du = len(ru)
+        if du < 3:
+            continue
+        # Images of v1's nearest matched neighbours around u: the first
+        # (nxt) and the last (prv) met going clockwise from v1.
+        j = ru.index(v1)
+        nxt = prv = None
+        for q in range(j + 1 - du, j):
+            t = matched1[ru[q]]
+            if t is not None:
+                if nxt is None:
+                    nxt = t
+                prv = t
+        if prv == nxt:
+            continue
+        rw = rot2[w]
+        dw = len(rw)
+        pp = rw.index(prv)
+        if (rw.index(v2) - pp) % dw >= (rw.index(nxt) - pp) % dw:
+            return False
+    if last > first:
+        descents += 1
+    return descents <= 1
 
 
 def run_trial(
@@ -145,42 +153,91 @@ def run_trial(
 ) -> int:
     """Flood from one seed pair under one starting-orientation combination.
 
-    The caller checks the seed pair with `pair_admissible` first; `match`
-    does so once per pair, since the check does not depend on rotations.
-    A dequeued pair where either vertex is already matched, where the
-    degrees differ, or where matching would break conformality against
-    already-matched neighbors, silently terminates that branch.  Returns
-    the trial's cardinality.
+    Matches the seed pair and journals it, then pairs the two rotations
+    entry by entry and floods breadth-first: each admitted pair enqueues its
+    neighbours clockwise after the pair it was reached from, aligned on both
+    sides.  The caller checks the seed pair with `pair_admissible` first;
+    `match` does so once per pair, since the check does not depend on
+    rotations.  A pair where either vertex is already matched (when it is
+    enqueued or dequeued), where the degrees differ, or that fails
+    `pair_admissible`'s check silently ends that branch.  Returns the
+    trial's cardinality.
     """
+    journal = state.trial
+    if journal is None:
+        raise InternalError("run_trial outside a trial")
     g1, g2 = state.g1, state.g2
-    if state.matched1[s1] is not None or state.matched2[s2] is not None:
-        raise InternalError("seed already matched")
+    matched1, matched2 = state.matched1, state.matched2
+    if matched1[s1] is not None or matched2[s2] is not None:
+        raise InternalError(f"seed already matched: ({s1},{s2})")
     if g1.degree(s1) != g2.degree(s2):
         raise InternalError("seed degrees differ")
-    queue: deque = deque()
-    process_nodes(state, s1, s2, queue, rotation1, rotation2)
+    if len(rotation1) != len(rotation2):
+        raise InternalError(f"start rotations of unequal length at ({s1},{s2})")
     rot1, rot2 = g1.rotation, g2.rotation
-    matched1, matched2 = state.matched1, state.matched2
+    matched1[s1] = s2
+    matched2[s2] = s1
+    journal.append((s1, s2))
+    queue = deque()
+    popleft, push, admit = queue.popleft, queue.append, journal.append
+    for a, b in zip(rotation1, rotation2):
+        if matched1[a] is None and matched2[b] is None:
+            push((a, b, s1, s2))
     while queue:
-        v1, v2, p1, p2 = queue.popleft()
+        v1, v2, p1, p2 = popleft()
         if matched1[v1] is not None or matched2[v2] is not None:
             continue
         r1, r2 = rot1[v1], rot2[v2]
-        if len(r1) != len(r2):
+        d = len(r1)
+        if d != len(r2):
             continue
-        if not pair_admissible(state, v1, v2):
-            continue
-        i1 = r1.index(p1)
-        i2 = r2.index(p2)
-        process_nodes(
-            state,
-            v1,
-            v2,
-            queue,
-            r1[i1 + 1 :] + r1[:i1],
-            r2[i2 + 1 :] + r2[:i2],
-        )
-    return len(state.trial)
+        i1, i2 = r1.index(p1), r2.index(p2)
+        # pair_admissible's check, read clockwise from just after (p1, p2):
+        # the images' offsets from just after p2 must increase.  p1 comes
+        # last, at offset d - 1, so its neighbour-side check runs only once
+        # the other matched neighbours have passed.
+        last = -1
+        for k in range(i1 + 1 - d, i1 + 1):
+            u = r1[k]
+            w = matched1[u]
+            if w is None:
+                continue
+            try:
+                pos = (r2.index(w) - i2 - 1) % d
+            except ValueError:
+                break
+            if pos < last:
+                break
+            last = pos
+            ru = rot1[u]
+            du = len(ru)
+            if du < 3:
+                continue
+            j = ru.index(v1)
+            nxt = prv = None
+            for q in range(j + 1 - du, j):
+                t = matched1[ru[q]]
+                if t is not None:
+                    if nxt is None:
+                        nxt = t
+                    prv = t
+            if prv == nxt:
+                continue
+            rw = rot2[w]
+            dw = len(rw)
+            pp = rw.index(prv)
+            if (rw.index(v2) - pp) % dw >= (rw.index(nxt) - pp) % dw:
+                break
+        else:
+            matched1[v1] = v2
+            matched2[v2] = v1
+            admit((v1, v2))
+            for k in range(i1 + 1 - d, i1):
+                a = r1[k]
+                b = r2[k + i2 - i1]
+                if matched1[a] is None and matched2[b] is None:
+                    push((a, b, v1, v2))
+    return len(journal)
 
 
 @dataclass
@@ -244,8 +301,9 @@ def match(
             break
         seeds1 = idx.vertices(0, lid)
         seeds2 = idx.vertices(1, lid)
-        # pair_admissible would silently unmatch a matched seed, so a stale
-        # index must fail here rather than in run_trial.
+        # pair_admissible assumes unmatched vertices and would answer wrongly
+        # for a matched seed, so a stale index must fail here rather than in
+        # run_trial.
         if any(state.matched1[v] is not None for v in seeds1) or any(
             state.matched2[v] is not None for v in seeds2
         ):

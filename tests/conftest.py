@@ -3,6 +3,7 @@ import random
 from hypothesis import strategies as st
 
 from roadmatch.graph import EmbeddedGraph
+from roadmatch.matcher import MatchState
 from roadmatch.seed_index import SeedIndex
 
 
@@ -32,6 +33,45 @@ def index_state(idx: SeedIndex):
     }
     buckets = {p: sorted(idx.labels[lid] for lid in lids) for p, lids in idx.bucket.items()}
     return labels, buckets
+
+
+def conformal_at(g1: EmbeddedGraph, g2: EmbeddedGraph, matched1, x: int) -> bool:
+    """Local conformality at matched vertex x: matched neighbors map onto
+    neighbors of x's partner, in the same clockwise cyclic order."""
+    w = matched1[x]
+    adj2_w = g2.rotation[w]
+    images = []
+    for u in g1.rotation[x]:
+        img = matched1[u]
+        if img is not None:
+            if img not in adj2_w:
+                return False
+            images.append(img)
+    if len(images) <= 2:
+        return True
+    image_set = set(images)
+    around_w = [y for y in adj2_w if y in image_set]
+    i = around_w.index(images[0])
+    return around_w[i:] + around_w[:i] == images
+
+
+def reference_admissible(state: MatchState, v1: int, v2: int) -> bool:
+    """Full re-check of pair_admissible's question for unmatched v1, v2.
+
+    Adds (v1, v2) tentatively and re-checks the whole cyclic order at v1
+    and at every matched neighbor of v1, so it needs no precondition on the
+    state; it is the reference for the matcher's insertion check.
+    """
+    g1, g2 = state.g1, state.g2
+    matched1 = state.matched1
+    matched1[v1] = v2
+    state.matched2[v2] = v1
+    ok = conformal_at(g1, g2, matched1, v1) and all(
+        conformal_at(g1, g2, matched1, u) for u in g1.rotation[v1] if matched1[u] is not None
+    )
+    matched1[v1] = None
+    state.matched2[v2] = None
+    return ok
 
 
 def rebuilt_index(mt1, mt2, keep, retired_labels, max_product) -> SeedIndex:

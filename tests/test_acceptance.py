@@ -8,7 +8,6 @@ synthetic analogs at realistic densities stand in for them.
 import math
 import random
 import time
-from collections import deque
 from copy import deepcopy
 
 from roadmatch.generator import (
@@ -18,7 +17,7 @@ from roadmatch.generator import (
 )
 from roadmatch.graph import verify_conformal
 from roadmatch.labeling import canonical_start_rotations, label_nodes
-from roadmatch.matcher import MatchState, match, process_nodes, run_trial
+from roadmatch.matcher import MatchState, match, run_trial
 from roadmatch.metrics import (
     EARTH_RADIUS_KM,
     approximation_ratio,
@@ -152,15 +151,15 @@ def test_a6_junction_alignment_fixture():
     g2 = figure_star(tuple(names2[x] for x in (1, 7, 6, 5)))
     state = MatchState(g1, g2)
     state.checkpoint()
-    q = deque()
-    process_nodes(
-        state, 0, 0, q,
-        g1.neighbors_clockwise_from(0, 1),
-        g2.neighbors_clockwise_from(0, names2[1]),
+    # Flood from the centers, seeded with their rotations read from arm 1.
+    run_trial(
+        state, 0, 0,
+        (1,) + g1.neighbors_clockwise_from(0, 1),
+        (names2[1],) + g2.neighbors_clockwise_from(0, names2[1]),
     )
     back = {v: k for k, v in names2.items()}
-    got = [(v1, back[v2]) for v1, v2, _, _ in q]
-    report("A6 junction alignment fixture", got == [(4, 7), (3, 6), (2, 5)], str(got))
+    got = [(v1, back[v2]) for v1, v2 in state.trial[1:]]
+    report("A6 junction alignment fixture", got == [(1, 1), (4, 7), (3, 6), (2, 5)], str(got))
 
 
 def test_a7_k_trend():

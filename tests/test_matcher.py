@@ -1,26 +1,31 @@
 import hashlib
 import random
-from collections import deque
+from collections import Counter, deque
 from copy import deepcopy
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadmatch.errors import ConfigurationError, InternalError
 from roadmatch.generator import gen_irregular_grid, perturb, score_against_ground_truth
-from roadmatch.graph import verify_conformal
+from roadmatch.graph import EmbeddedGraph, verify_conformal
 from roadmatch import matcher
 from roadmatch.labeling import canonical_start_rotations, label_nodes
-from roadmatch.matcher import MatchState, match, pair_admissible, process_nodes, run_trial
+from roadmatch.matcher import MatchState, match, pair_admissible, run_trial
 from roadmatch.oracle import brute_force_max_conformal
 from roadmatch.seed_index import SeedIndex, build_seed_index
 from roadmatch.cli import format_matching
 
 from conftest import (
+    cycle_graph,
+    embedded_graphs,
     figure_star,
     index_state,
     path_graph,
     random_graph,
     rebuilt_index,
+    reference_admissible,
 )
 
 
@@ -41,38 +46,38 @@ def state_fingerprint(state, idx):
 
 
 class TestProcessNodes:
+    # The flood's step for one admitted pair, run through run_trial: match
+    # the pair, journal it and enqueue its aligned neighbor pairs.
     def test_figure_junction_enqueues_aligned_arms(self):
         g1 = figure_star((1, 4, 3, 2))
         names2 = {1: 1, 5: 2, 6: 3, 7: 4}
         g2 = figure_star(tuple(names2[x] for x in (1, 7, 6, 5)))
         state, idx = make_state_and_index(g1, g2, k=1)
         state.checkpoint()
-        q = deque()
-        # Centers reached through the matched arm named 1 on both sides.
-        process_nodes(
-            state, 0, 0, q,
-            g1.neighbors_clockwise_from(0, 1),
-            g2.neighbors_clockwise_from(0, names2[1]),
+        # Centers seeded with their rotations read from the arm named 1.
+        run_trial(
+            state, 0, 0,
+            (1,) + g1.neighbors_clockwise_from(0, 1),
+            (names2[1],) + g2.neighbors_clockwise_from(0, names2[1]),
         )
         back = {v: k for k, v in names2.items()}
-        enqueued = [(v1, back[v2]) for v1, v2, _, _ in q]
-        assert enqueued == [(4, 7), (3, 6), (2, 5)]
+        flooded = [(v1, back[v2]) for v1, v2 in state.trial[1:]]
+        assert flooded == [(1, 1), (4, 7), (3, 6), (2, 5)]
 
     def test_degree_one_pair_enqueues_nothing(self):
         g = path_graph(2)
         state, idx = make_state_and_index(g, g, k=1)
         state.checkpoint()
-        q = deque()
-        process_nodes(state, 1, 1, q, (), ())
-        assert not q
+        # The pair (1, 1) is reached through its only edge.
+        assert run_trial(state, 0, 0, (1,), (1,)) == 2
+        assert state.trial == [(0, 0), (1, 1)]
 
     def test_undo_restores_unmatched_and_reindexes(self):
         g = path_graph(3)
         state, idx = make_state_and_index(g, g, k=1)
         before = state_fingerprint(state, idx)
         state.checkpoint()
-        q = deque()
-        process_nodes(state, 1, 1, q, (0, 2), (0, 2))
+        run_trial(state, 1, 1, (0, 2), (0, 2))
         assert state.matched1[1] == 1
         state.abort_trial()
         assert state_fingerprint(state, idx) == before
@@ -81,10 +86,32 @@ class TestProcessNodes:
         g = path_graph(3)
         state, idx = make_state_and_index(g, g, k=1)
         state.checkpoint()
-        q = deque()
-        process_nodes(state, 1, 1, q, (0, 2), (0, 2))
-        with pytest.raises(InternalError):
-            process_nodes(state, 1, 1, q, (0, 2), (0, 2))
+        run_trial(state, 1, 1, (0, 2), (0, 2))
+        with pytest.raises(InternalError, match="seed already matched"):
+            run_trial(state, 1, 1, (0, 2), (0, 2))
+
+    def test_outside_trial_rejected(self):
+        g = path_graph(3)
+        state, idx = make_state_and_index(g, g, k=1)
+        with pytest.raises(InternalError, match="outside a trial"):
+            run_trial(state, 1, 1, (0, 2), (0, 2))
+        assert state.matched1 == [None] * 3
+
+    def test_unequal_degrees_rejected(self):
+        g1, g2 = path_graph(3), path_graph(2)
+        state, idx = make_state_and_index(g1, g2, k=1)
+        state.checkpoint()
+        with pytest.raises(InternalError, match="degrees differ"):
+            run_trial(state, 1, 0, (0, 2), (1,))
+        assert state.trial == []
+
+    def test_unaligned_start_rotations_rejected(self):
+        g = path_graph(3)
+        state, idx = make_state_and_index(g, g, k=1)
+        state.checkpoint()
+        with pytest.raises(InternalError, match="unequal length"):
+            run_trial(state, 1, 1, (0, 2), (0,))
+        assert state.trial == []
 
 
 class TestRunTrial:
@@ -111,6 +138,213 @@ class TestRunTrial:
         state.checkpoint()
         # Ends match, middles match, then degree 1 vs 2 stops the branch.
         assert run_trial(state, 0, 0, (1,), (1,)) == 2
+
+
+def grow_against_reference(rng, g1, g2, steps, seen=None):
+    """Grow a conformal partial matching, comparing every check it makes.
+
+    Each step proposes an unmatched pair of equal degrees and asserts that
+    pair_admissible and conftest.reference_admissible agree on it; the pair
+    is added only when the reference accepts it, so the state stays
+    conformal.  Most proposals take v1 next to matched vertices and v2 next
+    to one of their images, and mostly next to all of them, so vertices with
+    three or more matched neighbors occur.  `seen`, if given, tallies
+    ("v1", verdict) when v1 has three or more matched neighbors and
+    ("u", verdict) when one of them has two or more others.
+    """
+    state = MatchState(g1, g2)
+    m1, m2 = state.matched1, state.matched2
+    rot1, rot2 = g1.rotation, g2.rotation
+    for _ in range(steps):
+        free1 = [v for v in range(g1.vertex_count) if m1[v] is None]
+        if not free1:
+            break
+        frontier = [v for v in free1 if any(m1[u] is not None for u in rot1[v])]
+        v1 = rng.choice(frontier if frontier and rng.random() < 0.9 else free1)
+        images = [m1[u] for u in rot1[v1] if m1[u] is not None]
+        pool = range(g2.vertex_count)
+        if images and rng.random() < 0.9:
+            pool = [
+                w for w in rot2[images[0]]
+                if rng.random() < 0.3 or all(x in rot2[w] for x in images)
+            ]
+        pool = [w for w in pool if m2[w] is None and len(rot2[w]) == len(rot1[v1])]
+        if not pool:
+            continue
+        v2 = rng.choice(pool)
+        want = reference_admissible(state, v1, v2)
+        assert pair_admissible(state, v1, v2) == want, (v1, v2, list(m1))
+        if seen is not None:
+            matched = [u for u in rot1[v1] if m1[u] is not None]
+            seen["v1", want] += len(matched) >= 3
+            seen["u", want] += any(sum(m1[t] is not None for t in rot1[u]) >= 2 for u in matched)
+        if want:
+            m1[v1], m2[v2] = v2, v1
+    ok, why = verify_conformal(g1, g2, [(v, w) for v, w in enumerate(m1) if w is not None])
+    assert ok, why
+    return state
+
+
+def reference_trial(state, s1, s2, r1, r2):
+    """run_trial's journal, from a flood that re-checks every dequeued pair
+    with reference_admissible; the state is left as it was found."""
+    g1, g2 = state.g1, state.g2
+    m1, m2 = state.matched1, state.matched2
+    m1[s1], m2[s2] = s2, s1
+    journal = [(s1, s2)]
+    queue = deque((a, b, s1, s2) for a, b in zip(r1, r2))
+    while queue:
+        v1, v2, p1, p2 = queue.popleft()
+        n1, n2 = g1.rotation[v1], g2.rotation[v2]
+        if m1[v1] is not None or m2[v2] is not None or len(n1) != len(n2):
+            continue
+        if not reference_admissible(state, v1, v2):
+            continue
+        m1[v1], m2[v2] = v2, v1
+        journal.append((v1, v2))
+        i1, i2 = n1.index(p1), n2.index(p2)
+        queue.extend((a, b, v1, v2) for a, b in zip(n1[i1 + 1 :] + n1[:i1], n2[i2 + 1 :] + n2[:i2]))
+    for v1, v2 in journal:
+        m1[v1] = m2[v2] = None
+    return journal
+
+
+@st.composite
+def re_embedded_pairs(draw):
+    """A graph and a copy whose rotation at some vertices is re-ordered."""
+    g1 = draw(embedded_graphs(min_vertices=2))
+    rotation = [
+        tuple(draw(st.permutations(r))) if draw(st.booleans()) else r for r in g1.rotation
+    ]
+    return g1, EmbeddedGraph(tuple(rotation))
+
+
+class TestInsertionCheck:
+    """pair_admissible, an O(deg) insertion check that assumes a conformal
+    state, against the full re-check kept in conftest."""
+
+    @staticmethod
+    def star_state(center2, matched_leaves, center_matched):
+        # 4-stars with center 0 and leaves 1..4 clockwise in G1; G2's center
+        # rotation is given.  Leaves are matched by name.
+        state = MatchState(figure_star((1, 2, 3, 4)), figure_star(center2))
+        for leaf in matched_leaves:
+            state.matched1[leaf] = state.matched2[leaf] = leaf
+        if center_matched:
+            state.matched1[0] = state.matched2[0] = 0
+        return state
+
+    @pytest.mark.parametrize(
+        "center2,admissible",
+        [
+            ((1, 2, 3, 4), True),
+            # Images 1, 2, 3 sit at positions 2, 3, 0: the order wraps past
+            # index 0 of G2's rotation once.
+            ((3, 4, 1, 2), True),
+            ((2, 1, 3, 4), False),  # positions 1, 0, 2
+            ((3, 2, 1, 4), False),  # positions 2, 1, 0
+        ],
+    )
+    def test_center_with_three_matched_leaves(self, center2, admissible):
+        state = self.star_state(center2, (1, 2, 3), center_matched=False)
+        assert pair_admissible(state, 0, 0) == admissible
+        assert reference_admissible(state, 0, 0) == admissible
+
+    @pytest.mark.parametrize(
+        "center2,v2,admissible",
+        [
+            ((1, 2, 3, 4), 2, True),
+            ((1, 2, 3, 4), 4, False),
+            # Leaf 1's image is at position 2 and leaf 3's at 0: the arc
+            # between them wraps past index 0.
+            ((3, 4, 1, 2), 2, True),
+            ((3, 4, 1, 2), 4, False),
+        ],
+    )
+    def test_neighbor_going_from_two_to_three_matched(self, center2, v2, admissible):
+        # The center is matched and so are leaves 1 and 3: leaf 2 must map
+        # between their images, clockwise.
+        state = self.star_state(center2, (1, 3), center_matched=True)
+        assert pair_admissible(state, 2, v2) == admissible
+        assert reference_admissible(state, 2, v2) == admissible
+
+    def test_image_not_adjacent_to_partner(self):
+        g = cycle_graph(4)
+        state = MatchState(g, g)
+        state.matched1[0] = state.matched2[0] = 0
+        assert [pair_admissible(state, 1, v2) for v2 in (1, 2, 3)] == [True, False, True]
+
+    @pytest.mark.parametrize("center2,flooded", [((1, 2, 3, 4), 3), ((1, 3, 2, 4), 1)])
+    def test_flood_keeps_order_at_reached_vertex(self, center2, flooded):
+        # Leaves 2 and 3 are matched; a flood seeded at leaf 1 reaches the
+        # centers, where only the order of the leaves' images can reject.
+        state = self.star_state(center2, (2, 3), center_matched=False)
+        state.checkpoint()
+        assert run_trial(state, 1, 1, (0,), (0,)) == flooded
+
+    def test_reads_state_without_changing_it(self):
+        state = self.star_state((1, 2, 3, 4), (1, 3), center_matched=True)
+        before = (list(state.matched1), list(state.matched2))
+        pair_admissible(state, 2, 4)
+        assert (state.matched1, state.matched2) == before
+
+    def test_grown_matchings_cover_every_case(self):
+        rng = random.Random(11)
+        seen = Counter()
+        for _ in range(400):
+            rows, cols = rng.randint(3, 7), rng.randint(3, 7)
+            g1 = gen_irregular_grid(rows, cols, rng.choice((0.0, 0.1, 0.3)), rng.randrange(10**6))
+            g2 = g1 if rng.random() < 0.5 else perturb(g1, 0.1, 0.05, 0.1, rng.randrange(10**6))[0]
+            grow_against_reference(rng, g1, g2, 3 * g1.vertex_count, seen)
+        assert all(seen[case, verdict] for case in ("v1", "u") for verdict in (True, False)), seen
+
+    @given(st.integers(2, 6), st.integers(2, 6), st.sampled_from((0.0, 0.1, 0.3)),
+           st.integers(0, 10**6), st.booleans(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_reference_on_grids(self, rows, cols, irregularity, seed, evolve, rng):
+        g1 = gen_irregular_grid(rows, cols, irregularity, seed)
+        g2 = perturb(g1, 0.1, 0.05, 0.1, seed + 1)[0] if evolve else g1
+        grow_against_reference(rng, g1, g2, 3 * g1.vertex_count)
+
+    @given(re_embedded_pairs(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_reference_on_embedded_graphs(self, pair, rng):
+        g1, g2 = pair
+        grow_against_reference(rng, g1, g2, 3 * g1.vertex_count)
+
+    @staticmethod
+    def compare_floods(rng, g1, g2):
+        # run_trial inlines the check: flood from random seeds over a grown
+        # conformal matching and compare journals with the reference flood.
+        state = grow_against_reference(rng, g1, g2, g1.vertex_count // 2)
+        m1, m2 = state.matched1, state.matched2
+        seeds = [
+            (s1, s2)
+            for s1 in range(g1.vertex_count)
+            for s2 in range(g2.vertex_count)
+            if m1[s1] is None and m2[s2] is None and g1.degree(s1) == g2.degree(s2)
+        ]
+        for s1, s2 in rng.sample(seeds, min(len(seeds), 10)):
+            if not reference_admissible(state, s1, s2):
+                continue
+            r1, r2 = g1.rotation[s1], g2.rotation[s2]
+            i1, i2 = rng.randrange(len(r1) or 1), rng.randrange(len(r2) or 1)
+            r1, r2 = r1[i1:] + r1[:i1], r2[i2:] + r2[:i2]
+            state.checkpoint()
+            run_trial(state, s1, s2, r1, r2)
+            assert state.abort_trial() == reference_trial(state, s1, s2, r1, r2)
+
+    @given(st.integers(2, 6), st.integers(2, 6), st.integers(0, 10**6),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_flood_equals_reference_flood_on_grids(self, rows, cols, seed, rng):
+        g1 = gen_irregular_grid(rows, cols, 0.1, seed)
+        self.compare_floods(rng, g1, perturb(g1, 0.1, 0.05, 0.1, seed + 1)[0])
+
+    @given(re_embedded_pairs(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_flood_equals_reference_flood_on_embedded_graphs(self, pair, rng):
+        self.compare_floods(rng, *pair)
 
 
 class TestCheckpointCommitAbort:
@@ -275,7 +509,7 @@ def reference_match(g1, g2, k, max_product, rng_seed):
 
     def flood(s1, s2, r1, r2):
         journal = []
-        if not pair_admissible(state, s1, s2):
+        if not reference_admissible(state, s1, s2):
             counts["inadmissible"] += 1
             return journal
         queue = deque()
@@ -294,7 +528,7 @@ def reference_match(g1, g2, k, max_product, rng_seed):
             n1, n2 = g1.rotation[v1], g2.rotation[v2]
             if m1[v1] is not None or m2[v2] is not None or len(n1) != len(n2):
                 continue
-            if not pair_admissible(state, v1, v2):
+            if not reference_admissible(state, v1, v2):
                 continue
             i1, i2 = n1.index(p1), n2.index(p2)
             take(v1, v2, n1[i1 + 1 :] + n1[:i1], n2[i2 + 1 :] + n2[:i2])
@@ -431,6 +665,9 @@ class TestPinnedMatchings:
         "irregular": ((30, 30, 0.15, 5), (0.05, 0.02, 0.02, 6)),
         # Near-regular: many tied labels at k=1, some of them retired.
         "lattice": ((20, 20, 0.02, 31), (0.03, 0.02, 0.03, 32)),
+        # Near-regular at k=3: 32 trials, 17 of them over 170 pairs and of
+        # differing sizes, so rejected pairs decide which trial wins.
+        "lattice-k3": ((24, 24, 0.01, 6), (0.03, 0.02, 0.03, 7)),
     }
     CASES = [
         # (pair, match options, k, labels retired, digest)
@@ -444,6 +681,9 @@ class TestPinnedMatchings:
          "a88736e39052d6eafc712242d552c95cdf65129ebc8764f82c24e9298294536b"),
         ("lattice", dict(k=1, max_product=10**6), 1, 16,
          "87c43472bf9c59f18497492cce0730b85470a22812f0b1adee2add1176dc9d41"),
+        # Recorded before pair_admissible became an insertion check.
+        ("lattice-k3", dict(k=3, max_product=10**6), 3, 0,
+         "19f1e77bd4d80f51e7b1e1d0675afdea477f0c14f3c1ddc2c82df5a31e9dd9ef"),
     ]
 
     @pytest.mark.parametrize("pair,options,k,retired,digest", CASES)
