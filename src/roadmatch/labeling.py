@@ -9,6 +9,12 @@ several cyclic rotations are minimal, the label is computed under each and
 the lexicographically smallest full label wins, so identical neighborhoods
 always collide.
 
+A label is ``bytes``, one byte per degree, so a graph with a degree above
+255 cannot be labeled (``InputError``); parsing caps degrees at a far
+lower ``d_max`` anyway.  Bytes order labels exactly as tuples of the same
+ints would, cache their hash for the dicts and counters that group them,
+and pickle at about their raw size when a worker sends them back.
+
 One kernel computes this canonical BFS for ``label_nodes``,
 ``lexicographic_bfs`` and ``labels_by_depth``.  It first renumbers the graph
 in breadth-first order over every component, so the vertices of one ball
@@ -51,8 +57,13 @@ from collections.abc import Iterator, Sequence
 from .errors import InputError, InternalError
 from .graph import EmbeddedGraph
 
-Label = tuple[int, ...]
+# Degrees, one byte each.  Bytes compare element by element, the shorter
+# first on a tie, just as tuples of the same values do.
+Label = bytes
 MasterTable = dict[Label, list[int]]
+
+# The largest degree one byte of a label holds.
+MAX_LABEL_DEGREE = 255
 
 DEFAULT_K = 7
 
@@ -114,6 +125,12 @@ class _BallKernel:
             new[v] = x
         rot = [tuple(map(new.__getitem__, g.rotation[v])) for v in old]
         self.deg = deg = [len(r) for r in rot]
+        top = max(deg, default=0)
+        if top > MAX_LABEL_DEGREE:
+            raise InputError(
+                f"vertex {old[deg.index(top)]} has degree {top}; "
+                f"labels hold degrees up to {MAX_LABEL_DEGREE}"
+            )
         # Never read inside a walk, so machine ints will do.
         self.first = first = array("i")
         edges = 0
@@ -240,10 +257,10 @@ def label_nodes(g: EmbeddedGraph, k: int) -> tuple[MasterTable, list[Label]]:
         raise InputError(f"label depth k must be >= 0, got {k}")
     kernel = _BallKernel(g)
     deg, head_deg = kernel.deg, kernel.head_deg
-    labels: list[Label] = [()] * g.vertex_count
+    labels: list[Label] = [b""] * g.vertex_count
     for x, v in enumerate(kernel.old):
         ball = kernel.canonical_ball(x, k)
-        labels[v] = (deg[x], *[head_deg[e] for level in ball for e in level])
+        labels[v] = bytes([deg[x], *[head_deg[e] for level in ball for e in level]])
     return master_table(labels), labels
 
 
@@ -262,14 +279,14 @@ def labels_by_depth(g: EmbeddedGraph) -> Iterator[list[Label]]:
     kernel = _BallKernel(g)
     deg, head_deg, old = kernel.deg, kernel.head_deg, kernel.old
     n = len(old)
-    labels: list[Label] = [()] * n
+    labels: list[Label] = [b""] * n
     # Depth 0 is each vertex alone, which grow restamps anyway.
     prev, prev_n = array("i"), array("i", [0]) * n
     level, level_n = array("i"), array("i", [0]) * n
     tied: dict[int, int] = {}
     for x, v in enumerate(old):
         starts = kernel.starts(x)
-        labels[v] = (deg[x], *[head_deg[e] for e in starts[0][0]])
+        labels[v] = bytes([deg[x], *[head_deg[e] for e in starts[0][0]]])
         for (edges,) in starts:
             level.extend(edges)
         level_n[x] = len(starts) * deg[x]
@@ -291,7 +308,7 @@ def labels_by_depth(g: EmbeddedGraph) -> Iterator[list[Label]]:
                 balls = kernel.grow(x, prev[a : a + p], balls, 1)
                 new = balls[0][-1]
                 if new:
-                    labels[old[x]] = (*labels[old[x]], *[head_deg[e] for e in new])
+                    labels[old[x]] += bytes([head_deg[e] for e in new])
                     for ball in balls:
                         grown.extend(ball[-1])
                     grown_n[x] = len(balls) * len(new)

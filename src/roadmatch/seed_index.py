@@ -7,9 +7,10 @@ currently holding it; the minimum is taken over the distinct products
 present, which stay few (at most 117 at a pop on the benchmark's
 workloads, on ``shallow-k1-7k``).  The vertices of each committed trial are removed
 in one batch and every affected label's product is recomputed once.
-Labels are interned to integer ids, in label order, at build time; all
-internal structures work on ids.  Building the index is also the one
-place that checks the product bound.
+Labels (``bytes``, one byte per degree; see ``labeling``) are interned to
+integer ids, in label order, at build time; all internal structures work
+on ids, and error messages show a label as a tuple of its degrees.
+Building the index is also the one place that checks the product bound.
 
 ``label_pair`` labels both snapshots at a fixed k, the second in a worker
 process while this one labels the first, when that pays
@@ -17,7 +18,8 @@ process while this one labels the first, when that pays
 grows both graphs' labels one level per k in a single pass
 (``labeling.labels_by_depth``), the second in lockstep in the worker, and
 counts them at each k, rather than labeling both graphs from scratch at
-every k.
+every k.  The worker's per-k counts are ``Counter``s keyed by the label
+bytes, so they pickle small.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ class SeedIndex:
             raise ConfigurationError(
                 f"max label product {self.largest_product} exceeds bound {max_product}; "
                 f"re-tune k (see the tune-k command) or raise the bound; "
-                f"the label is {self.labels[lid]}"
+                f"the label is {tuple(self.labels[lid])}"
             )
         self.product: dict[int, int] = dict(enumerate(products))
         self.bucket: dict[int, set[int]] = {}

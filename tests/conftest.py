@@ -13,7 +13,7 @@ def max_cross_product(mt1, mt2) -> int:
 
 
 def index_state(idx: SeedIndex):
-    """A seed index's state keyed by label tuple, for comparing two indexes.
+    """A seed index's state keyed by label, for comparing two indexes.
 
     Label ids depend on which labels are cross-present in the tables an
     index was built from, so indexes over different tables compare by

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roadmatch.errors import InputError
 from roadmatch.generator import gen_irregular_grid
 from roadmatch.graph import EmbeddedGraph
 from roadmatch.labeling import (
     canonical_start_rotations,
     label_nodes,
+    labels_by_depth,
     lexicographic_bfs,
 )
 
@@ -53,6 +55,16 @@ def reference_ball(g, v, k):
         if best is None or lab < best[0]:
             best = (lab, order)
     return best
+
+
+def tuples(labels):
+    """Labels as tuples of ints, to compare with the tuple references here."""
+    return [tuple(lab) for lab in labels]
+
+
+def tuple_table(table):
+    """A master table keyed by label tuples."""
+    return {tuple(lab): verts for lab, verts in table.items()}
 
 
 def renumbered(g, perm):
@@ -137,19 +149,19 @@ class TestLexicographicBfs:
         # (2, 1) when the BFS starts at neighbour 1 or 3, (1, 2) at 2.
         g = EmbeddedGraph(((1, 2, 3), (0, 4), (0, 5), (0, 4), (1, 3), (2,)))
         assert lexicographic_bfs(g, 0, 2) == [2, 3, 1, 5, 4]
-        assert label_nodes(g, 2)[1][0] == (3, 2, 2, 2, 1, 2)
+        assert tuple(label_nodes(g, 2)[1][0]) == (3, 2, 2, 2, 1, 2)
 
 
 class TestLabelNodes:
     def test_four_cycle_k1(self):
         table, labels = label_nodes(cycle_graph(4), 1)
-        assert labels == [(2, 2, 2)] * 4
-        assert table == {(2, 2, 2): [0, 1, 2, 3]}
+        assert tuples(labels) == [(2, 2, 2)] * 4
+        assert tuple_table(table) == {(2, 2, 2): [0, 1, 2, 3]}
 
     def test_path3_k1(self):
         table, labels = label_nodes(path_graph(3), 1)
-        assert labels == [(1, 2), (2, 1, 1), (1, 2)]
-        assert set(table) == {(1, 2), (2, 1, 1)}
+        assert tuples(labels) == [(1, 2), (2, 1, 1), (1, 2)]
+        assert set(tuple_table(table)) == {(1, 2), (2, 1, 1)}
 
     def test_grid_interior_all_fours(self):
         # 5x5 lattice: the center vertex sees only degree-4 vertices at k=1.
@@ -157,11 +169,11 @@ class TestLabelNodes:
         center = 12
         assert g.degree(center) == 4
         _, labels = label_nodes(g, 1)
-        assert labels[center] == (4, 4, 4, 4, 4)
+        assert tuple(labels[center]) == (4, 4, 4, 4, 4)
 
     def test_isolated_vertex(self):
         _, labels = label_nodes(EmbeddedGraph(((),)), 3)
-        assert labels == [(0,)]
+        assert tuples(labels) == [(0,)]
 
     def test_sizes_sum_to_n(self):
         g = path_graph(7)
@@ -184,11 +196,28 @@ class TestLabelNodes:
         table, labels = label_nodes(g, k)
         for v in range(g.vertex_count):
             lab, order = reference_ball(g, v, k)
-            assert labels[v] == lab
+            assert type(labels[v]) is bytes
+            assert tuple(labels[v]) == lab
             assert lexicographic_bfs(g, v, k) == order
         assert table == {
             lab: [v for v in range(g.vertex_count) if labels[v] == lab] for lab in set(labels)
         }
+
+    @given(scattered_graphs(), st.integers(0, 4))
+    @settings(max_examples=100)
+    def test_bytes_order_and_grouping_equal_tuples(self, g, k):
+        # Label ids, the seed tie-break and the master tables all rest on
+        # bytes ordering and grouping labels as tuples of the same ints do.
+        table, labels = label_nodes(g, k)
+        as_tuples = tuples(labels)
+        vertices = range(g.vertex_count)
+        assert sorted(vertices, key=labels.__getitem__) == sorted(
+            vertices, key=as_tuples.__getitem__
+        )
+        grouped = {}
+        for v, lab in enumerate(as_tuples):
+            grouped.setdefault(lab, []).append(v)
+        assert tuple_table(table) == grouped
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_reference_bfs_on_grids(self, seed):
@@ -197,7 +226,7 @@ class TestLabelNodes:
         g = gen_irregular_grid(6, 7, 0.1, seed)
         for k in range(1, 5):
             _, labels = label_nodes(g, k)
-            assert labels == [reference_ball(g, v, k)[0] for v in range(g.vertex_count)]
+            assert tuples(labels) == [reference_ball(g, v, k)[0] for v in range(g.vertex_count)]
 
     @given(embedded_graphs(min_vertices=2), st.integers(0, 3))
     @settings(max_examples=50)
@@ -228,3 +257,20 @@ class TestLabelNodes:
         table, _ = label_nodes(g, 2)
         for lab, verts in table.items():
             assert all(g.degree(v) == lab[0] for v in verts)
+
+    def test_degree_255_fits_a_byte(self):
+        g = EmbeddedGraph((tuple(range(1, 256)),) + ((0,),) * 255, d_max=255)
+        _, labels = label_nodes(g, 1)
+        assert tuple(labels[0]) == (255,) + (1,) * 255
+
+    def test_degree_above_255_is_input_error(self):
+        # Leaves first, so the centre's id (256) is not its kernel-local id.
+        rotation = [(256,)] * 256 + [tuple(range(256))]
+        g = EmbeddedGraph(tuple(rotation), d_max=300)
+        for label in (
+            lambda: label_nodes(g, 1),
+            lambda: next(labels_by_depth(g)),
+            lambda: lexicographic_bfs(g, 0, 1),
+        ):
+            with pytest.raises(InputError, match="vertex 256 has degree 256"):
+                label()

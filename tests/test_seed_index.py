@@ -24,7 +24,8 @@ def tables_for(g1, g2, k):
 
 
 def lid_of(idx, label):
-    return idx.labels.index(label)
+    """Id of the indexed label whose degrees are the tuple ``label``."""
+    return [tuple(lab) for lab in idx.labels].index(label)
 
 
 class TestBuild:
@@ -45,9 +46,9 @@ class TestBuild:
 
     def test_label_with_empty_list_not_indexed(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
-        mt2[(2, 1, 1)] = []  # its vertex 1 is in no list of g2's table
+        mt2[bytes((2, 1, 1))] = []  # its vertex 1 is in no list of g2's table
         idx = build_seed_index(mt1, mt2, 24)
-        assert idx.labels == [(1, 2)]
+        assert [tuple(lab) for lab in idx.labels] == [(1, 2)]
         assert idx.label_of[0][1] == UNINDEXED
         # An unindexed vertex is only marked removed; g2's vertex 1 was
         # never in the table.
@@ -74,18 +75,18 @@ class TestPopMinLabel:
         mt1, mt2 = tables_for(path_graph(2), path_graph(2), 1)
         idx = build_seed_index(mt1, mt2, 24)
         lid = idx.pop_min_label(random.Random(0))
-        assert idx.labels[lid] == (1, 1)
+        assert tuple(idx.labels[lid]) == (1, 1)
 
     def test_prefers_smaller_product(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
         idx = build_seed_index(mt1, mt2, 24)
         lid = idx.pop_min_label(random.Random(0))
-        assert idx.labels[lid] == (2, 1, 1)
+        assert tuple(idx.labels[lid]) == (2, 1, 1)
 
     def test_tie_break_is_seeded_deterministic(self):
         mt1, mt2 = tables_for(path_graph(2), path_graph(2), 1)
-        mt1[(9, 9)] = [99]
-        mt2[(9, 9)] = [99]  # second label with product 1
+        mt1[bytes((9, 9))] = [99]
+        mt2[bytes((9, 9))] = [99]  # second label with product 1
         picks = {build_seed_index(mt1, mt2, 24).pop_min_label(random.Random(5)) for _ in range(5)}
         assert len(picks) == 1
 
