@@ -12,7 +12,7 @@ import sys
 
 from .errors import ConfigurationError, InputError
 from .generator import gen_irregular_grid, perturb
-from .ingest import emit_erg, load_graph
+from .ingest import emit_erg, load_graph, load_pair
 from .labeling import DEFAULT_K, label_nodes
 from .matcher import MatchResult, match
 from .metrics import (
@@ -124,8 +124,7 @@ def _cmd_label(args) -> int:
 
 
 def _cmd_tune_k(args) -> int:
-    g1 = load_graph(args.graph1, args.format)
-    g2 = load_graph(args.graph2, args.format)
+    g1, g2 = load_pair(args.graph1, args.graph2, args.format)
     report = auto_tune_k(g1, g2, args.max_product, args.k_max)
     for k, p in report.per_k:
         print(f"k: {k} max_product: {p}")
@@ -141,8 +140,7 @@ def _cmd_tune_k(args) -> int:
 
 
 def _cmd_match(args) -> int:
-    g1 = load_graph(args.graph1, args.format)
-    g2 = load_graph(args.graph2, args.format)
+    g1, g2 = load_pair(args.graph1, args.graph2, args.format)
     result = match(
         g1,
         g2,
@@ -157,8 +155,7 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    g1 = load_graph(args.graph1, args.format)
-    g2 = load_graph(args.graph2, args.format)
+    g1, g2 = load_pair(args.graph1, args.graph2, args.format)
     with open(args.matching, encoding="utf-8") as fh:
         pairs, _, _, stats = parse_matching(fh.read())
     (mt1, _), (mt2, _) = label_pair(g1, g2, args.k)
@@ -185,8 +182,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    g1 = load_graph(args.graph1, args.format)
-    g2 = load_graph(args.graph2, args.format)
+    g1, g2 = load_pair(args.graph1, args.graph2, args.format)
     card, witness = brute_force_max_conformal(g1, g2, args.size_cap)
     print(f"max_conformal_cardinality: {card}")
     for v, w in sorted(witness.items()):

@@ -4,6 +4,12 @@ A rotation system stores, for every vertex, the clockwise cyclic order of
 its neighbors.  That ordering is the only topological information the
 matching pipeline relies on; coordinates are carried along purely for
 validation metrics and may be absent.
+
+Construction validates the graph.  Each vertex's rotation is checked with
+builtins over its tuple (degree, then range, self-loop and parallel edges
+in one expression) and walked again only to name its first fault;
+symmetry is checked as membership in the neighbour's rotation tuple, so no
+per-vertex set is kept.
 """
 
 from __future__ import annotations
@@ -64,26 +70,21 @@ class EmbeddedGraph:
 
 
 def _validate(g: EmbeddedGraph) -> None:
-    n = len(g.rotation)
+    rotation = g.rotation
+    n = len(rotation)
     if g.coords is not None and len(g.coords) != n:
         raise InputError(f"coords length {len(g.coords)} != vertex count {n}")
-    for v, rot in enumerate(g.rotation):
-        if len(rot) > g.d_max:
-            raise InputError(f"vertex {v} has degree {len(rot)} > d_max {g.d_max}")
-        seen = set()
+    d_max = g.d_max
+    for v, rot in enumerate(rotation):
+        if len(rot) > d_max:
+            raise InputError(f"vertex {v} has degree {len(rot)} > d_max {d_max}")
+        if rot and (min(rot) < 0 or max(rot) >= n or v in rot or len(set(rot)) != len(rot)):
+            _name_fault(v, rot, n)
+    # Symmetry: each directed entry must have its reverse; with no parallel
+    # edges, exactly once each way.
+    for v, rot in enumerate(rotation):
         for u in rot:
-            if not 0 <= u < n:
-                raise InputError(f"adjacency of vertex {v} names unknown vertex {u}")
-            if u == v:
-                raise InputError(f"self-loop at vertex {v}")
-            if u in seen:
-                raise InputError(f"parallel edge between {v} and {u}")
-            seen.add(u)
-    # Symmetry: each directed entry must have its reverse, exactly once each way.
-    adj = [set(r) for r in g.rotation]
-    for v, rot in enumerate(g.rotation):
-        for u in rot:
-            if v not in adj[u]:
+            if v not in rotation[u]:
                 raise InputError(f"asymmetric adjacency: {u} in rotation[{v}] but not vice versa")
     if g.coords is not None:
         for v, c in enumerate(g.coords):
@@ -92,6 +93,19 @@ def _validate(g: EmbeddedGraph) -> None:
             lon, lat = c
             if not (lon == lon and lat == lat) or abs(lon) > 180 or abs(lat) > 90:
                 raise InputError(f"vertex {v} has invalid coordinates {c}")
+
+
+def _name_fault(v: int, rot: tuple[int, ...], n: int) -> None:
+    """Raise for the first bad entry of rotation[v], known to hold one."""
+    seen = set()
+    for u in rot:
+        if not 0 <= u < n:
+            raise InputError(f"adjacency of vertex {v} names unknown vertex {u}")
+        if u == v:
+            raise InputError(f"self-loop at vertex {v}")
+        if u in seen:
+            raise InputError(f"parallel edge between {v} and {u}")
+        seen.add(u)
 
 
 def verify_conformal(

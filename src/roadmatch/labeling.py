@@ -32,29 +32,22 @@ greater depth, and ``labels_by_depth`` can grow every ball by one level per
 k, carrying only the starts still tied, instead of walking it again.
 
 A label depends only on its own graph, so two snapshots can be labeled at
-the same time.  ``labeling_job`` labels one graph in a worker process: a
-fresh interpreter that imports this package from the same location, gets
-its job as a pickle on stdin and answers on stdout.  It runs only where it
-can pay for itself (two usable CPUs, k >= 2 and a graph of at least
-``WORKER_MIN_VERTICES`` vertices); otherwise, or when the interpreter
-cannot be started, the same job runs in this process.
+the same time.  ``labeling_job`` labels one graph in a worker process (see
+``worker``).  It runs only where it can pay for itself (two usable CPUs,
+k >= 2 and a graph of at least ``WORKER_MIN_VERTICES`` vertices);
+otherwise, or when the interpreter cannot be started, the same job runs in
+this process.
 """
 
 from __future__ import annotations
 
-import contextlib
 import copy
-import os
-import pickle
-import subprocess
-import sys
-import tempfile
-import threading
 from array import array
 from collections import Counter
 from collections.abc import Iterator, Sequence
 
-from .errors import InputError, InternalError
+from . import worker
+from .errors import InputError
 from .graph import EmbeddedGraph
 
 # Degrees, one byte each.  Bytes compare element by element, the shorter
@@ -327,21 +320,6 @@ def labels_by_depth(g: EmbeddedGraph) -> Iterator[list[Label]]:
 # saves 30%, and at k = 3 it is ahead from 7k on.
 WORKER_MIN_VERTICES = 8000
 
-# Runs in the worker: the package root is its only argument, ahead of
-# everything else on the path; -I -S keeps the environment and site
-# packages out.
-_WORKER_CODE = (
-    "import sys; sys.path.insert(0, sys.argv[1]); "
-    "from roadmatch.labeling import _worker_main; _worker_main()"
-)
-_STDERR_TAIL = 2000
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
 
 def _replies(g: EmbeddedGraph, k: int | None) -> Iterator:
     """The labeling job, as the replies the worker sends for it.
@@ -360,152 +338,23 @@ def _replies(g: EmbeddedGraph, k: int | None) -> Iterator:
             return
 
 
-class _InProcess:
-    """Runs the job in this process, a reply at a time, when it is asked."""
-
-    def __init__(self, replies: Iterator):
-        self._replies = replies
-        self._command = None
-
-    def send(self, command: str) -> None:
-        self._command = command
-
-    def receive(self):
-        return self._replies.send(self._command)
-
-    def close(self) -> None:
-        self._replies.close()
-
-
-class _Worker:
-    """The job in a worker process, spoken to through pickles on its pipes.
-
-    A thread writes the job to the worker's stdin, so that this process can
-    go on while the worker starts.  ``close`` kills the worker and waits for
-    it: by then it has sent everything it was asked for, or it is not
-    wanted any more.
-    """
-
-    def __init__(self, g: EmbeddedGraph, k: int | None):
-        # The worker needs only the rotation system; unpickling the graph
-        # does not validate it again.
-        bare = copy.copy(g)
-        bare.coords = None
-        payload = pickle.dumps((bare, k), pickle.HIGHEST_PROTOCOL)
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        self._feeder = threading.Thread(target=self._feed, args=(payload,), daemon=True)
-        self._stderr = tempfile.TemporaryFile()
-        try:
-            self._proc = subprocess.Popen(
-                [sys.executable, "-I", "-S", "-c", _WORKER_CODE, root],
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=self._stderr,
-            )
-        except BaseException:
-            self._stderr.close()
-            raise
-        try:
-            self._feeder.start()
-        except BaseException:
-            self.close()
-            raise
-
-    def _feed(self, payload: bytes) -> None:
-        try:
-            self._proc.stdin.write(payload)
-            self._proc.stdin.flush()
-        except BrokenPipeError:
-            pass  # the worker is gone; receive() reports it
-
-    def send(self, command: str) -> None:
-        self._feeder.join()
-        try:
-            pickle.dump(command, self._proc.stdin, pickle.HIGHEST_PROTOCOL)
-            self._proc.stdin.flush()
-        except BrokenPipeError:
-            raise self._died() from None
-
-    def receive(self):
-        try:
-            return pickle.load(self._proc.stdout)
-        except (EOFError, pickle.UnpicklingError):
-            raise self._died() from None
-
-    def _died(self) -> InternalError:
-        try:
-            status = self._proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            self._proc.kill()
-            status = self._proc.wait()
-        size = self._stderr.seek(0, os.SEEK_END)
-        self._stderr.seek(max(0, size - _STDERR_TAIL))
-        tail = self._stderr.read().decode(errors="replace").strip()
-        return InternalError(
-            f"labeling worker ended without its reply (exit status {status}); "
-            f"stderr: {tail or '(empty)'}"
-        )
-
-    def close(self) -> None:
-        proc = self._proc
-        proc.kill()
-        proc.wait()
-        if self._feeder.is_alive():
-            self._feeder.join()  # its write fails now that the worker is gone
-        with contextlib.suppress(BrokenPipeError):
-            proc.stdin.close()  # flushes whatever a failed write left
-        proc.stdout.close()
-        self._stderr.close()
-
-
-def _worker_main() -> None:
-    """Entry point of the worker: one job from stdin, its replies to stdout."""
-    stdin, stdout = sys.stdin.buffer, sys.stdout.buffer
-    replies = _replies(*pickle.load(stdin))
-    reply = next(replies)
-    while True:
-        pickle.dump(reply, stdout, pickle.HIGHEST_PROTOCOL)
-        stdout.flush()
-        try:
-            command = pickle.load(stdin)
-        except EOFError:
-            return
-        reply = replies.send(command)
-
-
-@contextlib.contextmanager
 def labeling_job(g: EmbeddedGraph, k: int, by_depth: bool = False):
-    """Label g, in a worker process when that pays; yields the job's peer.
+    """Label g, in a worker process when that pays; a ``worker.job`` context.
 
-    ``peer.receive()`` returns the next reply of the job and
-    ``peer.send(command)`` passes a command (see ``_replies``).  At fixed
-    k (``by_depth`` false) the one reply is ``label_nodes(g, k)``.  With
+    Its peer's ``receive()`` returns the next reply of the job and
+    ``send(command)`` passes a command (see ``_replies``).  At fixed k
+    (``by_depth`` false) the one reply is ``label_nodes(g, k)``.  With
     ``by_depth`` the replies follow ``labels_by_depth(g)`` and k is the
-    deepest level that may be asked for.  Start the job, do this process's
-    own work, then receive: the two run at the same time.
+    deepest level that may be asked for.
 
     The worker runs only with two usable CPUs, k >= 2 and at least
-    ``WORKER_MIN_VERTICES`` vertices, and only if its interpreter starts;
-    otherwise the job runs in this process when its replies are received,
-    with the same results.  A worker that dies raises ``InternalError``
-    with its exit status and the tail of its stderr.  On leaving the
-    block, normally or by any exception, the worker is killed and reaped.
+    ``WORKER_MIN_VERTICES`` vertices; otherwise the job runs in this
+    process, with the same results.
     """
-    job_k = None if by_depth else k
-    peer = None
-    if (
-        k >= 2
-        and g.vertex_count >= WORKER_MIN_VERTICES
-        and _usable_cpus() >= 2
-        and sys.executable
-    ):
-        try:
-            peer = _Worker(g, job_k)
-        except OSError:
-            pass  # no interpreter to start: label in process
-    if peer is None:
-        peer = _InProcess(_replies(g, job_k))
-    try:
-        yield peer
-    finally:
-        peer.close()
+    in_worker = k >= 2 and g.vertex_count >= WORKER_MIN_VERTICES and worker.usable_cpus() >= 2
+    if in_worker:
+        # The worker needs only the rotation system; unpickling the graph
+        # does not validate it again.
+        g = copy.copy(g)
+        g.coords = None
+    return worker.job(_replies, g, None if by_depth else k, in_worker=in_worker)

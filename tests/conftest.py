@@ -1,10 +1,109 @@
+import contextlib
+import os
 import random
+import signal
+import subprocess
 
+import pytest
 from hypothesis import strategies as st
 
+from roadmatch import ingest, labeling, worker
+from roadmatch.errors import InputError
 from roadmatch.graph import EmbeddedGraph
 from roadmatch.matcher import MatchState
 from roadmatch.seed_index import SeedIndex
+
+# Longest a test that may start a worker process can take.
+DEADLINE_S = 120
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that outlives DEADLINE_S instead of hanging on a worker
+    that never answers, and check at its end that no child is left."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {DEADLINE_S} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(DEADLINE_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert_no_children()
+
+
+def assert_no_children():
+    # Raises only when this process has no child at all; a zombie would be
+    # reaped here and returned instead.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def forced_worker():
+    """Worker on for any graph and any file (with two usable CPUs reported);
+    yields the list of workers started."""
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(labeling, "WORKER_MIN_VERTICES", 0)
+        mp.setattr(ingest, "PARSE_WORKER_MIN_BYTES", 0)
+        mp.setattr(worker, "usable_cpus", lambda: 2)
+        mp.setattr(subprocess, "Popen", Recorded)
+        yield started
+
+
+def segments_text(g) -> str:
+    """A segment-format document: one two-point segment per edge of g, at
+    g's coordinates."""
+    c = g.coords
+    return "".join(
+        f"s {c[v][0]!r},{c[v][1]!r} {c[u][0]!r},{c[u][1]!r}\n"
+        for v, rot in enumerate(g.rotation)
+        for u in rot
+        if v < u
+    )
+
+
+def reference_validate(g) -> None:
+    """The graph check as it stood with a set per vertex, twice over; the
+    reference for ``graph._validate``.  ``g`` needs only ``rotation``,
+    ``coords`` and ``d_max``."""
+    n = len(g.rotation)
+    if g.coords is not None and len(g.coords) != n:
+        raise InputError(f"coords length {len(g.coords)} != vertex count {n}")
+    for v, rot in enumerate(g.rotation):
+        if len(rot) > g.d_max:
+            raise InputError(f"vertex {v} has degree {len(rot)} > d_max {g.d_max}")
+        seen = set()
+        for u in rot:
+            if not 0 <= u < n:
+                raise InputError(f"adjacency of vertex {v} names unknown vertex {u}")
+            if u == v:
+                raise InputError(f"self-loop at vertex {v}")
+            if u in seen:
+                raise InputError(f"parallel edge between {v} and {u}")
+            seen.add(u)
+    adj = [set(r) for r in g.rotation]
+    for v, rot in enumerate(g.rotation):
+        for u in rot:
+            if v not in adj[u]:
+                raise InputError(f"asymmetric adjacency: {u} in rotation[{v}] but not vice versa")
+    if g.coords is not None:
+        for v, c in enumerate(g.coords):
+            if c is None:
+                continue
+            lon, lat = c
+            if not (lon == lon and lat == lat) or abs(lon) > 180 or abs(lat) > 90:
+                raise InputError(f"vertex {v} has invalid coordinates {c}")
 
 
 def max_cross_product(mt1, mt2) -> int:

@@ -1,10 +1,20 @@
+from types import SimpleNamespace
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadmatch.errors import InputError
 from roadmatch.graph import EmbeddedGraph, verify_conformal
 
-from conftest import cycle_graph, embedded_graphs, figure_star, path_graph, star_graph
+from conftest import (
+    cycle_graph,
+    embedded_graphs,
+    figure_star,
+    path_graph,
+    reference_validate,
+    star_graph,
+)
 
 
 class TestConstruction:
@@ -129,3 +139,81 @@ class TestVerifyConformal:
     def test_out_of_range_pair_rejected(self):
         with pytest.raises(InputError):
             verify_conformal(path_graph(2), path_graph(2), [(0, 9)])
+
+
+FAULTS = (
+    None,
+    "out_of_range",
+    "self_loop",
+    "parallel",
+    "asymmetric",
+    "degree",
+    "bad_coords",
+    "missing_coords",
+)
+
+
+@st.composite
+def rotation_systems(draw):
+    """(rotation, coords, d_max, fault): a valid rotation system with
+    optional coordinates, then at most one injected fault (None for none)."""
+    g = draw(embedded_graphs(max_vertices=7))
+    n = g.vertex_count
+    rotation = [list(r) for r in g.rotation]
+    coords = None
+    if draw(st.booleans()):
+        point = st.tuples(st.floats(-180, 180), st.floats(-90, 90))
+        coords = draw(st.lists(st.none() | point, min_size=n, max_size=n))
+    d_max = max(map(len, rotation), default=0) + draw(st.integers(0, 2))
+    fault = draw(st.sampled_from(FAULTS))
+    v = draw(st.integers(0, n - 1))
+    edges = [(a, b) for a in range(n) for b in rotation[a]]
+    if fault == "out_of_range":
+        u = draw(st.sampled_from([-1, -3, n, n + 2]))
+        rotation[v].insert(draw(st.integers(0, len(rotation[v]))), u)
+    elif fault == "self_loop":
+        rotation[v].insert(draw(st.integers(0, len(rotation[v]))), v)
+    elif fault == "parallel" and edges:
+        a, b = draw(st.sampled_from(edges))
+        rotation[a].insert(draw(st.integers(0, len(rotation[a]))), b)
+    elif fault == "asymmetric" and edges:
+        a, b = draw(st.sampled_from(edges))
+        rotation[a].remove(b)
+    elif fault == "degree" and edges:
+        d_max = draw(st.integers(0, max(map(len, rotation)) - 1))
+    elif fault == "bad_coords":
+        if coords is None:
+            coords = [None] * n
+        coords[v] = draw(st.sampled_from(
+            [(float("nan"), 0.0), (0.0, 95.0), (-181.0, 0.0), (0.0, float("-inf"))]
+        ))
+    elif fault == "missing_coords":
+        coords = (coords or [(0.0, 0.0)] * n)[: n - 1]
+    else:
+        fault = None  # nothing to break that way in this graph
+    return tuple(map(tuple, rotation)), coords and tuple(coords), d_max, fault
+
+
+def validation_outcome(check, graph_args):
+    """None if the check accepts, else its InputError message."""
+    try:
+        check(*graph_args)
+    except InputError as e:
+        return str(e)
+    return None
+
+
+class TestValidation:
+    """``graph._validate`` against the per-vertex-set reference in conftest."""
+
+    @given(rotation_systems())
+    @settings(max_examples=400)
+    def test_same_verdict_and_message(self, system):
+        rotation, coords, d_max, fault = system
+        got = validation_outcome(lambda r, c, d: EmbeddedGraph(r, c, d_max=d), system[:3])
+        want = validation_outcome(
+            lambda r, c, d: reference_validate(SimpleNamespace(rotation=r, coords=c, d_max=d)),
+            system[:3],
+        )
+        assert got == want
+        assert (got is None) == (fault is None)

@@ -1,18 +1,26 @@
+import os
+import re
+import tempfile
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadmatch.errors import InputError
+from roadmatch.generator import gen_irregular_grid
 from roadmatch.ingest import (
     SegmentSet,
     bearing_degrees,
     build_graph_from_segments,
     collapse_polylines,
     emit_erg,
+    load_graph,
+    load_pair,
     parse_erg,
     parse_segments,
 )
 
-from conftest import embedded_graphs
+from conftest import assert_no_children, embedded_graphs, forced_worker, segments_text
 
 TRIANGLE = """\
 ERG 1
@@ -140,3 +148,72 @@ class TestBuildFromSegments:
         s = parse_segments("s 0,0 1,0\ns 0,0 0,1\ns 1,0 0,1\n")
         g = build_graph_from_segments(s)  # construction runs full validation
         assert g.edge_count() == 3
+
+
+# --- malformed input ----------------------------------------------------
+
+
+@st.composite
+def mutated_documents(draw):
+    """(format, bytes): a valid ERG or segment document of a small grid,
+    with one to four tokens inserted, deleted or swapped, or random bytes
+    added."""
+    fmt = draw(st.sampled_from(["erg", "segments"]))
+    g = gen_irregular_grid(3, draw(st.integers(2, 4)), 0.2, draw(st.integers(0, 3)))
+    doc = emit_erg(g).encode() if fmt == "erg" else segments_text(g).encode()
+    tokens = re.findall(rb"\S+|\s+", doc)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(tokens)))
+        how = draw(st.sampled_from(["insert", "delete", "swap", "bytes"]))
+        if how == "insert" and tokens:
+            tokens.insert(i, draw(st.sampled_from(tokens)))
+        elif how == "delete" and i < len(tokens):
+            del tokens[i]
+        elif how == "swap" and i < len(tokens):
+            j = draw(st.integers(0, len(tokens) - 1))
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        else:
+            tokens.insert(i, draw(st.binary(min_size=1, max_size=8)))
+    return fmt, b"".join(tokens)
+
+
+def loads_or_input_error(load, *args):
+    """Call load; an InputError or OSError is a clean rejection, any other
+    exception fails the test."""
+    try:
+        load(*args)
+    except (InputError, OSError):
+        pass
+
+
+class TestMalformedInput:
+    @given(mutated_documents())
+    @settings(max_examples=300, deadline=None)
+    def test_load_graph(self, case):
+        fmt, data = case
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "g")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            loads_or_input_error(load_graph, path, fmt)
+
+    @pytest.mark.usefixtures("deadline")
+    @given(mutated_documents())
+    @settings(max_examples=25, deadline=None)
+    def test_load_pair_in_worker(self, case):
+        # The mutated file is the second one, parsed in the worker: an
+        # exception other than InputError or OSError would end the worker
+        # and come back as InternalError.
+        fmt, data = case
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "g")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            good = os.path.join(d, "good")
+            g = gen_irregular_grid(2, 2, 0.0, 0)
+            with open(good, "wb") as fh:
+                fh.write(emit_erg(g).encode() if fmt == "erg" else segments_text(g).encode())
+            with forced_worker() as started:
+                loads_or_input_error(load_pair, good, path, fmt)
+            assert len(started) == 1
+        assert_no_children()

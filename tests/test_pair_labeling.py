@@ -2,12 +2,12 @@
 
 Graphs here are far below the worker's size gate, so the tests that need
 the worker lower ``WORKER_MIN_VERTICES`` to 0 (and report two usable CPUs)
-and record every worker started.  Every test runs under an alarm, so a
-worker that never answers fails the test instead of hanging it, and ends
-by checking that this process has no child left, reaped or not.
+and record every worker started (``conftest.forced_worker``).  Every test
+runs under an alarm, so a worker that never answers fails the test instead
+of hanging it, and ends by checking that this process has no child left,
+reaped or not (``conftest.deadline``).
 """
 
-import contextlib
 import os
 import signal
 import subprocess
@@ -16,56 +16,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadmatch import labeling, seed_index
+from roadmatch import labeling, seed_index, worker
 from roadmatch.errors import InternalError
 from roadmatch.generator import gen_irregular_grid, perturb
 from roadmatch.graph import EmbeddedGraph
 from roadmatch.labeling import label_nodes, labels_by_depth
 from roadmatch.seed_index import auto_tune_k, label_pair
 
+from conftest import forced_worker
 from test_labeling import scattered_graphs
 from test_seed_index import relabeling_tune
 
-DEADLINE_S = 120
-
-
-@pytest.fixture(autouse=True)
-def deadline():
-    def expire(signum, frame):
-        raise TimeoutError(f"no result within {DEADLINE_S} s")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(DEADLINE_S)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
-    assert_no_children()
-
-
-def assert_no_children():
-    # Raises only when this process has no child at all; a zombie would be
-    # reaped here and returned instead.
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@contextlib.contextmanager
-def forced_worker():
-    """Worker on for any graph; yields the list of workers started."""
-    started = []
-
-    class Recorded(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            started.append(self)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(labeling, "WORKER_MIN_VERTICES", 0)
-        mp.setattr(labeling, "_usable_cpus", lambda: 2)
-        mp.setattr(subprocess, "Popen", Recorded)
-        yield started
+pytestmark = pytest.mark.usefixtures("deadline")
 
 
 def with_stray_edges(g, count):
@@ -176,7 +138,7 @@ class TestWorkerEnds:
         # still a dead worker, never bad input.
         g1, g2 = snapshot_pair(2)
         with forced_worker() as started:
-            monkeypatch.setattr(labeling, "_WORKER_CODE", "raise SystemExit('no labels here')")
+            monkeypatch.setattr(worker, "_WORKER_CODE", "raise SystemExit('no labels here')")
             with pytest.raises(InternalError, match="exit status 1.*no labels here"):
                 label_pair(g1, g2, 3)
         assert len(started) == 1
