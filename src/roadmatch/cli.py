@@ -130,7 +130,13 @@ def _cmd_tune_k(args) -> int:
         print(f"k: {k} max_product: {p}")
     print(f"chosen_k: {report.k}")
     print(f"achieved_max_product: {report.max_product}")
-    if not report.bounded:
+    if not report.max_product:
+        print(
+            f"warning: no label at any k in [1, {args.k_max}] is shared by both graphs; "
+            f"a match would be empty",
+            file=sys.stderr,
+        )
+    elif not report.bounded:
         print(
             f"warning: no k in [1, {args.k_max}] meets the bound {args.max_product}; "
             f"reporting the minimizing k",
@@ -151,6 +157,13 @@ def _cmd_match(args) -> int:
         k_max=args.k_max,
     )
     _write(args.output, format_matching(result))
+    # A label product of 0 means no label is shared by both graphs.
+    if not result.stats.max_product:
+        print(
+            f"warning: no label at k={result.stats.k} is shared by both graphs, "
+            f"so the matching is empty; a smaller k shares more labels (see tune-k)",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -158,7 +171,9 @@ def _cmd_validate(args) -> int:
     g1, g2 = load_pair(args.graph1, args.graph2, args.format)
     with open(args.matching, encoding="utf-8") as fh:
         pairs, _, _, stats = parse_matching(fh.read())
-    (mt1, _), (mt2, _) = label_pair(g1, g2, args.k)
+    # Score the labeling the matching was made with unless told otherwise.
+    k = args.k if args.k is not None else int(stats.get("k", DEFAULT_K))
+    (mt1, _), (mt2, _) = label_pair(g1, g2, k)
     ratio = approximation_ratio(mt1, mt2, g1.vertex_count, g2.vertex_count)
     print(f"approximation_ratio: {ratio:.4f}")
     if g1.coords is not None and g2.coords is not None:
@@ -249,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("matching")
     p_val.add_argument("graph1")
     p_val.add_argument("graph2")
-    p_val.add_argument("--k", type=int, default=DEFAULT_K)
+    p_val.add_argument("--k", type=int, default=None,
+                       help=f"label depth (default: the matching's '# k:' line, else {DEFAULT_K})")
     p_val.add_argument("--threshold-miles", type=float, default=DEFAULT_THRESHOLD_MILES)
     p_val.add_argument("--hist", default=None, help="write a distance histogram CSV")
     p_val.add_argument("--bucket-km", type=float, default=0.5)

@@ -72,11 +72,16 @@ def _min_rotation_offsets(degs: list[int]) -> list[int]:
     return [i for i in range(d) if seqs[i] == best]
 
 
+def canonical_start_offsets(g: EmbeddedGraph, v: int) -> list[int]:
+    """Offsets i, ascending, at which rotation[v][i:] + rotation[v][:i] has
+    lexicographically minimal neighbor degrees."""
+    return _min_rotation_offsets([len(g.rotation[u]) for u in g.rotation[v]])
+
+
 def canonical_start_rotations(g: EmbeddedGraph, v: int) -> list[tuple[int, ...]]:
     """Cyclic rotations of rotation[v] with lexicographically minimal neighbor degrees."""
     rot = g.rotation[v]
-    degs = [len(g.rotation[u]) for u in rot]
-    return [rot[i:] + rot[:i] for i in _min_rotation_offsets(degs)]
+    return [rot[i:] + rot[:i] for i in canonical_start_offsets(g, v)]
 
 
 def _breadth_first_ids(rotation) -> list[int]:
@@ -254,6 +259,9 @@ def label_nodes(g: EmbeddedGraph, k: int) -> tuple[MasterTable, list[Label]]:
     for x, v in enumerate(kernel.old):
         ball = kernel.canonical_ball(x, k)
         labels[v] = bytes([deg[x], *[head_deg[e] for level in ball for e in level]])
+    # The kernel's tables (``succ`` above all) outweigh the master table;
+    # free them before it is built, so the two never peak together.
+    del kernel, deg, head_deg
     return master_table(labels), labels
 
 

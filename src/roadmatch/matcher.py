@@ -1,13 +1,18 @@
 """Greedy flood-based conformal matching.
 
 The outer loop repeatedly pops the label with minimal cross product and
-enumerates every seed pair for that label, times every combination of
-canonical starting rotations of the two seeds.  Each combination runs as an
-isolated trial: a conformal BFS flood that writes only the two match arrays
-and a journal of its pairs, so rolling it back resets the journaled
-entries.  Every trial of a label starts from the same state, so the best
-(largest) trial's journal is committed as it stands; its vertices leave the
-seed index permanently.  The loop ends when no cross-present label remains.
+enumerates every seed pair for that label, times every alignment of the
+two seeds' canonical starting rotations.  An alignment is one way of lining
+up the seeds' neighbours: starts at offsets i and j pair rotation1[i + t]
+with rotation2[j + t], so it is fixed by (j - i) mod deg, and two start
+pairs with the same alignment differ only in which neighbour pair is queued
+first.  Each alignment runs once, from the first start pair in offset order
+that reaches it, as an isolated trial: a conformal BFS flood that writes
+only the two match arrays and a journal of its pairs, so rolling it back
+resets the journaled entries.  Every trial of a label starts from the same
+state, so the best (largest) trial's journal is committed as it stands; its
+vertices leave the seed index permanently.  The loop ends when no
+cross-present label remains.
 
 The matching is conformal at every step: each pair is admitted by an
 insertion check (`pair_admissible`, inlined in `run_trial`) that looks only
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 from .errors import InternalError
 from .graph import EmbeddedGraph
-from .labeling import DEFAULT_K, canonical_start_rotations
+from .labeling import DEFAULT_K, canonical_start_offsets
 from .seed_index import (
     DEFAULT_MAX_PRODUCT,
     SeedIndex,
@@ -151,17 +156,19 @@ def run_trial(
     rotation1: tuple[int, ...],
     rotation2: tuple[int, ...],
 ) -> int:
-    """Flood from one seed pair under one starting-orientation combination.
+    """Flood from one seed pair under one alignment of its rotations.
 
-    Matches the seed pair and journals it, then pairs the two rotations
-    entry by entry and floods breadth-first: each admitted pair enqueues its
-    neighbours clockwise after the pair it was reached from, aligned on both
-    sides.  The caller checks the seed pair with `pair_admissible` first;
-    `match` does so once per pair, since the check does not depend on
-    rotations.  A pair where either vertex is already matched (when it is
-    enqueued or dequeued), where the degrees differ, or that fails
-    `pair_admissible`'s check silently ends that branch.  Returns the
-    trial's cardinality.
+    Matches the seed pair and journals it, then pairs the two start
+    rotations entry by entry, which fixes the alignment, and floods
+    breadth-first: each admitted pair enqueues its neighbours clockwise
+    after the pair it was reached from, aligned on both sides.  Starts
+    with the same alignment flood the same neighbour pairs, only queued
+    from another one first, so `match` runs one per alignment.  The caller
+    checks the seed pair with `pair_admissible` first; `match` does so once
+    per pair, since the check does not depend on rotations.  A pair where
+    either vertex is already matched (when it is enqueued or dequeued),
+    where the degrees differ, or that fails `pair_admissible`'s check
+    silently ends that branch.  Returns the trial's cardinality.
     """
     journal = state.trial
     if journal is None:
@@ -260,9 +267,6 @@ class MatchResult:
     unmatched2: list[int]
     stats: MatchStats
 
-    def as_map(self) -> dict[int, int]:
-        return dict(self.pairs)
-
 
 def match(
     g1: EmbeddedGraph,
@@ -276,9 +280,15 @@ def match(
     """Full pipeline: label both graphs, then flood-match label by label.
 
     Deterministic for fixed inputs: seed pairs are enumerated in ascending
-    vertex id, orientations in rotation-offset order, and the only
-    randomness (tie-breaking among equal-product labels) flows through the
-    seeded rng.
+    vertex id and start rotations in offset order, s1's outside s2's; a
+    start pair whose alignment that seed pair has already flooded is
+    skipped, as the paper floods once per orientation.  Its flood would
+    queue the same neighbour pairs in another order, which now and then
+    admits a different set.  When the seeds share a label at k >= 1, their
+    tied offsets are cosets of the same period, so s1's first start against
+    every start of s2 already reaches each alignment once.  The largest
+    trial wins, the earliest on ties.  The only randomness (tie-breaking among
+    equal-product labels) flows through the seeded rng.
     """
     t0 = time.perf_counter()
     if auto_k:
@@ -308,17 +318,25 @@ def match(
             state.matched2[v] is not None for v in seeds2
         ):
             raise InternalError(f"seed index offers matched vertices for label {lid}")
-        starts2 = [(s2, canonical_start_rotations(g2, s2)) for s2 in seeds2]
+        starts2 = [(s2, canonical_start_offsets(g2, s2)) for s2 in seeds2]
         best: list[tuple[int, int]] = []  # journal of the earliest largest trial
         for s1 in seeds1:
-            rots1 = canonical_start_rotations(g1, s1)
-            for s2, rots2 in starts2:
+            offsets1 = canonical_start_offsets(g1, s1)
+            rot1 = g1.rotation[s1]
+            d = len(rot1) or 1
+            for s2, offsets2 in starts2:
                 if not pair_admissible(state, s1, s2):
                     continue
-                for r1 in rots1:
-                    for r2 in rots2:
+                rot2 = g2.rotation[s2]
+                flooded = set()  # alignments already tried from this seed pair
+                for i in offsets1:
+                    for j in offsets2:
+                        alignment = (j - i) % d
+                        if alignment in flooded:
+                            continue
+                        flooded.add(alignment)
                         state.checkpoint()
-                        run_trial(state, s1, s2, r1, r2)
+                        run_trial(state, s1, s2, rot1[i:] + rot1[:i], rot2[j:] + rot2[:j])
                         journal = state.abort_trial()
                         if len(journal) > len(best):
                             best = journal

@@ -196,12 +196,14 @@ def auto_tune_k(
     max_product: int = DEFAULT_MAX_PRODUCT,
     k_max: int = 12,
 ) -> TuneReport:
-    """Smallest k in [1, k_max] whose max cross product is within the bound.
+    """Smallest k in [1, k_max] whose max cross product p is within the bound.
 
+    A k qualifies only when 0 < p <= bound: p = 0 means no label is shared
+    by both graphs, so nothing could seed and the matching would be empty.
     Scans k ascending (monotonicity of the max product is not guaranteed:
     small symmetric components can hold a floor).  If no k qualifies,
-    returns the k minimizing the max product, smallest k on ties, flagged
-    as unbounded.
+    returns the k minimizing p among those with p > 0, smallest k on ties,
+    flagged as unbounded; if no k has a shared label, k = 1 with p = 0.
 
     One pass grows both graphs' labels a level per k (``labels_by_depth``)
     and counts them for each k's max product, so tuning walks each ball
@@ -224,7 +226,7 @@ def auto_tune_k(
                 default=0,
             )
             per_k.append((k, p))
-            if p <= max_product:
+            if 0 < p <= max_product:
                 second.send("stop")
                 del counts1
                 depths1.close()  # frees the growth state; the labels at k stay
@@ -234,6 +236,6 @@ def auto_tune_k(
             if k < k_max:
                 second.send("next")
     del depths1, labels1, counts1  # the growth state and the k_max labels
-    p, k = min((p, k) for k, p in per_k)
+    p, k = min(((p, k) for k, p in per_k if p), default=(0, 1))
     (mt1, _), (mt2, _) = label_pair(g1, g2, k)
     return TuneReport(k, p, False, per_k, (mt1, mt2))

@@ -78,6 +78,33 @@ class TestPipeline:
         assert "label_time_s:" in out
         assert hist.read_text().startswith("bucket_km,count\n")
 
+    def test_validate_reads_k_from_matching(self, tmp_path, capsys):
+        g1, g2, m = tmp_path / "g1.erg", tmp_path / "g2.erg", tmp_path / "m.txt"
+        dispatch(["gen", "grid", "--rows", "10", "--cols", "10", "--rng-seed", "2",
+                  "-o", str(g1)])
+        dispatch(["perturb", str(g1), "--remove-vertices", "0.05", "--add-edges", "0.02",
+                  "--rng-seed", "3", "-o", str(g2)])
+        assert dispatch(["match", str(g1), str(g2), "--k", "3", "--max-product", "10000",
+                         "-o", str(m)]) == 0
+        capsys.readouterr()
+        ratios = {}
+        for flags in ((), ("--k", "3"), ("--k", "7")):
+            code, out, _ = run(capsys, "validate", str(m), str(g1), str(g2), *flags)
+            assert code == 0
+            ratios[flags] = next(l for l in out.splitlines() if l.startswith("approximation_ratio"))
+        assert ratios[()] == ratios["--k", "3"] != ratios["--k", "7"]
+
+    def test_validate_without_k_line_uses_default_k(self, tmp_path, capsys):
+        g = tmp_path / "g.erg"
+        dispatch(["gen", "grid", "--rows", "6", "--cols", "6", "--rng-seed", "4",
+                  "-o", str(g)])
+        m = tmp_path / "m.txt"
+        m.write_text("m 0 0\n")
+        capsys.readouterr()
+        outs = [run(capsys, "validate", str(m), str(g), str(g), *flags)[1]
+                for flags in ((), ("--k", "7"))]
+        assert outs[0] == outs[1]
+
     def test_match_determinism(self, tmp_path, capsys):
         g1 = tmp_path / "g1.erg"
         g2 = tmp_path / "g2.erg"
@@ -92,6 +119,35 @@ class TestPipeline:
             assert code == 0
             outs.append([l for l in out.splitlines() if "_time_s" not in l])
         assert outs[0] == outs[1]
+
+
+class TestNoSharedLabel:
+    def test_fixed_k_with_no_shared_label_warns(self, tmp_path, capsys):
+        # A 60x60 pair with 5% of the vertices removed shares no label at
+        # the default k=7: the matching is empty, and the run says so.
+        g1, g2, m = tmp_path / "g1.erg", tmp_path / "g2.erg", tmp_path / "m.txt"
+        dispatch(["gen", "grid", "--rows", "60", "--cols", "60", "-o", str(g1)])
+        dispatch(["perturb", str(g1), "--remove-vertices", "0.05", "--remove-edges", "0.02",
+                  "--add-edges", "0.02", "--rng-seed", "1", "-o", str(g2)])
+        capsys.readouterr()
+        code, _, err = run(capsys, "match", str(g1), str(g2), "-o", str(m))
+        assert code == 0
+        pairs, _, _, stats = parse_matching(m.read_text())
+        assert (pairs, stats["k"], stats["max_product"]) == ([], 7, 0)
+        assert "warning: no label at k=7 is shared" in err
+        code, _, err = run(capsys, "match", str(g1), str(g2), "--auto-k", "-o", str(m))
+        pairs, _, _, stats = parse_matching(m.read_text())
+        assert code == 0 and err == ""
+        assert stats["k"] == 3 and pairs
+
+    def test_tune_k_with_no_shared_label_warns(self, tmp_path, capsys):
+        g1, g2 = tmp_path / "g1.erg", tmp_path / "g2.erg"
+        g1.write_text(emit_erg(path_graph(3)))
+        g2.write_text(emit_erg(path_graph(2)))
+        code, out, err = run(capsys, "tune-k", str(g1), str(g2), "--k-max", "3")
+        assert code == 0
+        assert "achieved_max_product: 0" in out
+        assert "no label at any k in [1, 3] is shared" in err
 
 
 class TestErrors:

@@ -11,7 +11,7 @@ from roadmatch.errors import ConfigurationError, InternalError
 from roadmatch.generator import gen_irregular_grid, perturb, score_against_ground_truth
 from roadmatch.graph import EmbeddedGraph, verify_conformal
 from roadmatch import matcher
-from roadmatch.labeling import canonical_start_rotations, label_nodes
+from roadmatch.labeling import canonical_start_offsets, canonical_start_rotations, label_nodes
 from roadmatch.matcher import MatchState, match, pair_admissible, run_trial
 from roadmatch.oracle import brute_force_max_conformal
 from roadmatch.seed_index import SeedIndex, build_seed_index
@@ -479,6 +479,103 @@ class TestMatch:
             match(g, g, k=1, max_product=2)
 
 
+def recorded_trials(monkeypatch):
+    """Patch matcher.run_trial to record its (s1, s2, r1, r2) arguments."""
+    calls = []
+    flood = matcher.run_trial
+
+    def recorded(state, s1, s2, r1, r2):
+        calls.append((s1, s2, r1, r2))
+        return flood(state, s1, s2, r1, r2)
+
+    monkeypatch.setattr(matcher, "run_trial", recorded)
+    return calls
+
+
+class TestSeedAlignments:
+    """Each seed pair is flooded once per alignment of its start rotations."""
+
+    @staticmethod
+    def star(arm_lengths):
+        # Center 0 with arms read clockwise; arm a has arm_lengths[a] edges.
+        rotation, arms = [[]], []
+        for length in arm_lengths:
+            arms.append(len(rotation))
+            prev = 0
+            for _ in range(length):
+                v = len(rotation)
+                rotation.append([prev])
+                rotation[prev].append(v)
+                prev = v
+        rotation[0] = arms
+        return EmbeddedGraph(tuple(map(tuple, rotation)))
+
+    @pytest.mark.parametrize(
+        "arms1,arms2,starts",
+        [
+            # Offsets 0..3 against 0 and 2: the first two starts of s1 reach
+            # the four alignments, the rest only repeat them.
+            ((1, 1, 1, 1), (1, 2, 1, 2), [(0, 0), (0, 2), (1, 0), (1, 2)]),
+            # Offsets 0 and 2 against 0..3: s1's first start reaches all four.
+            ((1, 2, 1, 2), (1, 1, 1, 1), [(0, 0), (0, 1), (0, 2), (0, 3)]),
+        ],
+    )
+    def test_degree_labels_flood_each_alignment_once(self, monkeypatch, arms1, arms2, starts):
+        # At k=0 labels are degrees, so the centers' tied start offsets are
+        # not cosets of one period and the first start of s1 is not enough.
+        g1, g2 = self.star(arms1), self.star(arms2)
+        calls = recorded_trials(monkeypatch)
+        match(g1, g2, k=0, max_product=10**6)
+        got = [
+            (g1.rotation[0].index(r1[0]), g2.rotation[0].index(r2[0]))
+            for s1, s2, r1, r2 in calls
+            if (s1, s2) == (0, 0)
+        ]
+        assert got == starts
+
+    @given(st.integers(2, 7), st.integers(2, 7), st.sampled_from((0.0, 0.05, 0.2)),
+           st.integers(0, 10**6), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_first_start_of_s1_reaches_each_alignment_once(self, rows, cols, irregularity,
+                                                           seed, k):
+        # Seeds that share a label at k >= 1 share the neighbour-degree
+        # sequence read from their first tied start, so each side's tied
+        # offsets are a coset of that sequence's period.
+        g1 = gen_irregular_grid(rows, cols, irregularity, seed)
+        g2 = perturb(g1, 0.1, 0.05, 0.1, seed + 1)[0]
+        _, labels1 = label_nodes(g1, k)
+        _, labels2 = label_nodes(g2, k)
+        by_label = {}
+        for v, lab in enumerate(labels2):
+            by_label.setdefault(lab, []).append(v)
+        for s1, lab in enumerate(labels1):
+            d = g1.degree(s1)
+            if not d:
+                continue
+            offsets1 = canonical_start_offsets(g1, s1)
+            for s2 in by_label.get(lab, ()):
+                offsets2 = canonical_start_offsets(g2, s2)
+                first = [(j - offsets1[0]) % d for j in offsets2]
+                every = {(j - i) % d for i in offsets1 for j in offsets2}
+                assert sorted(first) == sorted(every), (s1, s2)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_shared_labels_flood_first_start_against_every_start(self, monkeypatch, k):
+        g1 = gen_irregular_grid(12, 12, 0.02, 4)
+        g2, _ = perturb(g1, 0.03, 0.02, 0.03, 5)
+        calls = recorded_trials(monkeypatch)
+        match(g1, g2, k=k, max_product=10**6)
+        trials = {}  # a seed pair may be offered again by a later pop
+        for s1, s2, r1, r2 in calls:
+            assert r1 == canonical_start_rotations(g1, s1)[0]
+            trials.setdefault((s1, s2), []).append(r2)
+        for (_, s2), rots in trials.items():
+            every = canonical_start_rotations(g2, s2)
+            assert rots == every * (len(rots) // len(every))
+        # Some seed pairs have several tied starts on each side.
+        assert any(len(canonical_start_rotations(g2, s2)) > 1 for _, s2 in trials)
+
+
 def reference_match(g1, g2, k, max_product, rng_seed):
     """Matcher that keeps its own exact seed index at every step.
 
@@ -486,10 +583,13 @@ def reference_match(g1, g2, k, max_product, rng_seed):
     vertices; the seed label is the one of minimum product, ties broken by
     rng over the labels in sorted order.  Each vertex a flood reaches
     leaves the index at once, a rollback puts it back, and the label's
-    winning trial is flooded a second time to commit it.  Returns (pairs,
-    unmatched1, unmatched2, index state, counts): the index state is in
-    conftest.index_state's form, and counts tallies retired labels,
-    inadmissible seed pairs and trials that tie the label's best so far.
+    winning trial is flooded a second time to commit it.  A seed pair is
+    flooded once per alignment of its start rotations: a start pair whose
+    seed neighbour pairs, zip(r1, r2) as a set, were flooded already is
+    skipped.  Returns (pairs, unmatched1, unmatched2, index state, counts):
+    the index state is in conftest.index_state's form, and counts tallies
+    retired labels, inadmissible seed pairs, start pairs skipped as
+    repeated alignments and trials that tie the label's best so far.
     """
     mt1, labels1 = label_nodes(g1, k)
     mt2, labels2 = label_nodes(g2, k)
@@ -498,7 +598,7 @@ def reference_match(g1, g2, k, max_product, rng_seed):
     state = MatchState(g1, g2)
     m1, m2 = state.matched1, state.matched2
 
-    counts = {"retired": 0, "inadmissible": 0, "ties": 0}
+    counts = {"retired": 0, "inadmissible": 0, "repeats": 0, "ties": 0}
 
     def live_products():
         return {
@@ -550,8 +650,14 @@ def reference_match(g1, g2, k, max_product, rng_seed):
         best = None  # (cardinality, s1, s2, r1, r2); earliest maximum wins
         for s1 in sorted(index[lab][0]):
             for s2 in sorted(index[lab][1]):
+                flooded = set()
                 for r1 in canonical_start_rotations(g1, s1):
                     for r2 in canonical_start_rotations(g2, s2):
+                        alignment = frozenset(zip(r1, r2))
+                        if alignment in flooded:
+                            counts["repeats"] += 1
+                            continue
+                        flooded.add(alignment)
                         journal = flood(s1, s2, r1, r2)
                         undo(journal)
                         if best is None or len(journal) > best[0]:
@@ -626,7 +732,7 @@ class TestMatchAgainstReference:
         monkeypatch.setattr(matcher, "MatchState", RecordedState)
         monkeypatch.setattr(matcher, "build_seed_index", recorded_build)
         rng = random.Random(3)
-        totals = {"pairs": 0, "retired": 0, "inadmissible": 0, "ties": 0}
+        totals = {"pairs": 0, "retired": 0, "inadmissible": 0, "repeats": 0, "ties": 0}
         for rows, cols, irregularity, k in self.CASES:
             for _ in range(3):
                 seed = rng.randrange(10**6)
@@ -666,7 +772,9 @@ class TestPinnedMatchings:
         # Near-regular: many tied labels at k=1, some of them retired.
         "lattice": ((20, 20, 0.02, 31), (0.03, 0.02, 0.03, 32)),
         # Near-regular at k=3: 32 trials, 17 of them over 170 pairs and of
-        # differing sizes, so rejected pairs decide which trial wins.
+        # differing sizes, so rejected pairs decide which trial wins.  Each
+        # of its seed pairs has one tied start, so flooding each alignment
+        # once leaves the 32 as they were.
         "lattice-k3": ((24, 24, 0.01, 6), (0.03, 0.02, 0.03, 7)),
     }
     CASES = [
@@ -685,6 +793,16 @@ class TestPinnedMatchings:
         ("lattice-k3", dict(k=3, max_product=10**6), 3, 0,
          "19f1e77bd4d80f51e7b1e1d0675afdea477f0c14f3c1ddc2c82df5a31e9dd9ef"),
     ]
+    # Trials run, by (pair, k), recorded once each seed pair was flooded
+    # once per alignment; flooding every pair of tied starts ran 1126, 11,
+    # 1, 3294 and 32.
+    TRIALS = {
+        ("irregular", 1): 498,
+        ("irregular", 2): 5,
+        ("irregular", 3): 1,
+        ("lattice", 1): 1006,
+        ("lattice-k3", 3): 32,
+    }
 
     @pytest.mark.parametrize("pair,options,k,retired,digest", CASES)
     def test_body_digest(self, monkeypatch, pair, options, k, retired, digest):
@@ -696,6 +814,7 @@ class TestPinnedMatchings:
             retire(idx, lid)
 
         monkeypatch.setattr(SeedIndex, "retire_label", counted_retire)
+        calls = recorded_trials(monkeypatch)
         grid, evolve = self.PAIRS[pair]
         g1 = gen_irregular_grid(*grid)
         g2, _ = perturb(g1, *evolve)
@@ -704,4 +823,5 @@ class TestPinnedMatchings:
             line + "\n" for line in format_matching(res).splitlines() if not line.startswith("#")
         )
         assert (res.stats.k, len(retirements)) == (k, retired)
+        assert len(calls) == self.TRIALS[pair, k]
         assert hashlib.sha256(body.encode()).hexdigest() == digest

@@ -205,6 +205,21 @@ class TestAutoTuneK:
         assert report.tables[0] == mt1
         assert max_cross_product(*report.tables) == report.max_product
 
+    def test_k_without_shared_label_does_not_qualify(self):
+        # At k=1 the leaves of both paths read (1, 2), product 4; from k=2
+        # on no label is shared, and product 0 must not count as within the bound.
+        report = auto_tune_k(path_graph(3), path_graph(4), 1, 3)
+        assert report.per_k == [(1, 4), (2, 0), (3, 0)]
+        assert (report.k, report.max_product, report.bounded) == (1, 4, False)
+        assert report.tables == tables_for(path_graph(3), path_graph(4), 1)
+
+    def test_no_shared_label_at_any_k(self):
+        g1, g2 = path_graph(3), path_graph(2)
+        report = auto_tune_k(g1, g2, 24, 3)
+        assert report.per_k == [(1, 0), (2, 0), (3, 0)]
+        assert (report.k, report.max_product, report.bounded) == (1, 0, False)
+        assert report.tables == tables_for(g1, g2, 1)
+
     def test_unbounded_tables_match_chosen_k(self):
         # The product stays 4 at every k, so k=1 is chosen after k=4 was
         # tried; the leaf labels differ between the two, (1, 2) at k=1.
@@ -216,7 +231,11 @@ class TestAutoTuneK:
 
 
 def relabeling_tune(g1, g2, max_product, k_max):
-    """auto_tune_k as a loop that labels both graphs from scratch at each k."""
+    """auto_tune_k as a loop that labels both graphs from scratch at each k.
+
+    A k qualifies, and the unbounded fallback considers it, only when some
+    label is shared (max product > 0); with none at any k, k = 1.
+    """
     per_k = []
     best = None  # (max product, k, tables)
     for k in range(1, k_max + 1):
@@ -224,10 +243,12 @@ def relabeling_tune(g1, g2, max_product, k_max):
         mt2, _ = label_nodes(g2, k)
         p = max_cross_product(mt1, mt2)
         per_k.append((k, p))
-        if best is None or p < best[0]:
+        if p and (best is None or p < best[0]):
             best = (p, k, (mt1, mt2))
-        if p <= max_product:
+        if 0 < p <= max_product:
             return TuneReport(k, p, True, per_k, (mt1, mt2))
+    if best is None:
+        return TuneReport(1, 0, False, per_k, tables_for(g1, g2, 1))
     p, k, tables = best
     return TuneReport(k, p, False, per_k, tables)
 
