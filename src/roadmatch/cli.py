@@ -190,7 +190,7 @@ def _cmd_validate(args) -> int:
     if args.hist:
         if g1.coords is None or g2.coords is None:
             raise InputError("histogram requires coordinates on both graphs")
-        rows = pair_distance_histogram(mt1, mt2, g1.coords, g2.coords, args.bucket_km)
+        rows = pair_distance_histogram(pairs, g1.coords, g2.coords, args.bucket_km)
         csv = "bucket_km,count\n" + "".join(f"{b},{c}\n" for b, c in rows)
         _write(args.hist, csv)
     return 0
@@ -267,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--k", type=int, default=None,
                        help=f"label depth (default: the matching's '# k:' line, else {DEFAULT_K})")
     p_val.add_argument("--threshold-miles", type=float, default=DEFAULT_THRESHOLD_MILES)
-    p_val.add_argument("--hist", default=None, help="write a distance histogram CSV")
+    p_val.add_argument("--hist", default=None,
+                       help="write a CSV histogram of the matched pairs' distances")
     p_val.add_argument("--bucket-km", type=float, default=0.5)
     _add_format(p_val)
     p_val.set_defaults(func=_cmd_validate)

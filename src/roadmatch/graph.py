@@ -51,20 +51,6 @@ class EmbeddedGraph:
             raise InputError(f"vertex {v} out of range 0..{len(self.rotation) - 1}")
         return len(self.rotation[v])
 
-    def neighbors_clockwise_from(self, v: int, incoming: int) -> tuple[int, ...]:
-        """Neighbors of v other than ``incoming``, clockwise starting just after it."""
-        rot = self.rotation[v] if 0 <= v < len(self.rotation) else None
-        if rot is None:
-            raise InputError(f"vertex {v} out of range 0..{len(self.rotation) - 1}")
-        try:
-            i = rot.index(incoming)
-        except ValueError:
-            raise InputError(f"vertex {incoming} is not adjacent to {v}") from None
-        return rot[i + 1 :] + rot[:i]
-
-    def adjacency_sets(self) -> list[set[int]]:
-        return [set(r) for r in self.rotation]
-
     def edge_count(self) -> int:
         return sum(len(r) for r in self.rotation) // 2
 
@@ -132,10 +118,10 @@ def verify_conformal(
         if g1.degree(v) != g2.degree(w):
             return False, f"degree mismatch: deg({v})={g1.degree(v)} vs deg({w})={g2.degree(w)}"
 
-    adj2 = g2.adjacency_sets()
     for v, w in f.items():
+        around_w = g2.rotation[w]
         for u in g1.rotation[v]:
-            if u in f and f[u] not in adj2[w]:
+            if u in f and f[u] not in around_w:
                 return False, f"edge ({v},{u}) maps to non-edge ({w},{f[u]})"
 
     for v, w in f.items():

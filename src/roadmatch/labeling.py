@@ -15,11 +15,11 @@ lower ``d_max`` anyway.  Bytes order labels exactly as tuples of the same
 ints would, cache their hash for the dicts and counters that group them,
 and pickle at about their raw size when a worker sends them back.
 
-One kernel computes this canonical BFS for ``label_nodes``,
-``lexicographic_bfs`` and ``labels_by_depth``.  It first renumbers the graph
-in breadth-first order over every component, so the vertices of one ball
-sit close together in memory, and maps results back to the caller's ids at
-the end; labels are degree sequences, so renumbering cannot change them.
+One kernel computes this canonical BFS for ``label_nodes`` and
+``labels_by_depth``.  It first renumbers the graph in breadth-first order
+over every component, so the vertices of one ball sit close together in
+memory, and maps results back to the caller's ids at the end; labels are
+degree sequences, so renumbering cannot change them.
 The BFS itself is level-synchronous: each level is a list of directed
 edges, a table gives the clockwise successor edges of every directed edge,
 and a stamp array marks the vertices already listed.  ``_BallKernel.grow``
@@ -213,17 +213,6 @@ class _BallKernel:
                 balls = [ball for ball, tail in zip(balls, tails) if tail == best]
         return balls
 
-    def canonical_ball(self, x: int, k: int) -> list[Sequence[int]]:
-        """Edges through which the canonical BFS of local vertex x at depth
-        k lists its vertices, level by level; their heads are the order.
-
-        Minimal start rotation first, then the smallest full label among
-        tied rotations; the order is the one that gave the label.
-        """
-        if k <= 0:
-            return []
-        return self.grow(x, (), self.starts(x), k - 1)[0]
-
 
 def master_table(labels: list[Label]) -> MasterTable:
     """Group vertex ids by label; each entry list is in ascending id."""
@@ -231,18 +220,6 @@ def master_table(labels: list[Label]) -> MasterTable:
     for v, lab in enumerate(labels):
         table.setdefault(lab, []).append(v)
     return table
-
-
-def lexicographic_bfs(g: EmbeddedGraph, v: int, k: int) -> list[int]:
-    """Canonical BFS order over vertices at distance 1..k from v.
-
-    Uses the canonical start rotation whose resulting degree label is
-    smallest, matching what label_nodes records.  Builds the kernel's
-    tables for the whole graph, so one call costs O(n + m).
-    """
-    kernel = _BallKernel(g)
-    old, head = kernel.old, kernel.head
-    return [old[head[e]] for level in kernel.canonical_ball(kernel.new[v], k) for e in level]
 
 
 def label_nodes(g: EmbeddedGraph, k: int) -> tuple[MasterTable, list[Label]]:
@@ -257,7 +234,9 @@ def label_nodes(g: EmbeddedGraph, k: int) -> tuple[MasterTable, list[Label]]:
     deg, head_deg = kernel.deg, kernel.head_deg
     labels: list[Label] = [b""] * g.vertex_count
     for x, v in enumerate(kernel.old):
-        ball = kernel.canonical_ball(x, k)
+        # The levels under the minimal start rotation that gives the
+        # smallest full label; a depth-1 ball is the start alone.
+        ball = kernel.grow(x, (), kernel.starts(x), k - 1)[0] if k else ()
         labels[v] = bytes([deg[x], *[head_deg[e] for level in ball for e in level]])
     # The kernel's tables (``succ`` above all) outweigh the master table;
     # free them before it is built, so the two never peak together.

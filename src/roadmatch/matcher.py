@@ -14,10 +14,12 @@ state, so the best (largest) trial's journal is committed as it stands; its
 vertices leave the seed index permanently.  The loop ends when no
 cross-present label remains.
 
-The matching is conformal at every step: each pair is admitted by an
-insertion check (`pair_admissible`, inlined in `run_trial`) that looks only
-where the pair enters the cyclic orders and relies on the state being
-conformal already.  `graph.verify_conformal` is the full check.
+The matching is conformal at every step: each pair is admitted by one
+insertion check (`admissible_at`) that looks only where the pair enters the
+cyclic orders and relies on the state being conformal already.  The flood
+anchors it at the pair a vertex was reached from; `pair_admissible` checks
+a seed pair through it, anchored at the seed's first matched neighbour.
+`graph.verify_conformal` is the full check.
 """
 
 from __future__ import annotations
@@ -83,17 +85,20 @@ class MatchState:
         self.total.extend(pairs)
 
 
-def pair_admissible(state: MatchState, v1: int, v2: int) -> bool:
+def admissible_at(state: MatchState, v1: int, v2: int, i1: int, i2: int) -> bool:
     """Would adding the pair (v1, v2) keep the matching conformal?
 
-    Precondition: v1 and v2 are unmatched and the state is conformal, which
-    holds because every pair in it passed this check when it was added.
-    Adding (v1, v2) then changes the cyclic order only at v1 and at v1's
-    matched neighbours, so the check looks only there:
+    The check is anchored at one matched neighbour pair: ``rotation[v1][i1]``
+    is matched to ``rotation[v2][i2]``.  Precondition: v1 and v2 are
+    unmatched and the state is conformal, which holds because every pair in
+    it passed this check when it was added.  Adding (v1, v2) then changes
+    the cyclic order only at v1 and at v1's matched neighbours, so the check
+    looks only there:
 
-    * at v1, every matched neighbour's image lies in ``rotation[v2]``, and
-      read in v1's clockwise order their positions there are cyclically
-      increasing (at most one cyclic descent);
+    * at v1, read clockwise from just after the anchor, every matched
+      neighbour's image lies in ``rotation[v2]`` at an increasing offset
+      from just after the anchor's image; the anchor comes last, at the
+      largest offset, so its own test below runs once the others passed;
     * at each matched neighbour u with image w, when u has two or more
       other matched neighbours, v2 lies strictly clockwise between the
       images of v1's nearest matched neighbours before and after it around
@@ -101,27 +106,23 @@ def pair_admissible(state: MatchState, v1: int, v2: int) -> bool:
 
     Reads the state without writing it and builds no list or set: O(deg)
     per matched neighbour.
-    ``run_trial`` inlines the same check, anchored at the pair the flood
-    arrived from.  Pairs failing it are skipped, so every returned matching
-    passes verify_conformal.
     """
     matched1 = state.matched1
     rot1, rot2 = state.g1.rotation, state.g2.rotation
-    r2 = rot2[v2]
-    first = last = -1
-    descents = 0
-    for u in rot1[v1]:
+    r1, r2 = rot1[v1], rot2[v2]
+    d1, d2 = len(r1), len(r2)
+    last = -1
+    for k in range(i1 + 1 - d1, i1 + 1):
+        u = r1[k]
         w = matched1[u]
         if w is None:
             continue
         try:
-            pos = r2.index(w)
+            pos = (r2.index(w) - i2 - 1) % d2
         except ValueError:
             return False
-        if first < 0:
-            first = pos
-        elif pos < last:
-            descents += 1
+        if pos < last:
+            return False
         last = pos
         ru = rot1[u]
         du = len(ru)
@@ -144,9 +145,28 @@ def pair_admissible(state: MatchState, v1: int, v2: int) -> bool:
         pp = rw.index(prv)
         if (rw.index(v2) - pp) % dw >= (rw.index(nxt) - pp) % dw:
             return False
-    if last > first:
-        descents += 1
-    return descents <= 1
+    return True
+
+
+def pair_admissible(state: MatchState, v1: int, v2: int) -> bool:
+    """`admissible_at`, anchored at v1's first matched neighbour.
+
+    True when v1 has no matched neighbour, and False when the first one's
+    image is not adjacent to v2.  The answer does not depend on the anchor:
+    images that increase in offset from one anchor's image are cyclically
+    increasing, which they are from any other.  Pairs failing it are
+    skipped, so every returned matching passes verify_conformal.
+    """
+    matched1 = state.matched1
+    for i1, u in enumerate(state.g1.rotation[v1]):
+        w = matched1[u]
+        if w is not None:
+            try:
+                i2 = state.g2.rotation[v2].index(w)
+            except ValueError:
+                return False
+            return admissible_at(state, v1, v2, i1, i2)
+    return True
 
 
 def run_trial(
@@ -167,8 +187,9 @@ def run_trial(
     checks the seed pair with `pair_admissible` first; `match` does so once
     per pair, since the check does not depend on rotations.  A pair where
     either vertex is already matched (when it is enqueued or dequeued),
-    where the degrees differ, or that fails `pair_admissible`'s check
-    silently ends that branch.  Returns the trial's cardinality.
+    where the degrees differ, or that `admissible_at` rejects, anchored at
+    the pair it was reached from, silently ends that branch.  Returns the
+    trial's cardinality.
     """
     journal = state.trial
     if journal is None:
@@ -199,51 +220,16 @@ def run_trial(
         if d != len(r2):
             continue
         i1, i2 = r1.index(p1), r2.index(p2)
-        # pair_admissible's check, read clockwise from just after (p1, p2):
-        # the images' offsets from just after p2 must increase.  p1 comes
-        # last, at offset d - 1, so its neighbour-side check runs only once
-        # the other matched neighbours have passed.
-        last = -1
-        for k in range(i1 + 1 - d, i1 + 1):
-            u = r1[k]
-            w = matched1[u]
-            if w is None:
-                continue
-            try:
-                pos = (r2.index(w) - i2 - 1) % d
-            except ValueError:
-                break
-            if pos < last:
-                break
-            last = pos
-            ru = rot1[u]
-            du = len(ru)
-            if du < 3:
-                continue
-            j = ru.index(v1)
-            nxt = prv = None
-            for q in range(j + 1 - du, j):
-                t = matched1[ru[q]]
-                if t is not None:
-                    if nxt is None:
-                        nxt = t
-                    prv = t
-            if prv == nxt:
-                continue
-            rw = rot2[w]
-            dw = len(rw)
-            pp = rw.index(prv)
-            if (rw.index(v2) - pp) % dw >= (rw.index(nxt) - pp) % dw:
-                break
-        else:
-            matched1[v1] = v2
-            matched2[v2] = v1
-            admit((v1, v2))
-            for k in range(i1 + 1 - d, i1):
-                a = r1[k]
-                b = r2[k + i2 - i1]
-                if matched1[a] is None and matched2[b] is None:
-                    push((a, b, v1, v2))
+        if not admissible_at(state, v1, v2, i1, i2):
+            continue
+        matched1[v1] = v2
+        matched2[v2] = v1
+        admit((v1, v2))
+        for k in range(i1 + 1 - d, i1):
+            a = r1[k]
+            b = r2[k + i2 - i1]
+            if matched1[a] is None and matched2[b] is None:
+                push((a, b, v1, v2))
     return len(journal)
 
 

@@ -1,5 +1,5 @@
 """Validation metrics: haversine distances, approximation ratio, 5-mile
-threshold ratio, and label-pair distance histograms.
+threshold ratio, and the distance histogram of a matching's pairs.
 
 The matcher itself never looks at geometry; these metrics use coordinates,
 when present, to audit the quality of a topology-only matching.
@@ -78,32 +78,25 @@ def threshold_ratio(
 
 
 def pair_distance_histogram(
-    mt1: MasterTable,
-    mt2: MasterTable,
+    pairs,
     coords1,
     coords2,
     bucket_km: float = DEFAULT_BUCKET_KM,
 ) -> list[tuple[float, int]]:
-    """Distance histogram over every cross-graph vertex pair sharing a label.
+    """Distance histogram over a matching's pairs.
 
-    Returns (bucket lower edge in km, count) rows, suitable for CSV output.
-    Ideal matchings put all mass in the first bucket.
+    Pairs missing coordinates on either side are left out, as in
+    ``threshold_ratio``, so the counts sum to its ``total``.  Returns
+    (bucket lower edge in km, count) rows, suitable for CSV output.  Ideal
+    matchings put all mass in the first bucket.
     """
     if bucket_km <= 0:
         raise InputError("bucket width must be positive")
     counts: dict[int, int] = {}
-    for lab, verts1 in mt1.items():
-        verts2 = mt2.get(lab)
-        if not verts2:
+    for v, w in pairs:
+        c1, c2 = coords1[v], coords2[w]
+        if c1 is None or c2 is None:
             continue
-        for v in verts1:
-            c1 = coords1[v]
-            if c1 is None:
-                continue
-            for w in verts2:
-                c2 = coords2[w]
-                if c2 is None:
-                    continue
-                b = int(haversine_km(c1, c2) // bucket_km)
-                counts[b] = counts.get(b, 0) + 1
+        b = int(haversine_km(c1, c2) // bucket_km)
+        counts[b] = counts.get(b, 0) + 1
     return [(b * bucket_km, counts[b]) for b in sorted(counts)]

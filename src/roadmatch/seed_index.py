@@ -201,7 +201,9 @@ def auto_tune_k(
     A k qualifies only when 0 < p <= bound: p = 0 means no label is shared
     by both graphs, so nothing could seed and the matching would be empty.
     Scans k ascending (monotonicity of the max product is not guaranteed:
-    small symmetric components can hold a floor).  If no k qualifies,
+    small symmetric components can hold a floor), and stops at the first k
+    with p = 0: a depth-(k+1) label extends the depth-k one, so no deeper k
+    shares a label either, and ``per_k`` ends there.  If no k qualifies,
     returns the k minimizing p among those with p > 0, smallest k on ties,
     flagged as unbounded; if no k has a shared label, k = 1 with p = 0.
 
@@ -233,6 +235,8 @@ def auto_tune_k(
                 return TuneReport(
                     k, p, True, per_k, (master_table(labels1), second.receive()[0])
                 )
+            if not p:
+                break  # no deeper k can share a label either
             if k < k_max:
                 second.send("next")
     del depths1, labels1, counts1  # the growth state and the k_max labels

@@ -151,12 +151,8 @@ def test_a6_junction_alignment_fixture():
     g2 = figure_star(tuple(names2[x] for x in (1, 7, 6, 5)))
     state = MatchState(g1, g2)
     state.checkpoint()
-    # Flood from the centers, seeded with their rotations read from arm 1.
-    run_trial(
-        state, 0, 0,
-        (1,) + g1.neighbors_clockwise_from(0, 1),
-        (names2[1],) + g2.neighbors_clockwise_from(0, names2[1]),
-    )
+    # Flood from the centers; both rotations start at the arm named 1.
+    run_trial(state, 0, 0, g1.rotation[0], g2.rotation[0])
     back = {v: k for k, v in names2.items()}
     got = [(v1, back[v2]) for v1, v2 in state.trial[1:]]
     report("A6 junction alignment fixture", got == [(1, 1), (4, 7), (3, 6), (2, 5)], str(got))

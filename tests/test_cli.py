@@ -76,7 +76,11 @@ class TestPipeline:
         assert "approximation_ratio:" in out
         assert "threshold_ratio: 1.0000" in out
         assert "label_time_s:" in out
-        assert hist.read_text().startswith("bucket_km,count\n")
+        header, *rows = hist.read_text().splitlines()
+        assert header == "bucket_km,count"
+        # The histogram counts the matching's pairs with coordinates on both sides.
+        with_coords = next(l for l in out.splitlines() if l.startswith("pairs_with_coords:"))
+        assert sum(int(row.split(",")[1]) for row in rows) == int(with_coords.split()[1]) > 0
 
     def test_validate_reads_k_from_matching(self, tmp_path, capsys):
         g1, g2, m = tmp_path / "g1.erg", tmp_path / "g2.erg", tmp_path / "m.txt"

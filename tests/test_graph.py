@@ -64,33 +64,6 @@ class TestDegree:
             path_graph(2).degree(5)
 
 
-class TestNeighborsClockwiseFrom:
-    def test_figure_rotation(self):
-        g = figure_star((1, 4, 3, 2))
-        assert g.neighbors_clockwise_from(0, 1) == (4, 3, 2)
-
-    def test_degree_one(self):
-        g = path_graph(2)
-        assert g.neighbors_clockwise_from(0, 1) == ()
-
-    def test_degree_two(self):
-        g = path_graph(3)
-        assert g.neighbors_clockwise_from(1, 0) == (2,)
-
-    def test_not_adjacent(self):
-        with pytest.raises(InputError, match="not adjacent"):
-            path_graph(4).neighbors_clockwise_from(0, 3)
-
-    @given(embedded_graphs(min_vertices=2))
-    def test_prepending_incoming_gives_rotation(self, g):
-        for v in range(g.vertex_count):
-            for incoming in g.rotation[v]:
-                seq = (incoming,) + g.neighbors_clockwise_from(v, incoming)
-                rot = g.rotation[v]
-                i = rot.index(incoming)
-                assert seq == rot[i:] + rot[:i]
-
-
 class TestVerifyConformal:
     def test_identity_is_conformal(self):
         g = cycle_graph(5)

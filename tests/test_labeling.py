@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 from roadmatch.errors import InputError
 from roadmatch.generator import gen_irregular_grid
 from roadmatch.graph import EmbeddedGraph
-from roadmatch.labeling import (
-    canonical_start_rotations,
-    label_nodes,
-    labels_by_depth,
-    lexicographic_bfs,
-)
+from roadmatch.labeling import canonical_start_rotations, label_nodes, labels_by_depth
 
 from conftest import cycle_graph, embedded_graphs, path_graph, star_graph
 
@@ -30,11 +25,11 @@ def brute_min_rotations(g, v):
     return [seq for key, seq in options if key == best]
 
 
-def reference_ball(g, v, k):
-    """(label, order) by a per-vertex deque BFS from every canonical start."""
+def reference_label(g, v, k):
+    """The label of v by a per-vertex deque BFS from every canonical start."""
     d = g.degree(v)
     if k <= 0 or d == 0:
-        return (d,), []
+        return (d,)
     best = None
     for start in brute_min_rotations(g, v):
         seen = {v, *start}
@@ -52,8 +47,8 @@ def reference_ball(g, v, k):
                     order.append(w)
                     queue.append((w, u, dist + 1))
         lab = (d,) + tuple(g.degree(u) for u in order)
-        if best is None or lab < best[0]:
-            best = (lab, order)
+        if best is None or lab < best:
+            best = lab
     return best
 
 
@@ -124,32 +119,33 @@ class TestCanonicalStartRotations:
 
 
 class TestLexicographicBfs:
+    """The canonical BFS, read through the labels it gives."""
+
+    @staticmethod
+    def label(g, v, k):
+        return tuple(label_nodes(g, k)[1][v])
+
     def test_k_zero_is_empty(self):
-        assert lexicographic_bfs(path_graph(3), 1, 0) == []
+        assert self.label(path_graph(3), 1, 0) == (2,)
 
     def test_star_center_k1(self):
-        g = star_graph(3)
-        order = lexicographic_bfs(g, 0, 1)
-        assert sorted(order) == [1, 2, 3]
-        assert len(order) == 3
+        assert self.label(star_graph(3), 0, 1) == (3, 1, 1, 1)
 
     def test_path_end_k2(self):
-        assert lexicographic_bfs(path_graph(3), 0, 2) == [1, 2]
+        assert self.label(path_graph(3), 0, 2) == (1, 2, 1)
 
     def test_stops_at_distance_k(self):
-        assert lexicographic_bfs(path_graph(5), 0, 2) == [1, 2]
+        assert self.label(path_graph(5), 0, 2) == (1, 2, 2)
 
     def test_first_discovery_wins(self):
-        g = cycle_graph(4)
-        order = lexicographic_bfs(g, 0, 3)
-        assert len(order) == len(set(order)) == 3
+        # Vertex 2 is reached along both sides of the cycle, listed once.
+        assert self.label(cycle_graph(4), 0, 3) == (2, 2, 2, 2)
 
     def test_later_tied_start_wins_at_depth_two(self):
         # Center 0 sees degrees (2, 2, 2) from every start; depth 2 reads
         # (2, 1) when the BFS starts at neighbour 1 or 3, (1, 2) at 2.
         g = EmbeddedGraph(((1, 2, 3), (0, 4), (0, 5), (0, 4), (1, 3), (2,)))
-        assert lexicographic_bfs(g, 0, 2) == [2, 3, 1, 5, 4]
-        assert tuple(label_nodes(g, 2)[1][0]) == (3, 2, 2, 2, 1, 2)
+        assert self.label(g, 0, 2) == (3, 2, 2, 2, 1, 2)
 
 
 class TestLabelNodes:
@@ -195,10 +191,8 @@ class TestLabelNodes:
     def test_matches_reference_bfs(self, g, k):
         table, labels = label_nodes(g, k)
         for v in range(g.vertex_count):
-            lab, order = reference_ball(g, v, k)
             assert type(labels[v]) is bytes
-            assert tuple(labels[v]) == lab
-            assert lexicographic_bfs(g, v, k) == order
+            assert tuple(labels[v]) == reference_label(g, v, k)
         assert table == {
             lab: [v for v in range(g.vertex_count) if labels[v] == lab] for lab in set(labels)
         }
@@ -226,7 +220,7 @@ class TestLabelNodes:
         g = gen_irregular_grid(6, 7, 0.1, seed)
         for k in range(1, 5):
             _, labels = label_nodes(g, k)
-            assert tuples(labels) == [reference_ball(g, v, k)[0] for v in range(g.vertex_count)]
+            assert tuples(labels) == [reference_label(g, v, k) for v in range(g.vertex_count)]
 
     @given(embedded_graphs(min_vertices=2), st.integers(0, 3))
     @settings(max_examples=50)
@@ -267,10 +261,6 @@ class TestLabelNodes:
         # Leaves first, so the centre's id (256) is not its kernel-local id.
         rotation = [(256,)] * 256 + [tuple(range(256))]
         g = EmbeddedGraph(tuple(rotation), d_max=300)
-        for label in (
-            lambda: label_nodes(g, 1),
-            lambda: next(labels_by_depth(g)),
-            lambda: lexicographic_bfs(g, 0, 1),
-        ):
+        for label in (lambda: label_nodes(g, 1), lambda: next(labels_by_depth(g))):
             with pytest.raises(InputError, match="vertex 256 has degree 256"):
                 label()

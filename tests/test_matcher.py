@@ -12,7 +12,7 @@ from roadmatch.generator import gen_irregular_grid, perturb, score_against_groun
 from roadmatch.graph import EmbeddedGraph, verify_conformal
 from roadmatch import matcher
 from roadmatch.labeling import canonical_start_offsets, canonical_start_rotations, label_nodes
-from roadmatch.matcher import MatchState, match, pair_admissible, run_trial
+from roadmatch.matcher import MatchState, admissible_at, match, pair_admissible, run_trial
 from roadmatch.oracle import brute_force_max_conformal
 from roadmatch.seed_index import SeedIndex, build_seed_index
 from roadmatch.cli import format_matching
@@ -54,12 +54,8 @@ class TestProcessNodes:
         g2 = figure_star(tuple(names2[x] for x in (1, 7, 6, 5)))
         state, idx = make_state_and_index(g1, g2, k=1)
         state.checkpoint()
-        # Centers seeded with their rotations read from the arm named 1.
-        run_trial(
-            state, 0, 0,
-            (1,) + g1.neighbors_clockwise_from(0, 1),
-            (names2[1],) + g2.neighbors_clockwise_from(0, names2[1]),
-        )
+        # Both centers' rotations start at the arm named 1.
+        run_trial(state, 0, 0, g1.rotation[0], g2.rotation[0])
         back = {v: k for k, v in names2.items()}
         flooded = [(v1, back[v2]) for v1, v2 in state.trial[1:]]
         assert flooded == [(1, 1), (4, 7), (3, 6), (2, 5)]
@@ -220,8 +216,8 @@ def re_embedded_pairs(draw):
 
 
 class TestInsertionCheck:
-    """pair_admissible, an O(deg) insertion check that assumes a conformal
-    state, against the full re-check kept in conftest."""
+    """admissible_at and pair_admissible, an O(deg) insertion check that
+    assumes a conformal state, against the full re-check kept in conftest."""
 
     @staticmethod
     def star_state(center2, matched_leaves, center_matched):
@@ -268,6 +264,21 @@ class TestInsertionCheck:
         assert pair_admissible(state, 2, v2) == admissible
         assert reference_admissible(state, 2, v2) == admissible
 
+    def test_no_matched_neighbor(self):
+        state = self.star_state((1, 2, 3, 4), (), center_matched=False)
+        assert pair_admissible(state, 0, 0)
+
+    def test_first_matched_neighbor_not_adjacent(self):
+        # Leaves 1 and 3 are matched by name; in G2 leaf 1 hangs off vertex
+        # 5 instead of the center, so the first image is not adjacent to
+        # the center, though leaf 3's is.
+        g2 = EmbeddedGraph(((5, 2, 3, 4), (5,), (0,), (0,), (0,), (0, 1)))
+        state = MatchState(figure_star((1, 2, 3, 4)), g2)
+        for leaf in (1, 3):
+            state.matched1[leaf] = state.matched2[leaf] = leaf
+        assert not pair_admissible(state, 0, 0)
+        assert not reference_admissible(state, 0, 0)
+
     def test_image_not_adjacent_to_partner(self):
         g = cycle_graph(4)
         state = MatchState(g, g)
@@ -313,9 +324,47 @@ class TestInsertionCheck:
         grow_against_reference(rng, g1, g2, 3 * g1.vertex_count)
 
     @staticmethod
+    def compare_anchors(rng, g1, g2):
+        # Over a grown conformal matching, admissible_at anchored at any
+        # matched neighbour of v1 whose image is adjacent to v2 answers as
+        # the reference does; with the image not adjacent, so does
+        # pair_admissible's False.  v2 is taken next to an image, so most
+        # anchors are adjacent.
+        state = grow_against_reference(rng, g1, g2, g1.vertex_count)
+        m1, m2 = state.matched1, state.matched2
+        for v1 in range(g1.vertex_count):
+            if m1[v1] is not None:
+                continue
+            images = {m1[u] for u in g1.rotation[v1]} - {None}
+            for v2 in {w for x in images for w in g2.rotation[x] if m2[w] is None}:
+                want = reference_admissible(state, v1, v2)
+                r2 = g2.rotation[v2]
+                for i1, u in enumerate(g1.rotation[v1]):
+                    w = m1[u]
+                    if w is None:
+                        continue
+                    if w in r2:
+                        assert admissible_at(state, v1, v2, i1, r2.index(w)) == want, (v1, v2, u)
+                    else:
+                        assert not want
+
+    @given(st.integers(2, 6), st.integers(2, 6), st.integers(0, 10**6),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_any_anchor_equals_reference_on_grids(self, rows, cols, seed, rng):
+        g1 = gen_irregular_grid(rows, cols, 0.1, seed)
+        self.compare_anchors(rng, g1, perturb(g1, 0.1, 0.05, 0.1, seed + 1)[0])
+
+    @given(re_embedded_pairs(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_any_anchor_equals_reference_on_embedded_graphs(self, pair, rng):
+        self.compare_anchors(rng, *pair)
+
+    @staticmethod
     def compare_floods(rng, g1, g2):
-        # run_trial inlines the check: flood from random seeds over a grown
-        # conformal matching and compare journals with the reference flood.
+        # run_trial anchors the check at the pair each vertex was reached
+        # from: flood from random seeds over a grown conformal matching and
+        # compare journals with the reference flood.
         state = grow_against_reference(rng, g1, g2, g1.vertex_count // 2)
         m1, m2 = state.matched1, state.matched2
         seeds = [

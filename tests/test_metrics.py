@@ -108,29 +108,31 @@ class TestThresholdRatio:
 
 
 class TestPairDistanceHistogram:
-    def test_single_shared_label(self):
-        mt = {(1, 1): [0, 1]}
-        coords = [(0.0, 0.0), (0.0, 0.02)]
-        rows = pair_distance_histogram(mt, mt, coords, coords)
-        # Four cross pairs: two coincident (first bucket) and two at ~2.2 km.
-        d = haversine_km(coords[0], coords[1])
-        assert rows == [(0.0, 2), ((d // 0.5) * 0.5, 2)]
+    def test_counts_each_pair_once(self):
+        coords1 = [(0.0, 0.0), (0.0, 0.02)]
+        coords2 = [(0.0, 0.0), (0.0, 0.0)]
+        rows = pair_distance_histogram([(0, 0), (1, 1)], coords1, coords2)
+        # One coincident pair (first bucket) and one at ~2.2 km.
+        d = haversine_km(coords1[0], coords1[1])
+        assert rows == [(0.0, 1), ((d // 0.5) * 0.5, 1)]
 
     def test_deterministic_and_sorted(self):
-        mt1 = {(2,): [0, 1], (1,): [2]}
-        mt2 = {(2,): [0], (3,): [1]}
         coords1 = [(0.0, 0.0), (0.0, 0.1), (1.0, 0.0)]
-        coords2 = [(0.0, 0.05), (0.0, 0.0)]
-        rows = pair_distance_histogram(mt1, mt2, coords1, coords2)
-        assert rows == pair_distance_histogram(mt1, mt2, coords1, coords2)
+        coords2 = [(0.0, 0.05), (0.0, 0.0), (0.5, 0.0)]
+        pairs = [(2, 2), (0, 1), (1, 0)]
+        rows = pair_distance_histogram(pairs, coords1, coords2)
+        assert rows == pair_distance_histogram(pairs[::-1], coords1, coords2)
         assert [b for b, _ in rows] == sorted(b for b, _ in rows)
-        assert sum(c for _, c in rows) == 2  # only the shared (2,) label
+        assert sum(c for _, c in rows) == 3
 
     def test_missing_coords_skipped(self):
-        mt = {(1,): [0, 1]}
-        rows = pair_distance_histogram(mt, mt, [(0.0, 0.0), None], [(0.0, 0.0), None])
-        assert sum(c for _, c in rows) == 1
+        coords1 = [(0.0, 0.0), None, (0.0, 0.0)]
+        coords2 = [(0.0, 0.0), (0.0, 0.0), None]
+        pairs = [(0, 0), (1, 1), (2, 2)]
+        rows = pair_distance_histogram(pairs, coords1, coords2)
+        assert rows == [(0.0, 1)]
+        assert threshold_ratio(pairs, coords1, coords2).total == 1
 
     def test_bad_bucket_width(self):
         with pytest.raises(InputError):
-            pair_distance_histogram({}, {}, [], [], bucket_km=0.0)
+            pair_distance_histogram([], [], [], bucket_km=0.0)

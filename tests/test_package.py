@@ -1,4 +1,4 @@
-"""The package keeps to the standard library."""
+"""The package keeps to the standard library and exports what its readers use."""
 
 import ast
 import sys
@@ -28,3 +28,26 @@ def test_imports_only_stdlib_and_roadmatch():
         if name != "roadmatch" and name not in sys.stdlib_module_names
     }
     assert not foreign
+
+
+def test_every_exported_name_resolves():
+    assert roadmatch.__all__
+    for name in roadmatch.__all__:
+        assert getattr(roadmatch, name) is not None, name
+
+
+def test_benchmark_names_exported():
+    # The names perfbench/ reads from the package as ``rm.<name>``.
+    read = {"EmbeddedGraph", "emit_erg", "gen_irregular_grid", "perturb", "verify_conformal"}
+    assert read <= set(roadmatch.__all__)
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme[readme.index("## Library") :]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "gen_irregular_grid(30, 30" in example
+    scope = {}
+    exec(example, scope)
+    assert scope["ok"], scope["why"]
+    assert scope["result"].pairs

@@ -206,17 +206,18 @@ class TestAutoTuneK:
         assert max_cross_product(*report.tables) == report.max_product
 
     def test_k_without_shared_label_does_not_qualify(self):
-        # At k=1 the leaves of both paths read (1, 2), product 4; from k=2
-        # on no label is shared, and product 0 must not count as within the bound.
+        # At k=1 the leaves of both paths read (1, 2), product 4; at k=2 no
+        # label is shared, and product 0 must not count as within the bound.
+        # Nor can any deeper k share one, so the scan stops there.
         report = auto_tune_k(path_graph(3), path_graph(4), 1, 3)
-        assert report.per_k == [(1, 4), (2, 0), (3, 0)]
+        assert report.per_k == [(1, 4), (2, 0)]
         assert (report.k, report.max_product, report.bounded) == (1, 4, False)
         assert report.tables == tables_for(path_graph(3), path_graph(4), 1)
 
     def test_no_shared_label_at_any_k(self):
         g1, g2 = path_graph(3), path_graph(2)
         report = auto_tune_k(g1, g2, 24, 3)
-        assert report.per_k == [(1, 0), (2, 0), (3, 0)]
+        assert report.per_k == [(1, 0)]
         assert (report.k, report.max_product, report.bounded) == (1, 0, False)
         assert report.tables == tables_for(g1, g2, 1)
 
@@ -234,7 +235,8 @@ def relabeling_tune(g1, g2, max_product, k_max):
     """auto_tune_k as a loop that labels both graphs from scratch at each k.
 
     A k qualifies, and the unbounded fallback considers it, only when some
-    label is shared (max product > 0); with none at any k, k = 1.
+    label is shared (max product > 0); the scan stops at the first k with
+    none, and with none at any k, k = 1.
     """
     per_k = []
     best = None  # (max product, k, tables)
@@ -247,6 +249,8 @@ def relabeling_tune(g1, g2, max_product, k_max):
             best = (p, k, (mt1, mt2))
         if 0 < p <= max_product:
             return TuneReport(k, p, True, per_k, (mt1, mt2))
+        if not p:
+            break
     if best is None:
         return TuneReport(1, 0, False, per_k, tables_for(g1, g2, 1))
     p, k, tables = best
@@ -271,6 +275,17 @@ class TestTuneAgainstRelabeling:
         g1 = gen_irregular_grid(rows, cols, 0.2, seed)
         g2, _ = perturb(g1, 0.05, 0.0, 0.02, seed + 1)
         assert auto_tune_k(g1, g2, bound, k_max) == relabeling_tune(g1, g2, bound, k_max)
+
+    @given(scattered_graphs())
+    @settings(max_examples=100)
+    def test_deeper_labels_extend_shallower(self, g):
+        # Why the tuner stops at the first k with no shared label: vertices
+        # that share a depth-(k+1) label share the depth-k one too.
+        prev = label_nodes(g, 0)[1]
+        for k in range(1, 6):
+            labels = label_nodes(g, k)[1]
+            assert all(a.startswith(b) for a, b in zip(labels, prev))
+            prev = labels
 
     @given(scattered_graphs())
     @settings(max_examples=150)
