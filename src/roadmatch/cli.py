@@ -167,10 +167,30 @@ def _cmd_match(args) -> int:
     return 0
 
 
+def _check_pairs(pairs: list[tuple[int, int]], n1: int, n2: int) -> None:
+    """InputError unless every pair names vertices of both graphs and no
+    vertex is matched twice."""
+    seen: tuple[set[int], set[int]] = (set(), set())
+    for v1, v2 in pairs:
+        for side, v, n in ((0, v1, n1), (1, v2, n2)):
+            if not 0 <= v < n:
+                raise InputError(
+                    f"matching pair 'm {v1} {v2}': graph{side + 1} has no vertex {v} "
+                    f"({n} vertices)"
+                )
+            if v in seen[side]:
+                raise InputError(
+                    f"matching pair 'm {v1} {v2}': vertex {v} of graph{side + 1} "
+                    f"is matched twice"
+                )
+            seen[side].add(v)
+
+
 def _cmd_validate(args) -> int:
     g1, g2 = load_pair(args.graph1, args.graph2, args.format)
     with open(args.matching, encoding="utf-8") as fh:
         pairs, _, _, stats = parse_matching(fh.read())
+    _check_pairs(pairs, g1.vertex_count, g2.vertex_count)
     # Score the labeling the matching was made with unless told otherwise.
     k = args.k if args.k is not None else int(stats.get("k", DEFAULT_K))
     (mt1, _), (mt2, _) = label_pair(g1, g2, k)

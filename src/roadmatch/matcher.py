@@ -1,18 +1,23 @@
 """Greedy flood-based conformal matching.
 
 The outer loop repeatedly pops the label with minimal cross product and
-enumerates every seed pair for that label, times every alignment of the
-two seeds' canonical starting rotations.  An alignment is one way of lining
-up the seeds' neighbours: starts at offsets i and j pair rotation1[i + t]
-with rotation2[j + t], so it is fixed by (j - i) mod deg, and two start
-pairs with the same alignment differ only in which neighbour pair is queued
-first.  Each alignment runs once, from the first start pair in offset order
-that reaches it, as an isolated trial: a conformal BFS flood that writes
-only the two match arrays and a journal of its pairs, so rolling it back
-resets the journaled entries.  Every trial of a label starts from the same
-state, so the best (largest) trial's journal is committed as it stands; its
-vertices leave the seed index permanently.  The loop ends when no
-cross-present label remains.
+enumerates its seed pairs, times every alignment of the two seeds'
+canonical starting rotations.  It visits only the pairs that can pass the
+seed check and can beat the label's best trial so far: a seed s1 with a
+matched neighbour is paired only with the seeds adjacent to that
+neighbour's image, and a pair is skipped once either seed's component
+among unmatched vertices is no larger than the best trial, which it could
+at most tie (ties keep the earliest trial).  An alignment is one way of
+lining up the seeds' neighbours: starts at offsets i and j pair
+rotation1[i + t] with rotation2[j + t], so it is fixed by (j - i) mod deg,
+and two start pairs with the same alignment differ only in which neighbour
+pair is queued first.  Each alignment runs once, from the first start pair
+in offset order that reaches it, as an isolated trial: a conformal BFS
+flood that writes only the two match arrays and a journal of its pairs, so
+rolling it back resets the journaled entries.  Every trial of a label
+starts from the same state, so the best (largest) trial's journal is
+committed as it stands; its vertices leave the seed index permanently.
+The loop ends when no cross-present label remains.
 
 The matching is conformal at every step: each pair is admitted by one
 insertion check (`admissible_at`) that looks only where the pair enters the
@@ -148,6 +153,17 @@ def admissible_at(state: MatchState, v1: int, v2: int, i1: int, i2: int) -> bool
     return True
 
 
+def first_matched_neighbor(state: MatchState, v1: int) -> tuple[int, int] | None:
+    """(offset in ``rotation[v1]``, image) of v1's first matched neighbour,
+    or None when it has none."""
+    matched1 = state.matched1
+    for i1, u in enumerate(state.g1.rotation[v1]):
+        w = matched1[u]
+        if w is not None:
+            return i1, w
+    return None
+
+
 def pair_admissible(state: MatchState, v1: int, v2: int) -> bool:
     """`admissible_at`, anchored at v1's first matched neighbour.
 
@@ -157,16 +173,45 @@ def pair_admissible(state: MatchState, v1: int, v2: int) -> bool:
     increasing, which they are from any other.  Pairs failing it are
     skipped, so every returned matching passes verify_conformal.
     """
-    matched1 = state.matched1
-    for i1, u in enumerate(state.g1.rotation[v1]):
-        w = matched1[u]
-        if w is not None:
-            try:
-                i2 = state.g2.rotation[v2].index(w)
-            except ValueError:
-                return False
-            return admissible_at(state, v1, v2, i1, i2)
-    return True
+    anchor = first_matched_neighbor(state, v1)
+    if anchor is None:
+        return True
+    i1, w = anchor
+    try:
+        i2 = state.g2.rotation[v2].index(w)
+    except ValueError:
+        return False
+    return admissible_at(state, v1, v2, i1, i2)
+
+
+def component_at_most(
+    sizes: dict[int, tuple[int, bool]],
+    rotation: tuple[tuple[int, ...], ...],
+    matched: list[int | None],
+    v: int,
+    limit: int,
+) -> bool:
+    """Has v's component among unmatched vertices at most limit vertices?
+
+    Counts by a search that stops at limit + 1 vertices.  ``sizes`` caches
+    (count, exact) per vertex while the matched entries stay as they are; a
+    count that reached its cap is only a lower bound, so it is counted again
+    once limit has grown to it.
+    """
+    n, exact = sizes.get(v, (0, False))
+    if not exact and n <= limit:
+        cap = limit + 1
+        seen = {v}
+        stack = [v]
+        while stack and len(seen) < cap:
+            for u in rotation[stack.pop()]:
+                if matched[u] is None and u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        n = min(len(seen), cap)
+        exact = n <= limit
+        sizes[v] = (n, exact)
+    return n <= limit
 
 
 def run_trial(
@@ -185,11 +230,11 @@ def run_trial(
     with the same alignment flood the same neighbour pairs, only queued
     from another one first, so `match` runs one per alignment.  The caller
     checks the seed pair with `pair_admissible` first; `match` does so once
-    per pair, since the check does not depend on rotations.  A pair where
-    either vertex is already matched (when it is enqueued or dequeued),
-    where the degrees differ, or that `admissible_at` rejects, anchored at
-    the pair it was reached from, silently ends that branch.  Returns the
-    trial's cardinality.
+    per pair it visits, before its alignments, since the check does not
+    depend on rotations.  A pair where either vertex is already matched
+    (when it is enqueued or dequeued), where the degrees differ, or that
+    `admissible_at` rejects, anchored at the pair it was reached from,
+    silently ends that branch.  Returns the trial's cardinality.
     """
     journal = state.trial
     if journal is None:
@@ -266,14 +311,22 @@ def match(
     """Full pipeline: label both graphs, then flood-match label by label.
 
     Deterministic for fixed inputs: seed pairs are enumerated in ascending
-    vertex id and start rotations in offset order, s1's outside s2's; a
-    start pair whose alignment that seed pair has already flooded is
-    skipped, as the paper floods once per orientation.  Its flood would
-    queue the same neighbour pairs in another order, which now and then
-    admits a different set.  When the seeds share a label at k >= 1, their
-    tied offsets are cosets of the same period, so s1's first start against
-    every start of s2 already reaches each alignment once.  The largest
-    trial wins, the earliest on ties.  The only randomness (tie-breaking among
+    vertex id and start rotations in offset order, s1's outside s2's.  A
+    pair is visited only if it can pass `pair_admissible` and beat the
+    label's best trial: when s1 has a matched neighbour, s2 must be
+    adjacent to the first one's image, and once a trial has matched
+    anything, both seeds' components among the vertices unmatched at the
+    pop must be larger than the best trial, since a trial stays inside
+    them.  Both rules are exact: the matching, the pops and the retired
+    labels are those of visiting every pair.  Start offsets are computed
+    only for visited pairs that pass the check.  A start pair whose
+    alignment its seed pair has already flooded is skipped, as the paper
+    floods once per orientation.  Its flood would queue the same neighbour
+    pairs in another order, which now and then admits a different set.
+    When the seeds share a label at k >= 1, their tied offsets are cosets
+    of the same period, so s1's first start against every start of s2
+    already reaches each alignment once.  The largest trial wins, the
+    earliest on ties.  The only randomness (tie-breaking among
     equal-product labels) flows through the seeded rng.
     """
     t0 = time.perf_counter()
@@ -304,19 +357,40 @@ def match(
             state.matched2[v] is not None for v in seeds2
         ):
             raise InternalError(f"seed index offers matched vertices for label {lid}")
-        starts2 = [(s2, canonical_start_offsets(g2, s2)) for s2 in seeds2]
+        seed2_set = set(seeds2)
+        offsets2: dict[int, list[int]] = {}  # computed for pairs that pass
+        sizes1: dict[int, tuple[int, bool]] = {}  # see component_at_most
+        sizes2: dict[int, tuple[int, bool]] = {}
         best: list[tuple[int, int]] = []  # journal of the earliest largest trial
         for s1 in seeds1:
-            offsets1 = canonical_start_offsets(g1, s1)
+            anchor = first_matched_neighbor(state, s1)
+            # pair_admissible rejects every s2 not adjacent to the anchor's image.
+            if anchor is None:
+                candidates = seeds2
+            else:
+                candidates = sorted(seed2_set.intersection(g2.rotation[anchor[1]]))
+            offsets1 = None
             rot1 = g1.rotation[s1]
             d = len(rot1) or 1
-            for s2, offsets2 in starts2:
+            for s2 in candidates:
+                # A trial's vertices are connected through vertices unmatched
+                # at the pop, so a seed whose component there is no larger
+                # than best can only tie it, and ties keep the earliest trial.
+                if best and (
+                    component_at_most(sizes1, g1.rotation, state.matched1, s1, len(best))
+                    or component_at_most(sizes2, g2.rotation, state.matched2, s2, len(best))
+                ):
+                    continue
                 if not pair_admissible(state, s1, s2):
                     continue
+                if offsets1 is None:
+                    offsets1 = canonical_start_offsets(g1, s1)
+                if s2 not in offsets2:
+                    offsets2[s2] = canonical_start_offsets(g2, s2)
                 rot2 = g2.rotation[s2]
                 flooded = set()  # alignments already tried from this seed pair
                 for i in offsets1:
-                    for j in offsets2:
+                    for j in offsets2[s2]:
                         alignment = (j - i) % d
                         if alignment in flooded:
                             continue

@@ -192,6 +192,26 @@ class TestErrors:
         assert "k must be >= 0, got -2" in err
         assert "# k:" not in out
 
+    @pytest.mark.parametrize(
+        "records,message",
+        [
+            ("m 99 3\n", "graph1 has no vertex 99 (25 vertices)"),
+            ("m 0 0\nm 1 -1\n", "graph2 has no vertex -1 (25 vertices)"),
+            ("m 0 0\nm 0 3\n", "vertex 0 of graph1 is matched twice"),
+            ("m 0 3\nm 1 3\n", "vertex 3 of graph2 is matched twice"),
+        ],
+        ids=["absent-in-graph1", "negative-in-graph2", "twice-in-graph1", "twice-in-graph2"],
+    )
+    def test_validate_rejects_bad_pairs(self, tmp_path, capsys, records, message):
+        g, m = tmp_path / "g.erg", tmp_path / "m.txt"
+        dispatch(["gen", "grid", "--rows", "5", "--cols", "5", "--rng-seed", "1",
+                  "-o", str(g)])
+        m.write_text(records)
+        code, out, err = run(capsys, "validate", str(m), str(g), str(g))
+        assert code == 1
+        assert message in err
+        assert out == ""
+
     def test_zero_k_labels_degrees(self, tmp_path, capsys):
         g = tmp_path / "g.erg"
         g.write_text(emit_erg(path_graph(3)))

@@ -811,6 +811,110 @@ class TestMatchAgainstReference:
         assert all(totals.values()), totals
 
 
+class TestSeedPairRules:
+    """The seed loop visits only pairs that can pass pair_admissible and
+    beat the label's best trial, and matches as if it visited them all."""
+
+    @given(st.integers(3, 9), st.integers(3, 9), st.sampled_from((0.0, 0.03, 0.1)),
+           st.integers(0, 10**6), st.sampled_from((1, 2)), st.integers(0, 50))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_reference(self, rows, cols, irregularity, seed, k, rng_seed):
+        g1 = gen_irregular_grid(rows, cols, irregularity, seed)
+        g2, _ = perturb(g1, 0.03, 0.02, 0.03, seed + 1)
+        ref_pairs, ref_u1, ref_u2, _, _ = reference_match(g1, g2, k, 10**9, rng_seed)
+        res = match(g1, g2, k=k, max_product=10**9, rng_seed=rng_seed)
+        assert (res.pairs, res.unmatched1, res.unmatched2) == (ref_pairs, ref_u1, ref_u2)
+
+    def test_anchored_rule_drops_only_inadmissible_seed2s(self, monkeypatch):
+        # With the component bound off, a seed s1 with a matched neighbour
+        # is checked only against the seeds adjacent to the first such
+        # neighbour's image, every seed2 it is not checked against fails
+        # pair_admissible, and a seed without one is checked against all.
+        g1 = gen_irregular_grid(12, 12, 0.02, 4)
+        g2, _ = perturb(g1, 0.03, 0.02, 0.03, 5)
+        states, pops = [], []
+        dropped, unanchored, checked = set(), set(), set()
+
+        class RecordedState(MatchState):
+            def __init__(self, g1, g2):
+                super().__init__(g1, g2)
+                states.append(self)
+
+        pop = SeedIndex.pop_min_label
+
+        def recorded_pop(idx, rng):
+            lid = pop(idx, rng)
+            if lid is not None:
+                (state,) = states
+                for s1 in idx.vertices(0, lid):
+                    images = [state.matched1[u] for u in g1.rotation[s1]]
+                    images = [w for w in images if w is not None]
+                    for s2 in idx.vertices(1, lid):
+                        if not images:
+                            unanchored.add((len(pops), s1, s2))
+                        elif s2 not in g2.rotation[images[0]]:
+                            assert not pair_admissible(state, s1, s2), (s1, s2)
+                            dropped.add((len(pops), s1, s2))
+            pops.append(lid)
+            return lid
+
+        def recorded_check(state, s1, s2):
+            checked.add((len(pops) - 1, s1, s2))
+            return pair_admissible(state, s1, s2)
+
+        monkeypatch.setattr(matcher, "MatchState", RecordedState)
+        monkeypatch.setattr(SeedIndex, "pop_min_label", recorded_pop)
+        monkeypatch.setattr(matcher, "pair_admissible", recorded_check)
+        monkeypatch.setattr(matcher, "component_at_most", lambda *args: False)
+        match(g1, g2, k=1, max_product=10**6)
+        assert dropped and not dropped & checked
+        assert unanchored < checked  # anchored seeds are checked too
+
+    @staticmethod
+    def triangle_and_square():
+        # Every vertex has label (2, 2, 2) at k=1.
+        return EmbeddedGraph((
+            (1, 2), (2, 0), (0, 1),
+            (4, 6), (5, 3), (6, 4), (3, 5),
+        ))
+
+    def test_bound_skips_pairs_that_can_only_tie(self, monkeypatch):
+        g = self.triangle_and_square()
+        calls = recorded_trials(monkeypatch)
+        res = match(g, g, k=1, max_product=10**6)
+        # First label: (0, 0) floods the triangle (3 pairs) under both
+        # alignments; every other pair from the triangle only ties it, and
+        # (3, 3) floods the square under both.  Then the square's other
+        # pairs only tie 4, and the triangle's label, popped again, floods
+        # from (0, 0) alone.  Flooding every pair would run 2 * (49 + 9).
+        assert [(s1, s2) for s1, s2, _, _ in calls] == [(0, 0)] * 2 + [(3, 3)] * 2 + [(0, 0)] * 2
+        # A skipped pair would have tied the best trial with other pairs...
+        state = MatchState(g, g)
+        state.checkpoint()
+        assert run_trial(state, 0, 1, (1, 2), (2, 0)) == 3
+        assert state.abort_trial() != [(0, 0), (1, 1), (2, 2)]
+        # ...and the earliest trial, the identity, still wins over the
+        # mirrored one flooded next from the same pair.
+        assert res.pairs == [(v, v) for v in range(7)]
+        assert res.pairs == reference_match(g, g, 1, 10**6, 0)[0]
+
+    def test_capped_count_is_a_lower_bound(self):
+        # A count stopped at its cap says only "at least", so a larger
+        # limit counts again rather than trusting it.
+        g = path_graph(10)
+        matched = [None] * 10
+        sizes = {}
+        assert not matcher.component_at_most(sizes, g.rotation, matched, 0, 2)
+        assert sizes[0] == (3, False)
+        assert not matcher.component_at_most(sizes, g.rotation, matched, 0, 3)
+        assert sizes[0] == (4, False)
+        assert matcher.component_at_most(sizes, g.rotation, matched, 0, 10)
+        assert sizes[0] == (10, True)
+        matched[5] = 5  # only the vertices before it are reachable now
+        assert matcher.component_at_most({}, g.rotation, matched, 0, 5)
+        assert not matcher.component_at_most({}, g.rotation, matched, 0, 4)
+
+
 class TestPinnedMatchings:
     # sha256 of the matching file's body (its "#" lines dropped), recorded
     # when the seed index still kept every label of either graph and a vEB
@@ -842,14 +946,15 @@ class TestPinnedMatchings:
         ("lattice-k3", dict(k=3, max_product=10**6), 3, 0,
          "19f1e77bd4d80f51e7b1e1d0675afdea477f0c14f3c1ddc2c82df5a31e9dd9ef"),
     ]
-    # Trials run, by (pair, k), recorded once each seed pair was flooded
-    # once per alignment; flooding every pair of tied starts ran 1126, 11,
-    # 1, 3294 and 32.
+    # Trials run, by (pair, k), recorded once the seed loop skipped pairs
+    # that cannot beat the label's best trial; flooding every pair of tied
+    # starts ran 1126, 11, 1, 3294 and 32, and flooding every seed pair
+    # once per alignment 498, 5, 1, 1006 and 32.
     TRIALS = {
-        ("irregular", 1): 498,
+        ("irregular", 1): 282,
         ("irregular", 2): 5,
         ("irregular", 3): 1,
-        ("lattice", 1): 1006,
+        ("lattice", 1): 836,
         ("lattice-k3", 3): 32,
     }
 
