@@ -15,15 +15,24 @@ lower ``d_max`` anyway.  Bytes order labels exactly as tuples of the same
 ints would, cache their hash for the dicts and counters that group them,
 and pickle at about their raw size when a worker sends them back.
 
-One kernel computes this canonical BFS for ``label_nodes`` and
-``labels_by_depth``.  It first renumbers the graph in breadth-first order
-over every component, so the vertices of one ball sit close together in
-memory, and maps results back to the caller's ids at the end; labels are
-degree sequences, so renumbering cannot change them.
-The BFS itself is level-synchronous: each level is a list of directed
-edges, a table gives the clockwise successor edges of every directed edge,
-and a stamp array marks the vertices already listed.  ``_BallKernel.grow``
-is the one place that expands levels.
+The start rotations and the whole depth-1 label depend only on the
+degrees of the vertex's neighbours in rotation order, and a road network
+of bounded degree has few distinct such sequences (hundreds to a few
+thousand on tens of thousands of vertices).  So ``depth_one`` computes
+them once per sequence, memoised for one pass by ``depth_one_at``, which
+also enforces the degree cap; the matcher looks its seeds' start offsets
+up the same way.  At k <= 1 that is the whole label, and no BFS runs.
+
+Past depth 1, one kernel computes the canonical BFS for ``label_nodes``
+and ``labels_by_depth``, from the tied starts ``depth_one`` gives, and
+appends levels 2..k to its depth-1 label.  It first renumbers the graph
+in breadth-first order over every component, so the vertices of one ball
+sit close together in memory, and maps results back to the caller's ids
+at the end; labels are degree sequences, so renumbering cannot change
+them.  The BFS itself is level-synchronous: each level is a list of
+directed edges, a table gives the clockwise successor edges of every
+directed edge, and a stamp array marks the vertices already listed.
+``_BallKernel.grow`` is the one place that expands levels.
 
 The ball within distance k holds the same vertices whatever the start
 rotation, and the depth-k order from a start is a prefix of its
@@ -61,27 +70,49 @@ MAX_LABEL_DEGREE = 255
 DEFAULT_K = 7
 
 
-def _min_rotation_offsets(degs: list[int]) -> list[int]:
-    """Offsets i whose cyclic rotation degs[i:] + degs[:i] is minimal."""
+# Neighbour degrees, in rotation order -> ``depth_one`` of them.
+StartMemo = dict[bytes, tuple[tuple[int, ...], Label]]
+
+
+def depth_one(degs: bytes) -> tuple[tuple[int, ...], Label]:
+    """Tied start offsets and depth-1 label of a vertex whose neighbours, in
+    rotation order, have degrees ``degs``.
+
+    The offsets, ascending, are every i at which degs[i:] + degs[:i] is
+    lexicographically smallest; the label is the vertex's degree followed
+    by that rotation.  An isolated vertex has the one offset 0.  A vertex
+    of degree above 255 raises ``ValueError``.
+    """
     d = len(degs)
     if d <= 1:
-        return [0]
+        return (0,), bytes([d]) + degs
     doubled = degs + degs
-    seqs = [doubled[i : i + d] for i in range(d)]
-    best = min(seqs)
-    return [i for i in range(d) if seqs[i] == best]
+    rotations = [doubled[i : i + d] for i in range(d)]
+    best = min(rotations)
+    return tuple(i for i, r in enumerate(rotations) if r == best), bytes([d]) + best
 
 
-def canonical_start_offsets(g: EmbeddedGraph, v: int) -> list[int]:
-    """Offsets i, ascending, at which rotation[v][i:] + rotation[v][:i] has
-    lexicographically minimal neighbor degrees."""
-    return _min_rotation_offsets([len(g.rotation[u]) for u in g.rotation[v]])
+def depth_one_at(rotation, v: int, memo: StartMemo) -> tuple[tuple[int, ...], Label]:
+    """``depth_one`` of vertex v, read from the rotation system.
 
-
-def canonical_start_rotations(g: EmbeddedGraph, v: int) -> list[tuple[int, ...]]:
-    """Cyclic rotations of rotation[v] with lexicographically minimal neighbor degrees."""
-    rot = g.rotation[v]
-    return [rot[i:] + rot[:i] for i in canonical_start_offsets(g, v)]
+    Memoised in ``memo`` under v's neighbour degrees: a road network has
+    few distinct neighbour-degree sequences, so a memo kept for one pass
+    computes each of them once.  A degree above ``MAX_LABEL_DEGREE`` at v
+    or at a neighbour is ``InputError``, naming that vertex.
+    """
+    rot = rotation[v]
+    try:
+        degs = bytes([len(rotation[u]) for u in rot])
+        found = memo.get(degs)
+        if found is None:
+            memo[degs] = found = depth_one(degs)
+        return found
+    except ValueError:
+        w = next(u for u in (v, *rot) if len(rotation[u]) > MAX_LABEL_DEGREE)
+        raise InputError(
+            f"vertex {w} has degree {len(rotation[w])}; "
+            f"labels hold degrees up to {MAX_LABEL_DEGREE}"
+        ) from None
 
 
 def _breadth_first_ids(rotation) -> list[int]:
@@ -106,29 +137,22 @@ def _breadth_first_ids(rotation) -> list[int]:
 class _BallKernel:
     """Canonical BFS over one graph, on breadth-first local ids.
 
-    ``old[x]`` is the caller's id of local vertex x and ``new[v]`` the local
-    id of the caller's vertex v.  Directed edges are numbered so that the
-    out-edges of x are ``first[x] .. first[x] + deg[x] - 1`` in clockwise
-    order; ``head[e]`` is the vertex edge e enters, ``head_deg[e]`` its
-    degree, and ``succ[e]`` lists the out-edges of that vertex clockwise
-    after the one leading back along e.  A depth-1 ball is the start
-    rotation alone, so ``succ`` is built only when a ball first grows past
-    depth 1.  The tables live as long as the kernel.
+    ``old[x]`` is the caller's id of local vertex x.  Directed edges are
+    numbered so that the out-edges of x are ``first[x] .. first[x] +
+    deg[x] - 1`` in clockwise order; ``head[e]`` is the vertex edge e
+    enters, ``head_deg[e]`` its degree, and ``succ[e]`` lists the out-edges
+    of that vertex clockwise after the one leading back along e.  Depth-1
+    labels need none of this (``depth_one``), so the kernel is built only
+    to grow balls past depth 1.  The tables live as long as the kernel.
     """
 
     def __init__(self, g: EmbeddedGraph):
         self.old = old = _breadth_first_ids(g.rotation)
-        self.new = new = [0] * len(old)
+        new = [0] * len(old)
         for x, v in enumerate(old):
             new[v] = x
         rot = [tuple(map(new.__getitem__, g.rotation[v])) for v in old]
         self.deg = deg = [len(r) for r in rot]
-        top = max(deg, default=0)
-        if top > MAX_LABEL_DEGREE:
-            raise InputError(
-                f"vertex {old[deg.index(top)]} has degree {top}; "
-                f"labels hold degrees up to {MAX_LABEL_DEGREE}"
-            )
         # Never read inside a walk, so machine ints will do.
         self.first = first = array("i")
         edges = 0
@@ -139,13 +163,14 @@ class _BallKernel:
         self.edge_ids = list(range(edges))
         self.head = [u for r in rot for u in r]
         self.head_deg = [deg[u] for u in self.head]
-        self.succ: list[tuple[int, ...]] | None = None
+        del rot  # so that it and the larger successor table never peak together
+        self.succ = self._successors()
         self.stamp = [0] * len(old)
         self.mark = 0
 
     def _successors(self) -> list[tuple[int, ...]]:
         deg, first, head, ids = self.deg, self.first, self.head, self.edge_ids
-        self.succ = succ = [()] * len(ids)
+        succ: list[tuple[int, ...]] = [()] * len(ids)
         for u, d in enumerate(deg):
             a = first[u]
             out = ids[a : a + d] * 2
@@ -155,13 +180,12 @@ class _BallKernel:
                 succ[head.index(u, first[x], first[x] + deg[x])] = tuple(out[i + 1 : i + d])
         return succ
 
-    def starts(self, x: int) -> list[list[Sequence[int]]]:
-        """Depth-1 BFS of local vertex x under each minimal start rotation,
-        in offset order: one level, the out-edges in that rotation.  An
-        isolated vertex gets one empty start."""
-        a, b = self.first[x], self.first[x] + self.deg[x]
-        out = self.edge_ids[a:b]
-        return [[out[i:] + out[:i]] for i in _min_rotation_offsets(self.head_deg[a:b])]
+    def first_levels(self, x: int, offsets: Sequence[int]) -> list[list[int]]:
+        """The out-edges of local vertex x rotated to start at each offset:
+        the depth-1 BFS from each of its tied starts (``depth_one``)."""
+        a = self.first[x]
+        out = self.edge_ids[a : a + self.deg[x]]
+        return [out[i:] + out[:i] for i in offsets]
 
     def grow(
         self, x: int, prev: Sequence[int], balls: list[list[Sequence[int]]], levels: int
@@ -180,10 +204,7 @@ class _BallKernel:
         the smallest degree sequence go on.  Returns those balls, winner
         (the first) first.
         """
-        head, head_deg, stamp = self.head, self.head_deg, self.stamp
-        if levels and self.succ is None:
-            self._successors()
-        succ = self.succ
+        head, head_deg, stamp, succ = self.head, self.head_deg, self.stamp, self.succ
         for step in range(levels):
             # Every start's walk stamps the same vertices, so a lone start
             # goes on from whatever stamps the last walk left.
@@ -227,20 +248,30 @@ def label_nodes(g: EmbeddedGraph, k: int) -> tuple[MasterTable, list[Label]]:
 
     Returns (master table, per-vertex label array).  Master-table entry
     lists are in ascending vertex id.  k = 0 gives degree-only labels.
+    At k <= 1 a label is its vertex's ``depth_one``; only deeper labels
+    build the kernel, which walks levels 2..k from the tied starts.
     """
     if k < 0:
         raise InputError(f"label depth k must be >= 0, got {k}")
+    rotation, memo = g.rotation, {}
+    if k <= 1:
+        labels = [depth_one_at(rotation, v, memo)[1] for v in range(len(rotation))]
+        if not k:
+            labels = [lab[:1] for lab in labels]  # the degrees alone
+        return master_table(labels), labels
     kernel = _BallKernel(g)
-    deg, head_deg = kernel.deg, kernel.head_deg
-    labels: list[Label] = [b""] * g.vertex_count
+    head_deg = kernel.head_deg
+    labels = [b""] * len(rotation)
     for x, v in enumerate(kernel.old):
-        # The levels under the minimal start rotation that gives the
-        # smallest full label; a depth-1 ball is the start alone.
-        ball = kernel.grow(x, (), kernel.starts(x), k - 1)[0] if k else ()
-        labels[v] = bytes([deg[x], *[head_deg[e] for level in ball for e in level]])
+        # The levels under the tied start that gives the smallest full
+        # label; its first level is already in the depth-1 label.
+        offsets, label = depth_one_at(rotation, v, memo)
+        balls = [[edges] for edges in kernel.first_levels(x, offsets)]
+        ball = kernel.grow(x, (), balls, k - 1)[0]
+        labels[v] = label + bytes([head_deg[e] for level in ball[1:] for e in level])
     # The kernel's tables (``succ`` above all) outweigh the master table;
     # free them before it is built, so the two never peak together.
-    del kernel, deg, head_deg
+    del kernel, head_deg
     return master_table(labels), labels
 
 
@@ -248,31 +279,34 @@ def labels_by_depth(g: EmbeddedGraph) -> Iterator[list[Label]]:
     """Yield the per-vertex labels at k = 1, 2, 3, ...
 
     The k-th list equals ``label_nodes(g, k)[1]``; it is the same list
-    object every time, updated in place before the next yield.  One kernel
-    grows every canonical ball by one level per k, keeping only the last
-    two levels of edges: one flat array per depth holds each vertex's
-    level under every start still tied, back to back, with a per-vertex
-    entry count, and a small dict counts the starts of the vertices that
-    still have more than one.  A ball that covers its component is
-    dropped, since its label no longer changes.
+    object every time, updated in place before the next yield.  Depth 1
+    is each vertex's ``depth_one``; the kernel is built only when depth 2
+    is asked for.  It grows every canonical ball by one level per k,
+    keeping only the last two levels of edges: one flat array per depth
+    holds each vertex's level under every start still tied, back to back,
+    with a per-vertex entry count, and a small dict counts the starts of
+    the vertices that still have more than one.  A ball that covers its
+    component is dropped, since its label no longer changes.
     """
+    rotation, memo = g.rotation, {}
+    firsts = [depth_one_at(rotation, v, memo) for v in range(len(rotation))]
+    labels: list[Label] = [lab for _, lab in firsts]
+    yield labels
     kernel = _BallKernel(g)
-    deg, head_deg, old = kernel.deg, kernel.head_deg, kernel.old
+    head_deg, old = kernel.head_deg, kernel.old
     n = len(old)
-    labels: list[Label] = [b""] * n
     # Depth 0 is each vertex alone, which grow restamps anyway.
     prev, prev_n = array("i"), array("i", [0]) * n
     level, level_n = array("i"), array("i", [0]) * n
     tied: dict[int, int] = {}
     for x, v in enumerate(old):
-        starts = kernel.starts(x)
-        labels[v] = bytes([deg[x], *[head_deg[e] for e in starts[0][0]]])
-        for (edges,) in starts:
+        offsets = firsts[v][0]
+        for edges in kernel.first_levels(x, offsets):
             level.extend(edges)
-        level_n[x] = len(starts) * deg[x]
-        if len(starts) > 1:
-            tied[x] = len(starts)
-    yield labels
+        level_n[x] = len(offsets) * kernel.deg[x]
+        if len(offsets) > 1:
+            tied[x] = len(offsets)
+    del firsts
     while True:
         grown, grown_n, next_tied = array("i"), array("i", [0]) * n, {}
         a = b = 0
@@ -300,11 +334,14 @@ def labels_by_depth(g: EmbeddedGraph) -> Iterator[list[Label]]:
         yield labels
 
 
-# Below this many vertices, a worker costs more than it saves: starting it
-# and moving the graph and its labels through pickles take about 0.1 s.
-# Measured on snapshot pairs of irregular grids (2 vCPUs, Python 3.11), the
-# two ways tie near 8.5k vertices at k = 2 (0.27 s each); at 10k the worker
-# saves 30%, and at k = 3 it is ahead from 7k on.
+# Below about this many vertices, a worker costs more than it saves:
+# starting it and moving the graph and its labels through pickles take
+# about 0.1 s.  Measured with ``label_pair`` on snapshot pairs of irregular
+# grids (2 vCPUs, Python 3.11.7, medians of 11 to 15 alternating runs on a
+# noisy host), the two ways tie near 5k-6k vertices at k = 2 (0.20 s each
+# at 5k) and near 5k at k = 3; at 4k the worker is 50% slower, and from 7k
+# on it saves 15-25%.  The gate stays above the tie, where the saving is
+# clear.
 WORKER_MIN_VERTICES = 8000
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from .errors import InternalError
 from .graph import EmbeddedGraph
-from .labeling import DEFAULT_K, canonical_start_offsets
+from .labeling import DEFAULT_K, StartMemo, depth_one_at
 from .seed_index import (
     DEFAULT_MAX_PRODUCT,
     SeedIndex,
@@ -318,8 +318,9 @@ def match(
     anything, both seeds' components among the vertices unmatched at the
     pop must be larger than the best trial, since a trial stays inside
     them.  Both rules are exact: the matching, the pops and the retired
-    labels are those of visiting every pair.  Start offsets are computed
-    only for visited pairs that pass the check.  A start pair whose
+    labels are those of visiting every pair.  Start offsets are looked up
+    only for visited pairs that pass the check, in one memo per call keyed
+    by neighbour degrees (``labeling.depth_one_at``).  A start pair whose
     alignment its seed pair has already flooded is skipped, as the paper
     floods once per orientation.  Its flood would queue the same neighbour
     pairs in another order, which now and then admits a different set.
@@ -344,6 +345,7 @@ def match(
     t1 = time.perf_counter()
     state = MatchState(g1, g2)
     rng = random.Random(rng_seed)
+    starts: StartMemo = {}  # tied start offsets, for both graphs
     while True:
         lid = idx.pop_min_label(rng)
         if lid is None:
@@ -358,7 +360,6 @@ def match(
         ):
             raise InternalError(f"seed index offers matched vertices for label {lid}")
         seed2_set = set(seeds2)
-        offsets2: dict[int, list[int]] = {}  # computed for pairs that pass
         sizes1: dict[int, tuple[int, bool]] = {}  # see component_at_most
         sizes2: dict[int, tuple[int, bool]] = {}
         best: list[tuple[int, int]] = []  # journal of the earliest largest trial
@@ -384,13 +385,12 @@ def match(
                 if not pair_admissible(state, s1, s2):
                     continue
                 if offsets1 is None:
-                    offsets1 = canonical_start_offsets(g1, s1)
-                if s2 not in offsets2:
-                    offsets2[s2] = canonical_start_offsets(g2, s2)
+                    offsets1 = depth_one_at(g1.rotation, s1, starts)[0]
+                offsets2 = depth_one_at(g2.rotation, s2, starts)[0]
                 rot2 = g2.rotation[s2]
                 flooded = set()  # alignments already tried from this seed pair
                 for i in offsets1:
-                    for j in offsets2[s2]:
+                    for j in offsets2:
                         alignment = (j - i) % d
                         if alignment in flooded:
                             continue

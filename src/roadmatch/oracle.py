@@ -12,9 +12,22 @@ from collections import deque
 
 from .errors import InputError
 from .graph import EmbeddedGraph, verify_conformal
-from .labeling import canonical_start_rotations
 
 DEFAULT_SIZE_CAP = 10
+
+
+def canonical_start_rotations(g: EmbeddedGraph, v: int) -> list[tuple[int, ...]]:
+    """Cyclic rotations of rotation[v] whose neighbour degrees are
+    lexicographically minimal, in offset order.
+
+    Every rotation is compared whole, with none of the memo that labeling
+    uses for the same starts, so the two can check each other.
+    """
+    rot = g.rotation[v]
+    rotations = [rot[i:] + rot[:i] for i in range(len(rot))] or [rot]
+    keys = [[len(g.rotation[u]) for u in r] for r in rotations]
+    best = min(keys)
+    return [r for r, key in zip(rotations, keys) if key == best]
 
 
 def _search_order(g: EmbeddedGraph) -> list[int]:

@@ -181,6 +181,26 @@ def label_pair(
         return first, second.receive()
 
 
+def _prefix_across(counts1: Counter, counts2: Counter) -> bool:
+    """Whether a label counted on one side is a proper prefix of a label
+    counted on the other.
+
+    In sorted order a label's extensions follow it directly, so one scan
+    keeps a stack of the labels that are prefixes of the current one.  They
+    all lie on the top one's side, or the scan would have stopped, so only
+    the top is compared.
+    """
+    stack: list[tuple[Label, int]] = []  # (label, 1 first side, 2 second, 3 both)
+    for lab in sorted(counts1.keys() | counts2.keys()):
+        sides = (lab in counts1) | (lab in counts2) << 1
+        while stack and not lab.startswith(stack[-1][0]):
+            stack.pop()
+        if stack and stack[-1][1] | sides == 3:
+            return True
+        stack.append((lab, sides))
+    return False
+
+
 @dataclass
 class TuneReport:
     k: int
@@ -201,11 +221,15 @@ def auto_tune_k(
     A k qualifies only when 0 < p <= bound: p = 0 means no label is shared
     by both graphs, so nothing could seed and the matching would be empty.
     Scans k ascending (monotonicity of the max product is not guaranteed:
-    small symmetric components can hold a floor), and stops at the first k
-    with p = 0: a depth-(k+1) label extends the depth-k one, so no deeper k
-    shares a label either, and ``per_k`` ends there.  If no k qualifies,
-    returns the k minimizing p among those with p > 0, smallest k on ties,
-    flagged as unbounded; if no k has a shared label, k = 1 with p = 0.
+    small symmetric components can hold a floor).  A depth-(k+1) label
+    extends the depth-k one, and labels carry no level boundaries, so two
+    vertices with different depth-k labels can share a deeper one only if
+    one's depth-k label is a proper prefix of the other's.  The scan
+    therefore stops at the first k with p = 0 at which no label of one
+    graph is a proper prefix of a label of the other (``_prefix_across``),
+    and ``per_k`` ends there.  If no k qualifies, returns the k minimizing
+    p among those with p > 0, smallest k on ties, flagged as unbounded; if
+    no k has a shared label, k = 1 with p = 0.
 
     One pass grows both graphs' labels a level per k (``labels_by_depth``)
     and counts them for each k's max product, so tuning walks each ball
@@ -222,11 +246,15 @@ def auto_tune_k(
     with labeling_job(g2, k_max, by_depth=True) as second:
         depths1 = labels_by_depth(g1)
         for k, labels1 in zip(range(1, k_max + 1), depths1):
+            # Rebinding frees the counts of the last k before the next arrive.
             counts1 = Counter(labels1)
+            counts2 = second.receive()
             p = max(
-                (n * counts1[lab] for lab, n in second.receive().items() if lab in counts1),
+                (n * counts1[lab] for lab, n in counts2.items() if lab in counts1),
                 default=0,
             )
+            dead_end = not p and not _prefix_across(counts1, counts2)
+            del counts2
             per_k.append((k, p))
             if 0 < p <= max_product:
                 second.send("stop")
@@ -235,7 +263,7 @@ def auto_tune_k(
                 return TuneReport(
                     k, p, True, per_k, (master_table(labels1), second.receive()[0])
                 )
-            if not p:
+            if dead_end:
                 break  # no deeper k can share a label either
             if k < k_max:
                 second.send("next")

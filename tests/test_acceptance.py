@@ -16,14 +16,18 @@ from roadmatch.generator import (
     score_against_ground_truth,
 )
 from roadmatch.graph import verify_conformal
-from roadmatch.labeling import canonical_start_rotations, label_nodes
+from roadmatch.labeling import label_nodes
 from roadmatch.matcher import MatchState, match, run_trial
 from roadmatch.metrics import (
     EARTH_RADIUS_KM,
     approximation_ratio,
     haversine_km,
 )
-from roadmatch.oracle import brute_force_max_conformal, exhaustive_flood_from
+from roadmatch.oracle import (
+    brute_force_max_conformal,
+    canonical_start_rotations,
+    exhaustive_flood_from,
+)
 from roadmatch.seed_index import build_seed_index
 
 from conftest import figure_star, index_state, max_cross_product, random_graph, rebuilt_index

@@ -2,13 +2,14 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roadmatch.errors import InputError
 from roadmatch.generator import gen_irregular_grid
 from roadmatch.graph import EmbeddedGraph
-from roadmatch.labeling import canonical_start_rotations, label_nodes, labels_by_depth
+from roadmatch.labeling import depth_one, depth_one_at, label_nodes, labels_by_depth
+from roadmatch.oracle import canonical_start_rotations
 
 from conftest import cycle_graph, embedded_graphs, path_graph, star_graph
 
@@ -259,8 +260,45 @@ class TestLabelNodes:
 
     def test_degree_above_255_is_input_error(self):
         # Leaves first, so the centre's id (256) is not its kernel-local id.
+        # Depths 0 and 1 build no kernel; the check must hold there too.
         rotation = [(256,)] * 256 + [tuple(range(256))]
         g = EmbeddedGraph(tuple(rotation), d_max=300)
-        for label in (lambda: label_nodes(g, 1), lambda: next(labels_by_depth(g))):
+        for label in (
+            lambda: label_nodes(g, 0),
+            lambda: label_nodes(g, 1),
+            lambda: label_nodes(g, 2),
+            lambda: next(labels_by_depth(g)),
+        ):
             with pytest.raises(InputError, match="vertex 256 has degree 256"):
                 label()
+
+
+@st.composite
+def degree_sequences(draw):
+    """Neighbour degrees, 0 to 16 of them; about half repeat a shorter
+    block, so that several rotations tie."""
+    if draw(st.booleans()):
+        return bytes(draw(st.lists(st.integers(1, 255), max_size=16)))
+    block = draw(st.lists(st.integers(1, 255), min_size=1, max_size=8))
+    return bytes(block * draw(st.integers(1, 16 // len(block))))
+
+
+class TestDepthOne:
+    @given(degree_sequences())
+    @example(bytes((3, 4, 3, 4)))
+    @example(bytes((2, 2, 2, 2)))
+    @example(b"")
+    def test_matches_every_rotation(self, degs):
+        offsets, label = depth_one(degs)
+        rotations = [degs[i:] + degs[:i] for i in range(len(degs))] or [degs]
+        best = min(rotations)
+        assert offsets == tuple(i for i, r in enumerate(rotations) if r == best)
+        assert label == bytes([len(degs), *best])
+
+    def test_memo_is_keyed_by_neighbour_degrees(self):
+        # The two ends of a path of 3 read the same degrees and share one
+        # entry; the middle vertex gets its own.
+        g, memo = path_graph(3), {}
+        firsts = [depth_one_at(g.rotation, v, memo) for v in range(3)]
+        assert memo == {bytes((2,)): firsts[0], bytes((1, 1)): firsts[1]}
+        assert firsts[0] is firsts[2]

@@ -11,9 +11,9 @@ from roadmatch.errors import ConfigurationError, InternalError
 from roadmatch.generator import gen_irregular_grid, perturb, score_against_ground_truth
 from roadmatch.graph import EmbeddedGraph, verify_conformal
 from roadmatch import matcher
-from roadmatch.labeling import canonical_start_offsets, canonical_start_rotations, label_nodes
+from roadmatch.labeling import depth_one_at, label_nodes
 from roadmatch.matcher import MatchState, admissible_at, match, pair_admissible, run_trial
-from roadmatch.oracle import brute_force_max_conformal
+from roadmatch.oracle import brute_force_max_conformal, canonical_start_rotations
 from roadmatch.seed_index import SeedIndex, build_seed_index
 from roadmatch.cli import format_matching
 
@@ -597,13 +597,14 @@ class TestSeedAlignments:
         by_label = {}
         for v, lab in enumerate(labels2):
             by_label.setdefault(lab, []).append(v)
+        starts = {}
         for s1, lab in enumerate(labels1):
             d = g1.degree(s1)
             if not d:
                 continue
-            offsets1 = canonical_start_offsets(g1, s1)
+            offsets1 = depth_one_at(g1.rotation, s1, starts)[0]
             for s2 in by_label.get(lab, ()):
-                offsets2 = canonical_start_offsets(g2, s2)
+                offsets2 = depth_one_at(g2.rotation, s2, starts)[0]
                 first = [(j - offsets1[0]) % d for j in offsets2]
                 every = {(j - i) % d for i in offsets1 for j in offsets2}
                 assert sorted(first) == sorted(every), (s1, s2)

@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 from roadmatch.errors import InputError
 from roadmatch.generator import gen_irregular_grid
 from roadmatch.graph import EmbeddedGraph, verify_conformal
-from roadmatch.labeling import canonical_start_rotations
 from roadmatch.matcher import MatchState, match, run_trial
-from roadmatch.oracle import brute_force_max_conformal, exhaustive_flood_from
+from roadmatch.oracle import (
+    brute_force_max_conformal,
+    canonical_start_rotations,
+    exhaustive_flood_from,
+)
 
 from conftest import cycle_graph, embedded_graphs, path_graph, random_graph, star_graph
 

@@ -1,12 +1,16 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roadmatch import seed_index
 from roadmatch.errors import ConfigurationError, InternalError
 from roadmatch.generator import gen_irregular_grid, perturb
+from roadmatch.graph import EmbeddedGraph
 from roadmatch.labeling import label_nodes, labels_by_depth
+from roadmatch.matcher import match
 from roadmatch.seed_index import (
     REMOVED,
     UNINDEXED,
@@ -21,6 +25,15 @@ from test_labeling import scattered_graphs
 
 def tables_for(g1, g2, k):
     return label_nodes(g1, k)[0], label_nodes(g2, k)[0]
+
+
+def graph_of(n, edges):
+    """Graph on vertices 0..n-1; each rotation lists edges in given order."""
+    rotation = [[] for _ in range(n)]
+    for a, b in edges:
+        rotation[a].append(b)
+        rotation[b].append(a)
+    return EmbeddedGraph(tuple(map(tuple, rotation)))
 
 
 def lid_of(idx, label):
@@ -208,11 +221,32 @@ class TestAutoTuneK:
     def test_k_without_shared_label_does_not_qualify(self):
         # At k=1 the leaves of both paths read (1, 2), product 4; at k=2 no
         # label is shared, and product 0 must not count as within the bound.
-        # Nor can any deeper k share one, so the scan stops there.
+        # No label of one path is a proper prefix of one of the other, so
+        # no deeper k can share one and the scan stops there.
         report = auto_tune_k(path_graph(3), path_graph(4), 1, 3)
         assert report.per_k == [(1, 4), (2, 0)]
         assert (report.k, report.max_product, report.bounded) == (1, 4, False)
         assert report.tables == tables_for(path_graph(3), path_graph(4), 1)
+
+    def test_scan_passes_a_k_without_shared_label_when_one_label_is_a_prefix(self):
+        # Every degree is 3, so a label is its ball size written in 3s.
+        # At k=2 the cube's balls hold 7 vertices and the other graph's 8:
+        # nothing is shared, but at k=3 the cube's balls grow to 8 too and
+        # match the Wagner graph's.
+        cube = graph_of(8, [(v, v ^ b) for v in range(8) for b in (1, 2, 4) if v < v ^ b])
+        wagner = [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)]
+        prism = (
+            [(8 + i, 8 + (i + 1) % 5) for i in range(5)]
+            + [(13 + i, 13 + (i + 1) % 5) for i in range(5)]
+            + [(8 + i, 13 + i) for i in range(5)]
+        )
+        other = graph_of(18, wagner + prism)
+        report = auto_tune_k(cube, other, 64, 12)
+        assert report.per_k == [(1, 144), (2, 0), (3, 64)]
+        assert (report.k, report.max_product, report.bounded) == (3, 64, True)
+        assert report == relabeling_tune(cube, other, 64, 12)
+        result = match(cube, other, auto_k=True, max_product=64)
+        assert (result.stats.k, len(result.pairs)) == (3, 6)
 
     def test_no_shared_label_at_any_k(self):
         g1, g2 = path_graph(3), path_graph(2)
@@ -231,12 +265,24 @@ class TestAutoTuneK:
         assert report.tables == (mt, mt)
 
 
+def prefix_across_pairwise(labels1, labels2):
+    """Whether a label of one side is a proper prefix of one of the other,
+    found by comparing every pair."""
+    return any(
+        a != b and b.startswith(a)
+        for x, y in ((labels1, labels2), (labels2, labels1))
+        for a in x
+        for b in y
+    )
+
+
 def relabeling_tune(g1, g2, max_product, k_max):
     """auto_tune_k as a loop that labels both graphs from scratch at each k.
 
     A k qualifies, and the unbounded fallback considers it, only when some
-    label is shared (max product > 0); the scan stops at the first k with
-    none, and with none at any k, k = 1.
+    label is shared (max product > 0).  The scan stops at the first k with
+    none at which no label of one graph is a proper prefix of a label of
+    the other; with none at any k, k = 1.
     """
     per_k = []
     best = None  # (max product, k, tables)
@@ -249,7 +295,7 @@ def relabeling_tune(g1, g2, max_product, k_max):
             best = (p, k, (mt1, mt2))
         if 0 < p <= max_product:
             return TuneReport(k, p, True, per_k, (mt1, mt2))
-        if not p:
+        if not p and not prefix_across_pairwise(mt1, mt2):
             break
     if best is None:
         return TuneReport(1, 0, False, per_k, tables_for(g1, g2, 1))
@@ -258,6 +304,13 @@ def relabeling_tune(g1, g2, max_product, k_max):
 
 
 class TestTuneAgainstRelabeling:
+    @given(*[st.lists(st.lists(st.integers(1, 2), max_size=4).map(bytes), max_size=8)] * 2)
+    def test_prefix_scan_equals_pairwise(self, labels1, labels2):
+        # Two degrees and short labels, so prefixes across sides are common;
+        # a label may also be on both sides.
+        got = seed_index._prefix_across(Counter(labels1), Counter(labels2))
+        assert got == prefix_across_pairwise(labels1, labels2)
+
     @given(scattered_graphs(), scattered_graphs(), st.integers(1, 30), st.integers(1, 6))
     @settings(max_examples=150)
     def test_equal_report(self, g1, g2, bound, k_max):
@@ -279,8 +332,11 @@ class TestTuneAgainstRelabeling:
     @given(scattered_graphs())
     @settings(max_examples=100)
     def test_deeper_labels_extend_shallower(self, g):
-        # Why the tuner stops at the first k with no shared label: vertices
-        # that share a depth-(k+1) label share the depth-k one too.
+        # Why the tuner may stop at a k with no shared label once no label
+        # of one graph is a proper prefix of one of the other: each vertex's
+        # depth-k label is a prefix of its depth-(k+1) one.  Vertices that
+        # share a depth-(k+1) label need not share the depth-k one, since a
+        # label carries no level boundaries.
         prev = label_nodes(g, 0)[1]
         for k in range(1, 6):
             labels = label_nodes(g, k)[1]
