@@ -186,14 +186,25 @@ def _check_pairs(pairs: list[tuple[int, int]], n1: int, n2: int) -> None:
             seen[side].add(v)
 
 
+def _file_k(stats: dict[str, float]) -> int:
+    """The matching file's ``# k:`` label depth, ``DEFAULT_K`` without one;
+    InputError unless it is a non-negative integer."""
+    if "k" not in stats:
+        return DEFAULT_K
+    k = stats["k"]
+    if not (k >= 0 and k.is_integer()):
+        raise InputError(f"matching file's k must be a non-negative integer, got {k:g}")
+    return int(k)
+
+
 def _cmd_validate(args) -> int:
     g1, g2 = load_pair(args.graph1, args.graph2, args.format)
     with open(args.matching, encoding="utf-8") as fh:
         pairs, _, _, stats = parse_matching(fh.read())
     _check_pairs(pairs, g1.vertex_count, g2.vertex_count)
     # Score the labeling the matching was made with unless told otherwise.
-    k = args.k if args.k is not None else int(stats.get("k", DEFAULT_K))
-    (mt1, _), (mt2, _) = label_pair(g1, g2, k)
+    k = args.k if args.k is not None else _file_k(stats)
+    mt1, mt2 = label_pair(g1, g2, k)
     ratio = approximation_ratio(mt1, mt2, g1.vertex_count, g2.vertex_count)
     print(f"approximation_ratio: {ratio:.4f}")
     if g1.coords is not None and g2.coords is not None:

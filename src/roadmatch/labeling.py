@@ -38,7 +38,14 @@ The ball within distance k holds the same vertices whatever the start
 rotation, and the depth-k order from a start is a prefix of its
 depth-(k+1) order.  So a start whose label loses at depth k loses at every
 greater depth, and ``labels_by_depth`` can grow every ball by one level per
-k, carrying only the starts still tied, instead of walking it again.
+k, carrying only the starts still tied, instead of walking it again.  It
+grows only the live vertices: after each k its caller names the labels to
+keep, and a vertex whose label is not among them is never grown again.
+The tuner keeps just the labels that can still be shared by the other
+graph (``seed_index.auto_tune_k``) and speaks to it through
+``counts_by_depth``, which sends label counts and, at the end, a master
+table of the labels it is asked for.  A ball stops growing at its first
+empty level, when it covers its component, whatever k asks for.
 
 A label depends only on its own graph, so two snapshots can be labeled at
 the same time.  ``labeling_job`` labels one graph in a worker process (see
@@ -51,9 +58,10 @@ this process.
 from __future__ import annotations
 
 import copy
+import itertools
 from array import array
 from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Generator, Iterable, Iterator, Sequence
 
 from . import worker
 from .errors import InputError
@@ -201,8 +209,9 @@ class _BallKernel:
         last two levels, because walks from other vertices reuse it; only
         their neighbours can be new.  Each new level is appended to its
         ball, and after each level only the starts whose new vertices have
-        the smallest degree sequence go on.  Returns those balls, winner
-        (the first) first.
+        the smallest degree sequence go on.  The first empty level ends the
+        walk: the ball covers its component, under every start.  Returns
+        those balls, winner (the first) first.
         """
         head, head_deg, stamp, succ = self.head, self.head_deg, self.stamp, self.succ
         for step in range(levels):
@@ -227,6 +236,8 @@ class _BallKernel:
                             stamp[u] = mark
                             nxt.append(f)
                 ball.append(nxt)
+            if not nxt:
+                break  # the ball covers its component, under every start
             prev = level
             if len(balls) > 1:
                 tails = [[head_deg[f] for f in ball[-1]] for ball in balls]
@@ -235,10 +246,11 @@ class _BallKernel:
         return balls
 
 
-def master_table(labels: list[Label]) -> MasterTable:
-    """Group vertex ids by label; each entry list is in ascending id."""
+def master_table(labels: Iterable[tuple[int, Label]]) -> MasterTable:
+    """Group vertex ids by label, from (vertex, label) pairs in ascending
+    vertex id; each entry list is in ascending id."""
     table: MasterTable = {}
-    for v, lab in enumerate(labels):
+    for v, lab in labels:
         table.setdefault(lab, []).append(v)
     return table
 
@@ -258,7 +270,7 @@ def label_nodes(g: EmbeddedGraph, k: int) -> tuple[MasterTable, list[Label]]:
         labels = [depth_one_at(rotation, v, memo)[1] for v in range(len(rotation))]
         if not k:
             labels = [lab[:1] for lab in labels]  # the degrees alone
-        return master_table(labels), labels
+        return master_table(enumerate(labels)), labels
     kernel = _BallKernel(g)
     head_deg = kernel.head_deg
     labels = [b""] * len(rotation)
@@ -272,66 +284,111 @@ def label_nodes(g: EmbeddedGraph, k: int) -> tuple[MasterTable, list[Label]]:
     # The kernel's tables (``succ`` above all) outweigh the master table;
     # free them before it is built, so the two never peak together.
     del kernel, head_deg
-    return master_table(labels), labels
+    return master_table(enumerate(labels)), labels
 
 
-def labels_by_depth(g: EmbeddedGraph) -> Iterator[list[Label]]:
-    """Yield the per-vertex labels at k = 1, 2, 3, ...
+def labels_by_depth(
+    g: EmbeddedGraph,
+) -> Generator[list[Label | None], set[Label] | None, None]:
+    """Yield the labels of the live vertices at k = 1, 2, 3, ...
 
-    The k-th list equals ``label_nodes(g, k)[1]``; it is the same list
-    object every time, updated in place before the next yield.  Depth 1
-    is each vertex's ``depth_one``; the kernel is built only when depth 2
-    is asked for.  It grows every canonical ball by one level per k,
-    keeping only the last two levels of edges: one flat array per depth
-    holds each vertex's level under every start still tied, back to back,
-    with a per-vertex entry count, and a small dict counts the starts of
-    the vertices that still have more than one.  A ball that covers its
-    component is dropped, since its label no longer changes.
+    The k-th list holds each live vertex's label at k and None for every
+    other vertex; it is the same list object every time, updated in place
+    before the next yield.  The value sent back is the set of labels to
+    keep: every vertex whose label is not in it leaves the live set for
+    good and is never grown again.  Sending None (``next``) keeps them
+    all, and then the k-th list equals ``label_nodes(g, k)[1]``.
+
+    Depth 1 is each vertex's ``depth_one``; the kernel is built only when
+    depth 2 is asked for, and the first growth reads each vertex's tied
+    starts from ``depth_one``.  After that, each live vertex carries only
+    its last two levels of edges in flat arrays: the last level under
+    every start still tied, back to back, the level before it once, and
+    per local id where each sits and how long it is; a small dict counts
+    the starts of the vertices that still have more than one.  A ball that
+    covers its component is grown no further, since its label no longer
+    changes.
     """
     rotation, memo = g.rotation, {}
     firsts = [depth_one_at(rotation, v, memo) for v in range(len(rotation))]
-    labels: list[Label] = [lab for _, lab in firsts]
-    yield labels
+    labels: list[Label | None] = [lab for _, lab in firsts]
+    keep = yield labels
     kernel = _BallKernel(g)
-    head_deg, old = kernel.head_deg, kernel.old
+    head_deg, old, first, deg = kernel.head_deg, kernel.old, kernel.first, kernel.deg
     n = len(old)
-    # Depth 0 is each vertex alone, which grow restamps anyway.
-    prev, prev_n = array("i"), array("i", [0]) * n
-    level, level_n = array("i"), array("i", [0]) * n
+    # Where each local id's last two levels sit in ``prev`` and ``level``.
+    prev_at, prev_n = array("i", [0]) * n, array("i", [0]) * n
+    level_at, level_n = array("i", [0]) * n, array("i", [0]) * n
+    prev = level = array("i")
     tied: dict[int, int] = {}
-    for x, v in enumerate(old):
-        offsets = firsts[v][0]
-        for edges in kernel.first_levels(x, offsets):
-            level.extend(edges)
-        level_n[x] = len(offsets) * kernel.deg[x]
-        if len(offsets) > 1:
-            tied[x] = len(offsets)
-    del firsts
+    growing: Sequence[int] = range(n)  # local ids, ascending
+    for depth in itertools.count(2):
+        if keep is not None:
+            for v, label in enumerate(labels):
+                if label not in keep:
+                    labels[v] = None
+        grown, still = array("i"), array("i")
+        for x in growing:
+            v = old[x]
+            label = labels[v]
+            if label is None:
+                continue  # dropped
+            if depth == 2:
+                balls = [[edges] for edges in kernel.first_levels(x, firsts[v][0])]
+                before = ()
+            else:
+                a, q = level_at[x], level_n[x]
+                w = q // tied.get(x, 1)
+                balls = [[level[i : i + w]] for i in range(a, a + q, w)]
+                before = prev[prev_at[x] : prev_at[x] + prev_n[x]]
+            balls = kernel.grow(x, before, balls, 1)
+            new = balls[0][-1]
+            if not new:
+                continue  # the ball covers its component
+            labels[v] = label + bytes([head_deg[e] for e in new])
+            still.append(x)
+            # The level just grown from, once: every start holds the same
+            # edges.  At depth 2 that is x's out-edges, which ``edge_ids``
+            # lists in place.
+            if depth == 2:
+                prev_at[x], prev_n[x] = first[x], deg[x]
+            else:
+                prev_at[x], prev_n[x] = a, w
+            level_at[x], level_n[x] = len(grown), len(balls) * len(new)
+            for ball in balls:
+                grown.extend(ball[-1])
+            if len(balls) > 1:
+                tied[x] = len(balls)
+            else:
+                tied.pop(x, None)
+        if depth == 2:
+            del firsts
+            prev = kernel.edge_ids
+        else:
+            prev = level
+        level, growing = grown, still
+        keep = yield labels
+
+
+def counts_by_depth(g: EmbeddedGraph) -> Generator[Counter | MasterTable, tuple, None]:
+    """The tuner's side of ``labels_by_depth(g)``, as replies to commands.
+
+    Each reply at k = 1, 2, ... is the ``Counter`` of the live vertices'
+    labels.  The command sent back is ("next", keep), which goes one level
+    deeper keeping the labels in ``keep``, or ("stop", shared), whose reply
+    is the master table at k of the live vertices whose labels are in
+    ``shared``.  The growth state is freed before that table is built.
+    """
+    depths = labels_by_depth(g)
+    labels = next(depths)
     while True:
-        grown, grown_n, next_tied = array("i"), array("i", [0]) * n, {}
-        a = b = 0
-        for x in range(n):
-            p, q = prev_n[x], level_n[x]
-            if q:
-                c = tied.get(x)
-                if c is None:
-                    balls = [[level[b : b + q]]]
-                else:
-                    w = q // c
-                    balls = [[level[i : i + w]] for i in range(b, b + q, w)]
-                balls = kernel.grow(x, prev[a : a + p], balls, 1)
-                new = balls[0][-1]
-                if new:
-                    labels[old[x]] += bytes([head_deg[e] for e in new])
-                    for ball in balls:
-                        grown.extend(ball[-1])
-                    grown_n[x] = len(balls) * len(new)
-                    if len(balls) > 1:
-                        next_tied[x] = len(balls)
-            a += p
-            b += q
-        prev, prev_n, level, level_n, tied = level, level_n, grown, grown_n, next_tied
-        yield labels
+        # No label is empty, so filter(None, ...) drops just the Nones.
+        command, chosen = yield Counter(filter(None, labels))
+        if command == "stop":
+            depths.close()
+            yield master_table((v, lab) for v, lab in enumerate(labels) if lab in chosen)
+            return
+        labels = depths.send(chosen)
 
 
 # Below about this many vertices, a worker costs more than it saves:
@@ -348,18 +405,13 @@ WORKER_MIN_VERTICES = 8000
 def _replies(g: EmbeddedGraph, k: int | None) -> Iterator:
     """The labeling job, as the replies the worker sends for it.
 
-    With k set, one reply: ``label_nodes(g, k)``.  With k None, one reply
-    per depth k = 1, 2, ...: the ``Counter`` of the labels at k.  After
-    each, the value sent in is the next command: "next" goes one level
-    deeper, "stop" gets the last reply, ``(master table, labels)`` at k.
+    With k set, one reply: the master table ``label_nodes(g, k)[0]``.
+    With k None, the replies and commands of ``counts_by_depth(g)``.
     """
     if k is not None:
-        yield label_nodes(g, k)
+        yield label_nodes(g, k)[0]
         return
-    for labels in labels_by_depth(g):
-        if (yield Counter(labels)) == "stop":
-            yield master_table(labels), labels
-            return
+    yield from counts_by_depth(g)
 
 
 def labeling_job(g: EmbeddedGraph, k: int, by_depth: bool = False):
@@ -367,9 +419,10 @@ def labeling_job(g: EmbeddedGraph, k: int, by_depth: bool = False):
 
     Its peer's ``receive()`` returns the next reply of the job and
     ``send(command)`` passes a command (see ``_replies``).  At fixed k
-    (``by_depth`` false) the one reply is ``label_nodes(g, k)``.  With
-    ``by_depth`` the replies follow ``labels_by_depth(g)`` and k is the
-    deepest level that may be asked for.
+    (``by_depth`` false) the one reply is the master table of
+    ``label_nodes(g, k)``.  With ``by_depth`` the replies and commands are
+    those of ``counts_by_depth(g)``, and k is the deepest level that may be
+    asked for.
 
     The worker runs only with two usable CPUs, k >= 2 and at least
     ``WORKER_MIN_VERTICES`` vertices; otherwise the job runs in this

@@ -336,10 +336,10 @@ def match(
         k = report.k
         mt1, mt2 = report.tables
     else:
-        (mt1, _), (mt2, _) = label_pair(g1, g2, k)
+        mt1, mt2 = label_pair(g1, g2, k)
     label_time = time.perf_counter() - t0
     # Raises ConfigurationError when a label's product is over the bound.
-    idx = build_seed_index(mt1, mt2, max_product)
+    idx = build_seed_index(mt1, mt2, g1.vertex_count, g2.vertex_count, max_product)
     seed_time = time.perf_counter() - t0
 
     t1 = time.perf_counter()

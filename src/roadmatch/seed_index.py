@@ -14,40 +14,42 @@ Building the index is also the one place that checks the product bound.
 
 ``label_pair`` labels both snapshots at a fixed k, the second in a worker
 process while this one labels the first, when that pays
-(``labeling.labeling_job``).  ``auto_tune_k`` picks the label depth k: it
-grows both graphs' labels one level per k in a single pass
-(``labeling.labels_by_depth``), the second in lockstep in the worker, and
-counts them at each k, rather than labeling both graphs from scratch at
-every k.  The worker's per-k counts are ``Counter``s keyed by the label
-bytes, so they pickle small.
+(``labeling.labeling_job``), and returns their master tables.
+``auto_tune_k`` picks the label depth k: it grows both graphs' labels one
+level per k in a single pass (``labeling.counts_by_depth``), the second in
+lockstep in the worker, and counts them at each k, rather than labeling
+both graphs from scratch at every k.  After each k it keeps growing only
+the vertices whose labels can still be shared, found by one sorted scan
+over both graphs' counts (``_compatible``).  The worker's per-k counts are
+``Counter``s keyed by the label bytes, so they pickle small, and its last
+reply holds only the labels present in both graphs.  The index takes the
+two graphs' vertex counts, so tables cut down to those labels do.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import islice
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, InputError, InternalError
 from .graph import EmbeddedGraph
-from .labeling import (
-    Label,
-    MasterTable,
-    label_nodes,
-    labeling_job,
-    labels_by_depth,
-    master_table,
-)
+from .labeling import Label, MasterTable, counts_by_depth, label_nodes, labeling_job
 
 DEFAULT_MAX_PRODUCT = 24
 
 # Entries of SeedIndex.label_of besides label ids.
 UNINDEXED = -1  # the vertex's label is not cross-present
-REMOVED = -2  # removed, or never in the table
+REMOVED = -2  # removed, or not a vertex of the graph
 
 
 class SeedIndex:
-    def __init__(self, mt1: MasterTable, mt2: MasterTable, max_product: int):
+    def __init__(
+        self, mt1: MasterTable, mt2: MasterTable, n1: int, n2: int, max_product: int
+    ):
+        """Index the labels of mt1 and mt2, tables over graphs of n1 and n2
+        vertices; a table may leave out any label the other lacks."""
         if max_product < 1:
             raise InputError(f"max_product must be >= 1, got {max_product}")
         self.max_product = max_product
@@ -64,7 +66,7 @@ class SeedIndex:
         )
         # Per side, by vertex id: its label id, UNINDEXED or REMOVED.
         self.label_of: tuple[list[int], list[int]] = (
-            _label_map(mt1, self.labels), _label_map(mt2, self.labels)
+            _label_map(n1, self.members[0]), _label_map(n2, self.members[1])
         )
         products = [len(a) * len(b) for a, b in zip(*self.members)]
         # Largest n1*n2 over labels present on both sides, as built.
@@ -126,8 +128,8 @@ class SeedIndex:
     def remove_pairs(self, pairs: list[tuple[int, int]]) -> None:
         """Remove both vertices of every matched pair, re-indexing each
         touched label once.  A vertex whose label is not indexed is only
-        marked removed; removing a vertex twice, or one the tables never
-        held, is an InternalError."""
+        marked removed; removing a vertex twice, or one the graph does not
+        have, is an InternalError."""
         touched = set()
         for v1, v2 in pairs:
             for side, v in ((0, v1), (1, v2)):
@@ -145,60 +147,78 @@ class SeedIndex:
             self._reindex(lid)
 
 
-def _label_map(mt: MasterTable, labels: list[Label]) -> list[int]:
-    """Flat map from each vertex id of mt to the id of its label in labels.
-
-    Only the indexed labels are looked up: hashing every label of a deep
-    table costs more than the rest of the build.
-    """
-    label_of = [REMOVED] * (max(map(max, filter(None, mt.values())), default=-1) + 1)
-    for verts in mt.values():
+def _label_map(n: int, members: list[set[int]]) -> list[int]:
+    """Flat map from each of n vertex ids to the id of its indexed label,
+    or UNINDEXED; only the indexed labels' vertices are visited."""
+    label_of = [UNINDEXED] * n
+    for lid, verts in enumerate(members):
         for v in verts:
-            label_of[v] = UNINDEXED
-    for lid, lab in enumerate(labels):
-        for v in mt[lab]:
             label_of[v] = lid
     return label_of
 
 
 def build_seed_index(
-    mt1: MasterTable, mt2: MasterTable, max_product: int = DEFAULT_MAX_PRODUCT
+    mt1: MasterTable, mt2: MasterTable, n1: int, n2: int,
+    max_product: int = DEFAULT_MAX_PRODUCT,
 ) -> SeedIndex:
-    return SeedIndex(mt1, mt2, max_product)
+    return SeedIndex(mt1, mt2, n1, n2, max_product)
 
 
-def label_pair(
-    g1: EmbeddedGraph, g2: EmbeddedGraph, k: int
-) -> tuple[tuple[MasterTable, list[Label]], tuple[MasterTable, list[Label]]]:
-    """``label_nodes(g1, k)`` and ``label_nodes(g2, k)``, computed at once.
+def label_pair(g1: EmbeddedGraph, g2: EmbeddedGraph, k: int) -> tuple[MasterTable, MasterTable]:
+    """The master tables of ``label_nodes(g1, k)`` and ``label_nodes(g2, k)``,
+    computed at once.
 
     g2 is labeled in a worker process while this one labels g1, when that
     pays (see ``labeling.labeling_job``); the results are the same either
     way.
     """
     with labeling_job(g2, k) as second:
-        first = label_nodes(g1, k)
+        first = label_nodes(g1, k)[0]
         return first, second.receive()
 
 
-def _prefix_across(counts1: Counter, counts2: Counter) -> bool:
-    """Whether a label counted on one side is a proper prefix of a label
-    counted on the other.
+def _compatible(counts1: Counter, counts2: Counter) -> tuple[set[Label], set[Label]]:
+    """Per side, the labels counted there that equal, are a proper prefix
+    of, or extend a label counted on the other side.
 
-    In sorted order a label's extensions follow it directly, so one scan
-    keeps a stack of the labels that are prefixes of the current one.  They
-    all lie on the top one's side, or the scan would have stopped, so only
-    the top is compared.
+    A label counted on both sides is kept on both.  In sorted order a
+    label's extensions follow it directly, so one scan finds the rest: a
+    label with neither a proper prefix nor an extension in the scan is
+    passed over, and the others go on a stack of the labels that are
+    prefixes of the current one, each with the sides of its own prefixes.
+    A label is settled when it is popped: by then each of its extensions
+    has passed and handed its sides down to it.
     """
-    stack: list[tuple[Label, int]] = []  # (label, 1 first side, 2 second, 3 both)
-    for lab in sorted(counts1.keys() | counts2.keys()):
-        sides = (lab in counts1) | (lab in counts2) << 1
+    keys1, keys2 = counts1.keys(), counts2.keys()
+    shared = keys1 & keys2
+    keep = (set(shared), set(shared))
+    # [label, its side (1 first, 2 second, 3 both), sides of its proper
+    # prefixes, sides of its proper extensions so far]
+    stack: list[list] = []
+
+    def settle() -> None:
+        lab, sides, below, above = stack.pop()
+        seen = sides | below | above
+        if sides == 1 and seen & 2:
+            keep[0].add(lab)
+        elif sides == 2 and seen & 1:
+            keep[1].add(lab)
+        if stack:
+            stack[-1][3] |= sides | above
+
+    # One list, no set of all labels: the scan runs at the tuner's peak.
+    labels = [*keys1, *(lab for lab in keys2 if lab not in keys1)]
+    labels.sort()
+    labels.append(b"")  # the last label's successor, which extends no label
+    for lab, nxt in zip(labels, islice(labels, 1, None)):
         while stack and not lab.startswith(stack[-1][0]):
-            stack.pop()
-        if stack and stack[-1][1] | sides == 3:
-            return True
-        stack.append((lab, sides))
-    return False
+            settle()
+        if stack or nxt.startswith(lab):
+            below = stack[-1][1] | stack[-1][2] if stack else 0
+            stack.append([lab, (lab in keys1) | (lab in keys2) << 1, below, 0])
+    while stack:
+        settle()
+    return keep
 
 
 @dataclass
@@ -207,6 +227,7 @@ class TuneReport:
     max_product: int
     bounded: bool  # whether max_product <= requested bound
     per_k: list[tuple[int, int]]
+    # The chosen k's master tables, cut down to the labels in both graphs.
     tables: tuple[MasterTable, MasterTable] | None = None
 
 
@@ -221,53 +242,59 @@ def auto_tune_k(
     A k qualifies only when 0 < p <= bound: p = 0 means no label is shared
     by both graphs, so nothing could seed and the matching would be empty.
     Scans k ascending (monotonicity of the max product is not guaranteed:
-    small symmetric components can hold a floor).  A depth-(k+1) label
-    extends the depth-k one, and labels carry no level boundaries, so two
-    vertices with different depth-k labels can share a deeper one only if
-    one's depth-k label is a proper prefix of the other's.  The scan
-    therefore stops at the first k with p = 0 at which no label of one
-    graph is a proper prefix of a label of the other (``_prefix_across``),
-    and ``per_k`` ends there.  If no k qualifies, returns the k minimizing
-    p among those with p > 0, smallest k on ties, flagged as unbounded; if
-    no k has a shared label, k = 1 with p = 0.
+    small symmetric components can hold a floor).  If no k qualifies,
+    returns the k minimizing p among those with p > 0, smallest k on ties,
+    flagged as unbounded; if no k has a shared label, k = 1 with p = 0.
+    The report's tables hold only the labels present in both graphs, the
+    only ones that can seed.
 
-    One pass grows both graphs' labels a level per k (``labels_by_depth``)
-    and counts them for each k's max product, so tuning walks each ball
-    about once rather than once per k tried.  g2's pass runs in lockstep in
-    a worker process when that pays: at each k it sends its label counts
-    and waits for "next" or "stop", and on "stop" sends its table.  Its
-    results, tables included, equal labeling both graphs from scratch at
-    every k.  The growth state is freed before the chosen k's tables are
-    built; only the unbounded case labels again, at the minimizing k.
+    A depth-(k+1) label extends the depth-k one, and labels carry no level
+    boundaries, so two vertices of different graphs can share a deeper
+    label only if at every depth before it one's label equals, is a proper
+    prefix of, or extends the other's.  After each k, a vertex whose label
+    is compatible in that way with no label of the other graph
+    (``_compatible``) leaves its graph's live set: it can never share a
+    label again, so it is neither grown nor counted any more.  The counts
+    of the labels present in both graphs, and so p, are those of all the
+    vertices.  The scan stops when no vertex is live, and ``per_k`` ends
+    there.
+
+    One pass grows both graphs' live labels a level per k
+    (``labeling.counts_by_depth``) and counts them for each k's max
+    product, so tuning walks each ball at most once rather than once per
+    k tried.  g2's pass runs in lockstep in a worker process when that
+    pays: at each k it sends its label counts and waits for its keep-set
+    with "next", or for "stop" with the labels of both graphs, and then
+    sends its table of those.  Its results equal labeling both graphs from
+    scratch at every k.  Only the unbounded case labels again, at the
+    minimizing k.
     """
     if max_product < 1 or k_max < 1:
         raise InputError("max_product and k_max must be >= 1")
     per_k = []
     with labeling_job(g2, k_max, by_depth=True) as second:
-        depths1 = labels_by_depth(g1)
-        for k, labels1 in zip(range(1, k_max + 1), depths1):
-            # Rebinding frees the counts of the last k before the next arrive.
-            counts1 = Counter(labels1)
+        first = counts_by_depth(g1)
+        counts1 = next(first)
+        for k in range(1, k_max + 1):
             counts2 = second.receive()
-            p = max(
-                (n * counts1[lab] for lab, n in counts2.items() if lab in counts1),
-                default=0,
-            )
-            dead_end = not p and not _prefix_across(counts1, counts2)
-            del counts2
+            shared = counts1.keys() & counts2.keys()
+            p = max((counts1[lab] * counts2[lab] for lab in shared), default=0)
             per_k.append((k, p))
             if 0 < p <= max_product:
-                second.send("stop")
-                del counts1
-                depths1.close()  # frees the growth state; the labels at k stay
-                return TuneReport(
-                    k, p, True, per_k, (master_table(labels1), second.receive()[0])
-                )
-            if dead_end:
-                break  # no deeper k can share a label either
-            if k < k_max:
-                second.send("next")
-    del depths1, labels1, counts1  # the growth state and the k_max labels
+                second.send(("stop", shared))
+                del counts1, counts2
+                table1 = first.send(("stop", shared))
+                return TuneReport(k, p, True, per_k, (table1, second.receive()))
+            keep1, keep2 = _compatible(counts1, counts2)
+            # Freed before the next counts arrive.
+            del counts1, counts2, shared
+            if not keep1 or k == k_max:
+                break  # no deeper k can share a label, or none may be tried
+            second.send(("next", keep2))
+            counts1 = first.send(("next", keep1))
+        first.close()  # frees the growth state
     p, k = min(((p, k) for k, p in per_k if p), default=(0, 1))
-    (mt1, _), (mt2, _) = label_pair(g1, g2, k)
-    return TuneReport(k, p, False, per_k, (mt1, mt2))
+    mt1, mt2 = label_pair(g1, g2, k)
+    shared = mt1.keys() & mt2.keys()
+    tables = tuple({lab: mt[lab] for lab in mt if lab in shared} for mt in (mt1, mt2))
+    return TuneReport(k, p, False, per_k, tables)

@@ -175,12 +175,14 @@ def reference_admissible(state: MatchState, v1: int, v2: int) -> bool:
 
 def rebuilt_index(mt1, mt2, keep, retired_labels, max_product) -> SeedIndex:
     """A fresh index over the vertices v of side s where keep(s, v) holds,
-    with every label in retired_labels retired."""
+    with every label in retired_labels retired; mt1 and mt2 are whole
+    master tables, so they list every vertex once."""
     tables = [
         {lab: [v for v in verts if keep(side, v)] for lab, verts in mt.items()}
         for side, mt in enumerate((mt1, mt2))
     ]
-    fresh = SeedIndex(tables[0], tables[1], max_product)
+    sizes = [sum(map(len, mt.values())) for mt in (mt1, mt2)]
+    fresh = SeedIndex(tables[0], tables[1], *sizes, max_product)
     for lid, lab in enumerate(fresh.labels):
         if lab in retired_labels:
             fresh.retire_label(lid)

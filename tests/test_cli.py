@@ -192,6 +192,16 @@ class TestErrors:
         assert "k must be >= 0, got -2" in err
         assert "# k:" not in out
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "2.5"])
+    def test_validate_rejects_non_integer_k_line(self, tmp_path, capsys, value):
+        g, m = tmp_path / "g.erg", tmp_path / "m.txt"
+        g.write_text(emit_erg(path_graph(3)))
+        m.write_text(f"# k: {value}\nm 0 0\n")
+        code, out, err = run(capsys, "validate", str(m), str(g), str(g))
+        assert code == 1
+        assert f"matching file's k must be a non-negative integer, got {value}" in err
+        assert "Traceback" not in err and out == ""
+
     @pytest.mark.parametrize(
         "records,message",
         [

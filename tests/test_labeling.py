@@ -1,4 +1,5 @@
 import random
+import signal
 from collections import deque
 
 import pytest
@@ -171,6 +172,23 @@ class TestLabelNodes:
     def test_isolated_vertex(self):
         _, labels = label_nodes(EmbeddedGraph(((),)), 3)
         assert tuples(labels) == [(0,)]
+
+    def test_huge_k_stops_once_balls_cover_their_component(self):
+        # Every ball of a 3-vertex path covers it by depth 2; deeper levels
+        # are empty, so k = 10**9 must cost what k = 2 does.  A walk that
+        # went on through the empty levels would fill memory with them, so
+        # it is stopped after two seconds.
+        def expire(signum, frame):
+            raise TimeoutError("labeling went on past the last level")
+
+        old = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(2)
+        try:
+            got = label_nodes(path_graph(3), 10**9)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        assert got == label_nodes(path_graph(3), 2)
 
     def test_sizes_sum_to_n(self):
         g = path_graph(7)

@@ -32,7 +32,7 @@ from conftest import (
 def make_state_and_index(g1, g2, k=2, bound=10**6):
     mt1, _ = label_nodes(g1, k)
     mt2, _ = label_nodes(g2, k)
-    idx = build_seed_index(mt1, mt2, bound)
+    idx = build_seed_index(mt1, mt2, g1.vertex_count, g2.vertex_count, bound)
     return MatchState(g1, g2), idx
 
 
@@ -930,6 +930,8 @@ class TestPinnedMatchings:
         # of its seed pairs has one tied start, so flooding each alignment
         # once leaves the 32 as they were.
         "lattice-k3": ((24, 24, 0.01, 6), (0.03, 0.02, 0.03, 7)),
+        # Tunes past k=2 at bound 24: per_k (1, 13770), (2, 40), (3, 1).
+        "autok": ((30, 60, 0.15, 9), (0.05, 0.0, 0.02, 10)),
     }
     CASES = [
         # (pair, match options, k, labels retired, digest)
@@ -946,6 +948,10 @@ class TestPinnedMatchings:
         # Recorded before pair_admissible became an insertion check.
         ("lattice-k3", dict(k=3, max_product=10**6), 3, 0,
          "19f1e77bd4d80f51e7b1e1d0675afdea477f0c14f3c1ddc2c82df5a31e9dd9ef"),
+        # Recorded before the tuner dropped the vertices that can no longer
+        # share a label.
+        ("autok", dict(auto_k=True, max_product=24), 3, 0,
+         "5ee952eb108b78eb7a4bef3855b6628ede2222e8174fe9ae84f1d3a65432121c"),
     ]
     # Trials run, by (pair, k), recorded once the seed loop skipped pairs
     # that cannot beat the label's best trial; flooding every pair of tied
@@ -957,6 +963,7 @@ class TestPinnedMatchings:
         ("irregular", 3): 1,
         ("lattice", 1): 836,
         ("lattice-k3", 3): 32,
+        ("autok", 3): 1,
     }
 
     @pytest.mark.parametrize("pair,options,k,retired,digest", CASES)

@@ -40,6 +40,11 @@ def with_stray_edges(g, count):
     return EmbeddedGraph(g.rotation + tuple(extra))
 
 
+def tables(g1, g2, k):
+    """What ``label_pair(g1, g2, k)`` returns: the two master tables."""
+    return label_nodes(g1, k)[0], label_nodes(g2, k)[0]
+
+
 def snapshot_pair(seed, rows=6, cols=6):
     g1 = gen_irregular_grid(rows, cols, 0.2, seed)
     g2, _ = perturb(g1, 0.05, 0.0, 0.02, seed + 1)
@@ -53,7 +58,7 @@ class TestSameResults:
         with forced_worker() as started:
             got = label_pair(g1, g2, k)
         assert len(started) == 1 and started[0].returncode is not None
-        assert got == (label_nodes(g1, k), label_nodes(g2, k))
+        assert got == tables(g1, g2, k)
 
     def test_label_pair_on_snapshots(self):
         g1, g2 = snapshot_pair(3, 10, 12)
@@ -61,7 +66,7 @@ class TestSameResults:
             with forced_worker() as started:
                 got = label_pair(g1, g2, k)
             assert len(started) == 1
-            assert got == (label_nodes(g1, k), label_nodes(g2, k))
+            assert got == tables(g1, g2, k)
 
     @given(scattered_graphs(), scattered_graphs(), st.integers(1, 30), st.integers(2, 6))
     @settings(max_examples=25, deadline=None)
@@ -110,13 +115,15 @@ class TestWorkerEnds:
         with forced_worker() as started:
 
             def depths(g):
-                # Kill the worker while it grows its labels to k = 2.
-                for k, labels in enumerate(labels_by_depth(g), 1):
-                    if k == 2:
-                        started[0].kill()
-                    yield labels
+                # Kill the worker while this process grows its own labels
+                # to k = 2.
+                inner = labels_by_depth(g)
+                keep = yield next(inner)
+                started[0].kill()
+                while True:
+                    keep = yield inner.send(keep)
 
-            monkeypatch.setattr(seed_index, "labels_by_depth", depths)
+            monkeypatch.setattr(labeling, "labels_by_depth", depths)
             with pytest.raises(InternalError, match="exit status -9"):
                 auto_tune_k(g1, g2, 1, 4)
         assert len(started) == 1
@@ -153,7 +160,7 @@ class TestInProcess:
         g1s, g2s = (with_stray_edges(g, 2) for g in (g1, g2))
         with forced_worker():
             monkeypatch.setattr(subprocess, "Popen", no_interpreter)
-            assert label_pair(g1, g2, 3) == (label_nodes(g1, 3), label_nodes(g2, 3))
+            assert label_pair(g1, g2, 3) == tables(g1, g2, 3)
             assert auto_tune_k(g1, g2, 1, 6) == relabeling_tune(g1, g2, 1, 6)
             assert auto_tune_k(g1s, g2s, 1, 4) == relabeling_tune(g1s, g2s, 1, 4)
 
@@ -167,7 +174,7 @@ class TestInProcess:
         if hasattr(os, "sched_getaffinity"):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert label_pair(g1, g2, 3) == (label_nodes(g1, 3), label_nodes(g2, 3))
+        assert label_pair(g1, g2, 3) == tables(g1, g2, 3)
         assert auto_tune_k(g1, g2, 1, 6) == relabeling_tune(g1, g2, 1, 6)
 
     def test_small_graphs_and_shallow_k(self, monkeypatch):
@@ -176,7 +183,7 @@ class TestInProcess:
 
         g1, g2 = snapshot_pair(4)
         monkeypatch.setattr(subprocess, "Popen", unexpected)
-        assert label_pair(g1, g2, 3) == (label_nodes(g1, 3), label_nodes(g2, 3))
+        assert label_pair(g1, g2, 3) == tables(g1, g2, 3)
         monkeypatch.setattr(labeling, "WORKER_MIN_VERTICES", 0)
-        assert label_pair(g1, g2, 1) == (label_nodes(g1, 1), label_nodes(g2, 1))
+        assert label_pair(g1, g2, 1) == tables(g1, g2, 1)
         assert auto_tune_k(g1, g2, 24, 1) == relabeling_tune(g1, g2, 24, 1)

@@ -27,6 +27,15 @@ def tables_for(g1, g2, k):
     return label_nodes(g1, k)[0], label_nodes(g2, k)[0]
 
 
+def shared_tables(mt1, mt2):
+    """Both master tables cut down to the labels present in both."""
+    shared = mt1.keys() & mt2.keys()
+    return (
+        {lab: verts for lab, verts in mt1.items() if lab in shared},
+        {lab: verts for lab, verts in mt2.items() if lab in shared},
+    )
+
+
 def graph_of(n, edges):
     """Graph on vertices 0..n-1; each rotation lists edges in given order."""
     rotation = [[] for _ in range(n)]
@@ -44,14 +53,14 @@ def lid_of(idx, label):
 class TestBuild:
     def test_two_path3_graphs_k1(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
-        idx = build_seed_index(mt1, mt2, 24)
+        idx = build_seed_index(mt1, mt2, 3, 3, 24)
         assert idx.product[lid_of(idx, (1, 2))] == 4
         assert idx.product[lid_of(idx, (2, 1, 1))] == 1
         assert min(idx.bucket) == 1
 
     def test_one_sided_label_not_indexed(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(2), 1)
-        idx = build_seed_index(mt1, mt2, 24)
+        idx = build_seed_index(mt1, mt2, 3, 2, 24)
         # (2,1,1) only occurs in the path of 3; (1,1) only in the path of 2.
         assert idx.labels == []
         assert not idx.bucket
@@ -60,39 +69,42 @@ class TestBuild:
     def test_label_with_empty_list_not_indexed(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
         mt2[bytes((2, 1, 1))] = []  # its vertex 1 is in no list of g2's table
-        idx = build_seed_index(mt1, mt2, 24)
+        idx = build_seed_index(mt1, mt2, 3, 3, 24)
         assert [tuple(lab) for lab in idx.labels] == [(1, 2)]
-        assert idx.label_of[0][1] == UNINDEXED
-        # An unindexed vertex is only marked removed; g2's vertex 1 was
-        # never in the table.
+        # g2's vertex 1 is in no list of its table, but the index is sized
+        # from the vertex counts, so it is unindexed like g1's vertex 1.
+        assert idx.label_of[0][1] == idx.label_of[1][1] == UNINDEXED
+        # An unindexed vertex is only marked removed.
         idx.remove_pairs([(1, 0)])
         assert idx.label_of[0][1] == REMOVED
         with pytest.raises(InternalError):
             idx.remove_pairs([(1, 2)])
+        idx.remove_pairs([(0, 1)])
+        assert idx.label_of[1][1] == REMOVED
         with pytest.raises(InternalError):
-            idx.remove_pairs([(0, 1)])
+            idx.remove_pairs([(2, 1)])
 
     def test_product_exceeding_bound_names_label(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
         with pytest.raises(ConfigurationError, match=r"\(1, 2\)"):
-            build_seed_index(mt1, mt2, 3)
+            build_seed_index(mt1, mt2, 3, 3, 3)
 
     def test_unique_common_label_min_product_one(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
-        idx = build_seed_index(mt1, mt2, 24)
+        idx = build_seed_index(mt1, mt2, 3, 3, 24)
         assert min(idx.bucket) == 1
 
 
 class TestPopMinLabel:
     def test_single_label(self):
         mt1, mt2 = tables_for(path_graph(2), path_graph(2), 1)
-        idx = build_seed_index(mt1, mt2, 24)
+        idx = build_seed_index(mt1, mt2, 2, 2, 24)
         lid = idx.pop_min_label(random.Random(0))
         assert tuple(idx.labels[lid]) == (1, 1)
 
     def test_prefers_smaller_product(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
-        idx = build_seed_index(mt1, mt2, 24)
+        idx = build_seed_index(mt1, mt2, 3, 3, 24)
         lid = idx.pop_min_label(random.Random(0))
         assert tuple(idx.labels[lid]) == (2, 1, 1)
 
@@ -100,26 +112,27 @@ class TestPopMinLabel:
         mt1, mt2 = tables_for(path_graph(2), path_graph(2), 1)
         mt1[bytes((9, 9))] = [99]
         mt2[bytes((9, 9))] = [99]  # second label with product 1
-        picks = {build_seed_index(mt1, mt2, 24).pop_min_label(random.Random(5)) for _ in range(5)}
+        idx_of = lambda: build_seed_index(mt1, mt2, 100, 100, 24)  # noqa: E731
+        picks = {idx_of().pop_min_label(random.Random(5)) for _ in range(5)}
         assert len(picks) == 1
 
     def test_empty_index_signals_exhaustion(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(2), 1)
-        idx = build_seed_index(mt1, mt2, 24)
+        idx = build_seed_index(mt1, mt2, 3, 2, 24)
         assert idx.pop_min_label(random.Random(0)) is None
 
 
 class TestRemoveVertex:
     def test_product_recomputed(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
-        idx = build_seed_index(mt1, mt2, 24)
+        idx = build_seed_index(mt1, mt2, 3, 3, 24)
         lid = lid_of(idx, (1, 2))
         idx.remove_pairs([(0, 1)])  # counts of (1, 2): (2, 2) -> (1, 2)
         assert idx.product[lid] == 2
 
     def test_last_vertex_unindexes_label(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
-        idx = build_seed_index(mt1, mt2, 24)
+        idx = build_seed_index(mt1, mt2, 3, 3, 24)
         lid = lid_of(idx, (2, 1, 1))
         idx.remove_pairs([(1, 0)])
         assert lid not in idx.product
@@ -127,14 +140,14 @@ class TestRemoveVertex:
 
     def test_double_removal_is_internal_error(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
-        idx = build_seed_index(mt1, mt2, 24)
+        idx = build_seed_index(mt1, mt2, 3, 3, 24)
         idx.remove_pairs([(0, 0)])
         with pytest.raises(InternalError):
             idx.remove_pairs([(0, 2)])
 
     def test_batch_removal_checks_each_vertex(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
-        idx = build_seed_index(mt1, mt2, 24)
+        idx = build_seed_index(mt1, mt2, 3, 3, 24)
         with pytest.raises(InternalError):
             idx.remove_pairs([(0, 0), (0, 2)])  # vertex 0 of g1 twice
         with pytest.raises(InternalError):
@@ -148,7 +161,7 @@ class TestRemoveVertex:
         g1 = gen_irregular_grid(4, 5, 0.2, 1)
         g2, _ = perturb(g1, 0.1, 0.05, 0.05, 2)
         mt1, mt2 = tables_for(g1, g2, 2)
-        idx = build_seed_index(mt1, mt2, 10**6)
+        idx = build_seed_index(mt1, mt2, g1.vertex_count, g2.vertex_count, 10**6)
         left = [list(range(g1.vertex_count)), list(range(g2.vertex_count))]
         for side in left:
             rng.shuffle(side)
@@ -166,7 +179,7 @@ class TestRemoveVertex:
 class TestRetireLabel:
     def test_retired_label_stays_out(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
-        idx = build_seed_index(mt1, mt2, 24)
+        idx = build_seed_index(mt1, mt2, 3, 3, 24)
         lid = lid_of(idx, (1, 2))
         idx.retire_label(lid)
         assert lid not in idx.product
@@ -176,7 +189,7 @@ class TestRetireLabel:
 
     def test_retired_label_stays_out_after_batch_removal(self):
         mt1, mt2 = tables_for(path_graph(4), path_graph(4), 1)
-        idx = build_seed_index(mt1, mt2, 24)
+        idx = build_seed_index(mt1, mt2, 4, 4, 24)
         lid = lid_of(idx, (1, 2))
         idx.retire_label(lid)
         idx.remove_pairs([(0, 0)])
@@ -226,7 +239,8 @@ class TestAutoTuneK:
         report = auto_tune_k(path_graph(3), path_graph(4), 1, 3)
         assert report.per_k == [(1, 4), (2, 0)]
         assert (report.k, report.max_product, report.bounded) == (1, 4, False)
-        assert report.tables == tables_for(path_graph(3), path_graph(4), 1)
+        # Only the leaves' (1, 2) is in both tables.
+        assert report.tables == ({bytes((1, 2)): [0, 2]}, {bytes((1, 2)): [0, 3]})
 
     def test_scan_passes_a_k_without_shared_label_when_one_label_is_a_prefix(self):
         # Every degree is 3, so a label is its ball size written in 3s.
@@ -253,7 +267,7 @@ class TestAutoTuneK:
         report = auto_tune_k(g1, g2, 24, 3)
         assert report.per_k == [(1, 0)]
         assert (report.k, report.max_product, report.bounded) == (1, 0, False)
-        assert report.tables == tables_for(g1, g2, 1)
+        assert report.tables == ({}, {})
 
     def test_unbounded_tables_match_chosen_k(self):
         # The product stays 4 at every k, so k=1 is chosen after k=4 was
@@ -263,6 +277,15 @@ class TestAutoTuneK:
         assert not report.bounded and report.k == 1
         mt, _ = label_nodes(g, 1)
         assert report.tables == (mt, mt)
+
+
+def compatible_pairwise(labels1, labels2):
+    """Per side, the labels that equal, are a proper prefix of, or extend a
+    label of the other side, found by comparing every pair."""
+    return tuple(
+        {a for a in x if any(a.startswith(b) or b.startswith(a) for b in y)}
+        for x, y in ((labels1, labels2), (labels2, labels1))
+    )
 
 
 def prefix_across_pairwise(labels1, labels2):
@@ -282,7 +305,8 @@ def relabeling_tune(g1, g2, max_product, k_max):
     A k qualifies, and the unbounded fallback considers it, only when some
     label is shared (max product > 0).  The scan stops at the first k with
     none at which no label of one graph is a proper prefix of a label of
-    the other; with none at any k, k = 1.
+    the other; with none at any k, k = 1.  The tables hold the labels
+    present in both graphs.
     """
     per_k = []
     best = None  # (max product, k, tables)
@@ -294,22 +318,23 @@ def relabeling_tune(g1, g2, max_product, k_max):
         if p and (best is None or p < best[0]):
             best = (p, k, (mt1, mt2))
         if 0 < p <= max_product:
-            return TuneReport(k, p, True, per_k, (mt1, mt2))
+            return TuneReport(k, p, True, per_k, shared_tables(mt1, mt2))
         if not p and not prefix_across_pairwise(mt1, mt2):
             break
     if best is None:
-        return TuneReport(1, 0, False, per_k, tables_for(g1, g2, 1))
+        return TuneReport(1, 0, False, per_k, shared_tables(*tables_for(g1, g2, 1)))
     p, k, tables = best
-    return TuneReport(k, p, False, per_k, tables)
+    return TuneReport(k, p, False, per_k, shared_tables(*tables))
 
 
 class TestTuneAgainstRelabeling:
     @given(*[st.lists(st.lists(st.integers(1, 2), max_size=4).map(bytes), max_size=8)] * 2)
-    def test_prefix_scan_equals_pairwise(self, labels1, labels2):
-        # Two degrees and short labels, so prefixes across sides are common;
-        # a label may also be on both sides.
-        got = seed_index._prefix_across(Counter(labels1), Counter(labels2))
-        assert got == prefix_across_pairwise(labels1, labels2)
+    def test_compatible_scan_equals_pairwise(self, labels1, labels2):
+        # Two degrees and short labels, so prefixes across sides are common,
+        # and chains of them deep; a label may also be on both sides, or
+        # repeated on one.
+        got = seed_index._compatible(Counter(labels1), Counter(labels2))
+        assert got == compatible_pairwise(labels1, labels2)
 
     @given(scattered_graphs(), scattered_graphs(), st.integers(1, 30), st.integers(1, 6))
     @settings(max_examples=150)
@@ -328,6 +353,16 @@ class TestTuneAgainstRelabeling:
         g1 = gen_irregular_grid(rows, cols, 0.2, seed)
         g2, _ = perturb(g1, 0.05, 0.0, 0.02, seed + 1)
         assert auto_tune_k(g1, g2, bound, k_max) == relabeling_tune(g1, g2, bound, k_max)
+
+    def test_equal_report_when_no_vertex_is_dropped(self):
+        # A perfect grid against itself shares every label at every k, so
+        # every vertex stays live; its rotations keep the product at 16 or
+        # more, so bound 1 scans up to k_max.
+        g = gen_irregular_grid(8, 8, 0.0, 1)
+        report = auto_tune_k(g, g, 1, 9)
+        assert [k for k, _ in report.per_k] == list(range(1, 10))
+        assert min(p for _, p in report.per_k) >= 16
+        assert report == relabeling_tune(g, g, 1, 9)
 
     @given(scattered_graphs())
     @settings(max_examples=100)
@@ -348,3 +383,18 @@ class TestTuneAgainstRelabeling:
     def test_grown_labels_equal_label_nodes(self, g):
         for k, labels in zip(range(1, 7), labels_by_depth(g)):
             assert labels == label_nodes(g, k)[1]
+
+    @given(scattered_graphs(), st.randoms(use_true_random=False))
+    @settings(max_examples=150)
+    def test_kept_labels_equal_label_nodes(self, g, rnd):
+        # A vertex leaves the live set once its label is not kept, and the
+        # others grow on as if nothing had left.
+        depths = labels_by_depth(g)
+        live = next(depths)
+        alive = set(range(g.vertex_count))
+        for k in range(1, 7):
+            labels = label_nodes(g, k)[1]
+            assert live == [lab if v in alive else None for v, lab in enumerate(labels)]
+            keep = {lab for lab in sorted(set(filter(None, live))) if rnd.random() < 0.7}
+            alive = {v for v in alive if labels[v] in keep}
+            live = depths.send(keep)
