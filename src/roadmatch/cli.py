@@ -159,9 +159,13 @@ def _cmd_match(args) -> int:
     _write(args.output, format_matching(result))
     # A label product of 0 means no label is shared by both graphs.
     if not result.stats.max_product:
+        if args.auto_k:
+            where, hint = f"any k in [1, {args.k_max}]", ""
+        else:
+            where, hint = f"k={result.stats.k}", "; a smaller k shares more labels (see tune-k)"
         print(
-            f"warning: no label at k={result.stats.k} is shared by both graphs, "
-            f"so the matching is empty; a smaller k shares more labels (see tune-k)",
+            f"warning: no label at {where} is shared by both graphs, "
+            f"so the matching is empty{hint}",
             file=sys.stderr,
         )
     return 0

@@ -51,9 +51,6 @@ class EmbeddedGraph:
             raise InputError(f"vertex {v} out of range 0..{len(self.rotation) - 1}")
         return len(self.rotation[v])
 
-    def edge_count(self) -> int:
-        return sum(len(r) for r in self.rotation) // 2
-
 
 def _validate(g: EmbeddedGraph) -> None:
     rotation = g.rotation

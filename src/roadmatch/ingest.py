@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from . import worker
 from .errors import InputError
-from .graph import DEFAULT_D_MAX, EmbeddedGraph
+from .graph import EmbeddedGraph
 
 ERG_HEADER = "ERG 1"
 
@@ -46,7 +46,7 @@ class SegmentSet:
 # --- ERG format ---------------------------------------------------------
 
 
-def parse_erg(text: str, d_max: int = DEFAULT_D_MAX) -> EmbeddedGraph:
+def parse_erg(text: str) -> EmbeddedGraph:
     n = None
     coords: dict[int, tuple[float, float]] = {}
     adjacency: dict[int, tuple[int, ...]] = {}
@@ -109,7 +109,7 @@ def parse_erg(text: str, d_max: int = DEFAULT_D_MAX) -> EmbeddedGraph:
     if coords:
         graph_coords = tuple(coords.get(v) for v in range(n))
     try:
-        return EmbeddedGraph(rotation, graph_coords, d_max=d_max)
+        return EmbeddedGraph(rotation, graph_coords)
     except InputError as e:
         raise InputError(f"invalid graph: {e}") from None
 
@@ -176,9 +176,7 @@ def rotation_from_coords(coords, neighbor_lists) -> tuple[tuple[int, ...], ...]:
     return tuple(rotation)
 
 
-def build_graph_from_segments(
-    s: SegmentSet, snap_epsilon: float = 0.0, d_max: int = DEFAULT_D_MAX
-) -> EmbeddedGraph:
+def build_graph_from_segments(s: SegmentSet, snap_epsilon: float = 0.0) -> EmbeddedGraph:
     """One vertex per distinct endpoint, one edge per segment.
 
     Endpoints are identified exactly by default; a positive snap_epsilon
@@ -211,19 +209,19 @@ def build_graph_from_segments(
         nbrs[u].add(v)
         nbrs[v].add(u)
     rotation = rotation_from_coords(coords, nbrs)
-    return EmbeddedGraph(rotation, tuple(coords), d_max=d_max)
+    return EmbeddedGraph(rotation, tuple(coords))
 
 
-def load_graph(path: str, fmt: str = "erg", d_max: int = DEFAULT_D_MAX) -> EmbeddedGraph:
+def load_graph(path: str, fmt: str = "erg") -> EmbeddedGraph:
     with open(path, "rb") as fh:
         try:
             text = fh.read().decode("utf-8")
         except UnicodeDecodeError as e:
             raise InputError(f"{path}: not UTF-8 text at byte {e.start}") from None
     if fmt == "erg":
-        return parse_erg(text, d_max=d_max)
+        return parse_erg(text)
     if fmt == "segments":
-        return build_graph_from_segments(parse_segments(text), d_max=d_max)
+        return build_graph_from_segments(parse_segments(text))
     raise InputError(f"unknown format {fmt!r}")
 
 

@@ -1,8 +1,9 @@
 """Greedy flood-based conformal matching.
 
-The outer loop repeatedly pops the label with minimal cross product and
-enumerates its seed pairs, times every alignment of the two seeds'
-canonical starting rotations.  It visits only the pairs that can pass the
+`match` labels both snapshots, builds their `SeedIndex` and hands it to
+`flood_match`.  Its loop repeatedly pops the label with minimal cross
+product and enumerates its seed pairs, times every alignment of the two
+seeds' canonical starting rotations.  It visits only the pairs that can pass the
 seed check and can beat the label's best trial so far: a seed s1 with a
 matched neighbour is paired only with the seeds adjacent to that
 neighbour's image, and a pair is skipped once either seed's component
@@ -34,16 +35,10 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import InternalError
+from .errors import ConfigurationError, InternalError
 from .graph import EmbeddedGraph
 from .labeling import DEFAULT_K, StartMemo, depth_one_at
-from .seed_index import (
-    DEFAULT_MAX_PRODUCT,
-    SeedIndex,
-    auto_tune_k,
-    build_seed_index,
-    label_pair,
-)
+from .seed_index import DEFAULT_MAX_PRODUCT, SeedIndex, auto_tune_k, label_pair
 
 
 class MatchState:
@@ -299,16 +294,10 @@ class MatchResult:
     stats: MatchStats
 
 
-def match(
-    g1: EmbeddedGraph,
-    g2: EmbeddedGraph,
-    k: int = DEFAULT_K,
-    max_product: int = DEFAULT_MAX_PRODUCT,
-    rng_seed: int = 0,
-    auto_k: bool = False,
-    k_max: int = 12,
-) -> MatchResult:
-    """Full pipeline: label both graphs, then flood-match label by label.
+def flood_match(
+    g1: EmbeddedGraph, g2: EmbeddedGraph, idx: SeedIndex, rng_seed: int
+) -> MatchState:
+    """Flood-match label by label from the seed index idx; returns the final state.
 
     Deterministic for fixed inputs: seed pairs are enumerated in ascending
     vertex id and start rotations in offset order, s1's outside s2's.  A
@@ -330,19 +319,6 @@ def match(
     earliest on ties.  The only randomness (tie-breaking among
     equal-product labels) flows through the seeded rng.
     """
-    t0 = time.perf_counter()
-    if auto_k:
-        report = auto_tune_k(g1, g2, max_product, k_max)
-        k = report.k
-        mt1, mt2 = report.tables
-    else:
-        mt1, mt2 = label_pair(g1, g2, k)
-    label_time = time.perf_counter() - t0
-    # Raises ConfigurationError when a label's product is over the bound.
-    idx = build_seed_index(mt1, mt2, g1.vertex_count, g2.vertex_count, max_product)
-    seed_time = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
     state = MatchState(g1, g2)
     rng = random.Random(rng_seed)
     starts: StartMemo = {}  # tied start offsets, for both graphs
@@ -406,7 +382,40 @@ def match(
             idx.retire_label(lid)
             continue
         state.commit(best, idx)
-    match_time = time.perf_counter() - t1
+    return state
+
+
+def match(
+    g1: EmbeddedGraph,
+    g2: EmbeddedGraph,
+    k: int = DEFAULT_K,
+    max_product: int = DEFAULT_MAX_PRODUCT,
+    rng_seed: int = 0,
+    auto_k: bool = False,
+    k_max: int = 12,
+) -> MatchResult:
+    """Full pipeline: label both graphs at k, or at the k `auto_tune_k`
+    picks, index their seeds and `flood_match` from the index.  The bound is
+    checked by the index at a fixed k and by the tuner's report under auto_k.
+    """
+    t0 = time.perf_counter()
+    if auto_k:
+        report = auto_tune_k(g1, g2, max_product, k_max)
+        if report.tables is None:
+            raise ConfigurationError(
+                f"no k in [1, {k_max}] meets the bound {max_product}: the smallest max label "
+                f"product is {report.max_product}, at k={report.k}; raise the bound (see tune-k)"
+            )
+        k = report.k
+        mt1, mt2 = report.tables
+    else:
+        mt1, mt2 = label_pair(g1, g2, k)
+    label_time = time.perf_counter() - t0
+    # Raises ConfigurationError when a label's product is over the bound.
+    idx = SeedIndex(mt1, mt2, g1.vertex_count, g2.vertex_count, max_product)
+    seed_time = time.perf_counter() - t0
+    state = flood_match(g1, g2, idx, rng_seed)
+    match_time = time.perf_counter() - t0 - seed_time
 
     pairs = sorted(state.total)
     unmatched1 = [v for v in range(g1.vertex_count) if state.matched1[v] is None]

@@ -10,7 +10,8 @@ in one batch and every affected label's product is recomputed once.
 Labels (``bytes``, one byte per degree; see ``labeling``) are interned to
 integer ids, in label order, at build time; all internal structures work
 on ids, and error messages show a label as a tuple of its degrees.
-Building the index is also the one place that checks the product bound.
+Building the index checks the product bound at a fixed k; under auto-k the
+tuner's report does (``TuneReport.bounded``).
 
 ``label_pair`` labels both snapshots at a fixed k, the second in a worker
 process while this one labels the first, when that pays
@@ -157,13 +158,6 @@ def _label_map(n: int, members: list[set[int]]) -> list[int]:
     return label_of
 
 
-def build_seed_index(
-    mt1: MasterTable, mt2: MasterTable, n1: int, n2: int,
-    max_product: int = DEFAULT_MAX_PRODUCT,
-) -> SeedIndex:
-    return SeedIndex(mt1, mt2, n1, n2, max_product)
-
-
 def label_pair(g1: EmbeddedGraph, g2: EmbeddedGraph, k: int) -> tuple[MasterTable, MasterTable]:
     """The master tables of ``label_nodes(g1, k)`` and ``label_nodes(g2, k)``,
     computed at once.
@@ -227,7 +221,7 @@ class TuneReport:
     max_product: int
     bounded: bool  # whether max_product <= requested bound
     per_k: list[tuple[int, int]]
-    # The chosen k's master tables, cut down to the labels in both graphs.
+    # The chosen k's master tables cut to the labels in both graphs; None if unbounded with p > 0.
     tables: tuple[MasterTable, MasterTable] | None = None
 
 
@@ -244,9 +238,9 @@ def auto_tune_k(
     Scans k ascending (monotonicity of the max product is not guaranteed:
     small symmetric components can hold a floor).  If no k qualifies,
     returns the k minimizing p among those with p > 0, smallest k on ties,
-    flagged as unbounded; if no k has a shared label, k = 1 with p = 0.
-    The report's tables hold only the labels present in both graphs, the
-    only ones that can seed.
+    flagged as unbounded and without tables; if no k has a shared label,
+    k = 1 with p = 0 and empty tables.  A bounded report's tables hold only
+    the labels present in both graphs, the only ones that can seed.
 
     A depth-(k+1) label extends the depth-k one, and labels carry no level
     boundaries, so two vertices of different graphs can share a deeper
@@ -266,8 +260,7 @@ def auto_tune_k(
     pays: at each k it sends its label counts and waits for its keep-set
     with "next", or for "stop" with the labels of both graphs, and then
     sends its table of those.  Its results equal labeling both graphs from
-    scratch at every k.  Only the unbounded case labels again, at the
-    minimizing k.
+    scratch at every k.
     """
     if max_product < 1 or k_max < 1:
         raise InputError("max_product and k_max must be >= 1")
@@ -294,7 +287,4 @@ def auto_tune_k(
             counts1 = first.send(("next", keep1))
         first.close()  # frees the growth state
     p, k = min(((p, k) for k, p in per_k if p), default=(0, 1))
-    mt1, mt2 = label_pair(g1, g2, k)
-    shared = mt1.keys() & mt2.keys()
-    tables = tuple({lab: mt[lab] for lab in mt if lab in shared} for mt in (mt1, mt2))
-    return TuneReport(k, p, False, per_k, tables)
+    return TuneReport(k, p, False, per_k, None if p else ({}, {}))

@@ -3,6 +3,7 @@ import os
 import random
 import signal
 import subprocess
+from collections import deque
 
 import pytest
 from hypothesis import strategies as st
@@ -154,23 +155,80 @@ def conformal_at(g1: EmbeddedGraph, g2: EmbeddedGraph, matched1, x: int) -> bool
     return around_w[i:] + around_w[:i] == images
 
 
-def reference_admissible(state: MatchState, v1: int, v2: int) -> bool:
-    """Full re-check of pair_admissible's question for unmatched v1, v2.
+def rechecked_admissible(g1: EmbeddedGraph, g2: EmbeddedGraph, matched1, v1, v2) -> bool:
+    """Would matching unmatched v1 to v2 keep the matching conformal?
 
-    Adds (v1, v2) tentatively and re-checks the whole cyclic order at v1
-    and at every matched neighbor of v1, so it needs no precondition on the
-    state; it is the reference for the matcher's insertion check.
+    Adds (v1, v2) to matched1 tentatively and re-checks the whole cyclic
+    order at v1 and at every matched neighbor of v1, so it needs no
+    precondition on the matching.
     """
-    g1, g2 = state.g1, state.g2
-    matched1 = state.matched1
     matched1[v1] = v2
-    state.matched2[v2] = v1
     ok = conformal_at(g1, g2, matched1, v1) and all(
         conformal_at(g1, g2, matched1, u) for u in g1.rotation[v1] if matched1[u] is not None
     )
     matched1[v1] = None
-    state.matched2[v2] = None
     return ok
+
+
+def reference_admissible(state: MatchState, v1: int, v2: int) -> bool:
+    """Full re-check of pair_admissible's question for unmatched v1, v2;
+    the reference for the matcher's insertion check."""
+    return rechecked_admissible(state.g1, state.g2, state.matched1, v1, v2)
+
+
+def canonical_start_rotations(g: EmbeddedGraph, v: int) -> list[tuple[int, ...]]:
+    """Cyclic rotations of rotation[v] whose neighbour degrees are
+    lexicographically minimal, in offset order.
+
+    Every rotation is compared whole, with none of the memo that labeling
+    uses for the same starts, so the two can check each other.
+    """
+    rot = g.rotation[v]
+    rotations = [rot[i:] + rot[:i] for i in range(len(rot))] or [rot]
+    keys = [[len(g.rotation[u]) for u in r] for r in rotations]
+    best = min(keys)
+    return [r for r, key in zip(rotations, keys) if key == best]
+
+
+def reference_flood(g1: EmbeddedGraph, g2: EmbeddedGraph, s1, s2, rotation1, rotation2) -> int:
+    """Cardinality of one flood from the seed pair (s1, s2) on an empty
+    matching, its start rotations paired entry by entry; every pair is
+    admitted by the full re-check, so it shares no code with the matcher."""
+    m1 = [None] * g1.vertex_count
+    m2 = [None] * g2.vertex_count
+    m1[s1], m2[s2] = s2, s1
+    size = 1
+    q = deque((a, b, s1, s2) for a, b in zip(rotation1, rotation2))
+    while q:
+        v1, v2, p1, p2 = q.popleft()
+        if m1[v1] is not None or m2[v2] is not None:
+            continue
+        r1, r2 = g1.rotation[v1], g2.rotation[v2]
+        if len(r1) != len(r2) or not rechecked_admissible(g1, g2, m1, v1, v2):
+            continue
+        m1[v1], m2[v2] = v2, v1
+        size += 1
+        i1 = r1.index(p1)
+        i2 = r2.index(p2)
+        q.extend((a, b, v1, v2) for a, b in zip(r1[i1 + 1 :] + r1[:i1], r2[i2 + 1 :] + r2[:i2]))
+    return size
+
+
+def exhaustive_flood_from(g1: EmbeddedGraph, g2: EmbeddedGraph, s1, s2, size_cap=None) -> int:
+    """Best flood cardinality over all canonical starting-orientation pairs."""
+    if size_cap is not None and (g1.vertex_count > size_cap or g2.vertex_count > size_cap):
+        raise InputError(f"graphs exceed size cap {size_cap}")
+    if g1.degree(s1) != g2.degree(s2):
+        return 0
+    return max(
+        reference_flood(g1, g2, s1, s2, r1, r2)
+        for r1 in canonical_start_rotations(g1, s1)
+        for r2 in canonical_start_rotations(g2, s2)
+    )
+
+
+def edge_count(g: EmbeddedGraph) -> int:
+    return sum(map(len, g.rotation)) // 2
 
 
 def rebuilt_index(mt1, mt2, keep, retired_labels, max_product) -> SeedIndex:

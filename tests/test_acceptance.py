@@ -23,14 +23,18 @@ from roadmatch.metrics import (
     approximation_ratio,
     haversine_km,
 )
-from roadmatch.oracle import (
-    brute_force_max_conformal,
+from roadmatch.oracle import brute_force_max_conformal
+from roadmatch.seed_index import SeedIndex
+
+from conftest import (
     canonical_start_rotations,
     exhaustive_flood_from,
+    figure_star,
+    index_state,
+    max_cross_product,
+    random_graph,
+    rebuilt_index,
 )
-from roadmatch.seed_index import build_seed_index
-
-from conftest import figure_star, index_state, max_cross_product, random_graph, rebuilt_index
 
 
 def report(name, ok, detail=""):
@@ -194,7 +198,7 @@ def test_a8_pop_min_differential():
         g2, _ = perturb(g1, 0.1, 0.05, 0.05, rng.randrange(10**6))
         mt1, _ = label_nodes(g1, 1)
         mt2, _ = label_nodes(g2, 1)
-        idx = build_seed_index(mt1, mt2, g1.vertex_count, g2.vertex_count, 10**6)
+        idx = SeedIndex(mt1, mt2, g1.vertex_count, g2.vertex_count, 10**6)
         left = [set(range(g1.vertex_count)), set(range(g2.vertex_count))]
         retired = set()
         while left[0] and left[1]:
@@ -281,7 +285,7 @@ def test_a11_rollback_exactness():
     mt1, _ = label_nodes(g1, 1)
     mt2, _ = label_nodes(g2, 1)
     state = MatchState(g1, g2)
-    idx = build_seed_index(mt1, mt2, g1.vertex_count, g2.vertex_count, 10**6)
+    idx = SeedIndex(mt1, mt2, g1.vertex_count, g2.vertex_count, 10**6)
     failures = 0
     commit_failures = 0
     for _ in range(100):

@@ -153,6 +153,20 @@ class TestNoSharedLabel:
         assert "achieved_max_product: 0" in out
         assert "no label at any k in [1, 3] is shared" in err
 
+    def test_auto_k_with_no_shared_label_warns(self, tmp_path, capsys):
+        # The tuner started at k=1, so the warning names the range it
+        # scanned and suggests no smaller k.
+        g1, g2, m = tmp_path / "g1.erg", tmp_path / "g2.erg", tmp_path / "m.txt"
+        g1.write_text(emit_erg(path_graph(3)))
+        g2.write_text(emit_erg(path_graph(2)))
+        code, _, err = run(capsys, "match", str(g1), str(g2), "--auto-k", "--k-max", "3",
+                           "-o", str(m))
+        assert code == 0
+        pairs, _, _, stats = parse_matching(m.read_text())
+        assert (pairs, stats["k"], stats["max_product"]) == ([], 1, 0)
+        assert "warning: no label at any k in [1, 3] is shared" in err
+        assert "smaller k" not in err
+
 
 class TestErrors:
     def test_malformed_erg_names_line(self, tmp_path, capsys):

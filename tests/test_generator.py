@@ -13,6 +13,8 @@ from roadmatch.generator import (
 from roadmatch.ingest import emit_erg
 from roadmatch.labeling import label_nodes
 
+from conftest import edge_count
+
 
 def is_connected(g):
     if g.vertex_count == 0:
@@ -32,7 +34,7 @@ class TestGenIrregularGrid:
     def test_regular_2x2_is_a_square(self):
         g = gen_irregular_grid(2, 2, 0.0, 0)
         assert g.vertex_count == 4
-        assert g.edge_count() == 4
+        assert edge_count(g) == 4
         assert all(g.degree(v) == 2 for v in range(4))
         assert g.coords == (
             (0.0, 0.0),
@@ -44,7 +46,7 @@ class TestGenIrregularGrid:
     def test_regular_grid_edge_count(self):
         g = gen_irregular_grid(4, 6, 0.0, 0)
         assert g.vertex_count == 24
-        assert g.edge_count() == 3 * 6 + 4 * 5  # horizontal + vertical runs
+        assert edge_count(g) == 3 * 6 + 4 * 5  # horizontal + vertical runs
 
     @pytest.mark.parametrize("seed", range(8))
     def test_valid_connected_and_degree_bounded(self, seed):
@@ -55,7 +57,7 @@ class TestGenIrregularGrid:
     def test_irregularity_adds_and_removes_edges(self):
         base = gen_irregular_grid(8, 8, 0.0, 5)
         rough = gen_irregular_grid(8, 8, 0.4, 5)
-        assert rough.edge_count() != base.edge_count()
+        assert edge_count(rough) != edge_count(base)
 
     def test_fixed_seed_byte_identical(self):
         a = emit_erg(gen_irregular_grid(10, 10, 0.25, 99))
@@ -112,7 +114,7 @@ class TestPerturb:
     def test_edge_additions_respect_degree_cap(self):
         g = gen_irregular_grid(8, 8, 0.0, 0)
         h, _ = perturb(g, 0.0, 0.0, 0.3, 1)
-        assert h.edge_count() > g.edge_count()
+        assert edge_count(h) > edge_count(g)
         assert max(h.degree(v) for v in range(h.vertex_count)) <= MAX_ROAD_DEGREE
 
     def test_deterministic(self):

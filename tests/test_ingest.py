@@ -20,7 +20,13 @@ from roadmatch.ingest import (
     parse_segments,
 )
 
-from conftest import assert_no_children, embedded_graphs, forced_worker, segments_text
+from conftest import (
+    assert_no_children,
+    edge_count,
+    embedded_graphs,
+    forced_worker,
+    segments_text,
+)
 
 TRIANGLE = """\
 ERG 1
@@ -35,7 +41,7 @@ class TestParseErg:
     def test_triangle(self):
         g = parse_erg(TRIANGLE)
         assert g.vertex_count == 3
-        assert g.edge_count() == 3
+        assert edge_count(g) == 3
         assert g.rotation[0] == (1, 2)
 
     def test_empty_graph(self):
@@ -132,7 +138,7 @@ class TestBuildFromSegments:
         s = parse_segments("s 0,0 0.4,0.1 0.6,0.2 1,0\n")
         g = build_graph_from_segments(s)
         assert g.vertex_count == 2
-        assert g.edge_count() == 1
+        assert edge_count(g) == 1
 
     def test_zero_length_segment_rejected(self):
         s = SegmentSet([[(0.0, 0.0), (0.0, 0.0)]])
@@ -147,7 +153,7 @@ class TestBuildFromSegments:
     def test_validates(self):
         s = parse_segments("s 0,0 1,0\ns 0,0 0,1\ns 1,0 0,1\n")
         g = build_graph_from_segments(s)  # construction runs full validation
-        assert g.edge_count() == 3
+        assert edge_count(g) == 3
 
 
 # --- malformed input ----------------------------------------------------

@@ -10,9 +10,14 @@ from roadmatch.errors import InputError
 from roadmatch.generator import gen_irregular_grid
 from roadmatch.graph import EmbeddedGraph
 from roadmatch.labeling import depth_one, depth_one_at, label_nodes, labels_by_depth
-from roadmatch.oracle import canonical_start_rotations
 
-from conftest import cycle_graph, embedded_graphs, path_graph, star_graph
+from conftest import (
+    canonical_start_rotations,
+    cycle_graph,
+    embedded_graphs,
+    path_graph,
+    star_graph,
+)
 
 
 def brute_min_rotations(g, v):

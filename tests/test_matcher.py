@@ -12,12 +12,20 @@ from roadmatch.generator import gen_irregular_grid, perturb, score_against_groun
 from roadmatch.graph import EmbeddedGraph, verify_conformal
 from roadmatch import matcher
 from roadmatch.labeling import depth_one_at, label_nodes
-from roadmatch.matcher import MatchState, admissible_at, match, pair_admissible, run_trial
-from roadmatch.oracle import brute_force_max_conformal, canonical_start_rotations
-from roadmatch.seed_index import SeedIndex, build_seed_index
+from roadmatch.matcher import (
+    MatchState,
+    admissible_at,
+    flood_match,
+    match,
+    pair_admissible,
+    run_trial,
+)
+from roadmatch.oracle import brute_force_max_conformal
+from roadmatch.seed_index import SeedIndex
 from roadmatch.cli import format_matching
 
 from conftest import (
+    canonical_start_rotations,
     cycle_graph,
     embedded_graphs,
     figure_star,
@@ -32,7 +40,7 @@ from conftest import (
 def make_state_and_index(g1, g2, k=2, bound=10**6):
     mt1, _ = label_nodes(g1, k)
     mt2, _ = label_nodes(g2, k)
-    idx = build_seed_index(mt1, mt2, g1.vertex_count, g2.vertex_count, bound)
+    idx = SeedIndex(mt1, mt2, g1.vertex_count, g2.vertex_count, bound)
     return MatchState(g1, g2), idx
 
 
@@ -758,16 +766,11 @@ class TestMatchAgainstReference:
 
     def test_equal_matchings_and_index_at_every_pop(self, monkeypatch):
         states = []
-        indexes = []
 
         class RecordedState(MatchState):
             def __init__(self, g1, g2):
                 super().__init__(g1, g2)
                 states.append(self)
-
-        def recorded_build(*args):
-            indexes.append(build_seed_index(*args))
-            return indexes[-1]
 
         stale_pops = []
         pop = SeedIndex.pop_min_label
@@ -780,7 +783,6 @@ class TestMatchAgainstReference:
             return pop(idx, rng)
 
         monkeypatch.setattr(matcher, "MatchState", RecordedState)
-        monkeypatch.setattr(matcher, "build_seed_index", recorded_build)
         rng = random.Random(3)
         totals = {"pairs": 0, "retired": 0, "inadmissible": 0, "repeats": 0, "ties": 0}
         for rows, cols, irregularity, k in self.CASES:
@@ -791,21 +793,22 @@ class TestMatchAgainstReference:
                 ref_pairs, ref_u1, ref_u2, ref_state, counts = reference_match(
                     g1, g2, k, 10**6, seed
                 )
+                mt1, _ = label_nodes(g1, k)
+                mt2, _ = label_nodes(g2, k)
+                idx = SeedIndex(mt1, mt2, g1.vertex_count, g2.vertex_count, 10**6)
                 states.clear()
-                indexes.clear()
                 stale_pops.clear()
                 monkeypatch.setattr(SeedIndex, "pop_min_label", checked_pop)
-                res = match(g1, g2, k=k, max_product=10**6, rng_seed=seed)
+                state = flood_match(g1, g2, idx, seed)
                 monkeypatch.setattr(SeedIndex, "pop_min_label", pop)
                 case = (rows, cols, irregularity, k, seed)
-                assert res.pairs == ref_pairs, case
-                assert res.unmatched1 == ref_u1, case
-                assert res.unmatched2 == ref_u2, case
+                assert sorted(state.total) == ref_pairs, case
+                assert [v for v, w in enumerate(state.matched1) if w is None] == ref_u1, case
+                assert [v for v, w in enumerate(state.matched2) if w is None] == ref_u2, case
                 assert stale_pops and not any(stale_pops), case
-                (final,) = indexes
-                rebuilt = rebuilt_state_index(final, states[0], k)
-                assert index_state(final) == index_state(rebuilt) == ref_state, case
-                totals["pairs"] += len(res.pairs)
+                rebuilt = rebuilt_state_index(idx, state, k)
+                assert index_state(idx) == index_state(rebuilt) == ref_state, case
+                totals["pairs"] += len(state.total)
                 for key, n in counts.items():
                     totals[key] += n
         # The cases must exercise every branch of the seed loop.

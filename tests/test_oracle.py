@@ -8,13 +8,17 @@ from roadmatch.errors import InputError
 from roadmatch.generator import gen_irregular_grid
 from roadmatch.graph import EmbeddedGraph, verify_conformal
 from roadmatch.matcher import MatchState, match, run_trial
-from roadmatch.oracle import (
-    brute_force_max_conformal,
-    canonical_start_rotations,
-    exhaustive_flood_from,
-)
+from roadmatch.oracle import brute_force_max_conformal
 
-from conftest import cycle_graph, embedded_graphs, path_graph, random_graph, star_graph
+from conftest import (
+    canonical_start_rotations,
+    cycle_graph,
+    embedded_graphs,
+    exhaustive_flood_from,
+    path_graph,
+    random_graph,
+    star_graph,
+)
 
 
 def grid_minus_corner():

@@ -1,4 +1,5 @@
-"""The package keeps to the standard library and exports what its readers use."""
+"""The package keeps to the standard library, exports what its readers use
+and holds no code that only tests reach."""
 
 import ast
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import roadmatch
 
 PACKAGE = Path(roadmatch.__file__).resolve().parent
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def imported_packages(path: Path):
@@ -28,6 +30,50 @@ def test_imports_only_stdlib_and_roadmatch():
         if name != "roadmatch" and name not in sys.stdlib_module_names
     }
     assert not foreign
+
+
+def names_used(paths):
+    """Every name the files read: Name ids, Attribute names and the names
+    of ``from ... import`` statements."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return used
+
+
+def definitions(path: Path):
+    """(qualified name, name) of the file's top-level functions and classes
+    and of their non-dunder methods."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            methods = (item.name for item in node.body if isinstance(item, functions))
+            for name in methods:
+                if not (name.startswith("__") and name.endswith("__")):
+                    yield f"{node.name}.{name}", name
+
+
+def test_every_definition_has_a_package_caller():
+    # Code that only tests call belongs in tests/conftest.py.
+    sources = sorted(PACKAGE.glob("*.py"))
+    scripts = sorted(SCRIPTS.glob("*.py"))
+    assert sources and scripts
+    used = names_used(sources + scripts) | set(roadmatch.__all__)
+    unused = [
+        f"{path.name}: {qualified}"
+        for path in sources
+        for qualified, name in definitions(path)
+        if name not in used
+    ]
+    assert not unused
 
 
 def test_every_exported_name_resolves():

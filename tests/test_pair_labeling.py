@@ -17,10 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roadmatch import labeling, seed_index, worker
-from roadmatch.errors import InternalError
+from roadmatch.cli import dispatch
+from roadmatch.errors import ConfigurationError, InternalError
 from roadmatch.generator import gen_irregular_grid, perturb
 from roadmatch.graph import EmbeddedGraph
+from roadmatch.ingest import emit_erg
 from roadmatch.labeling import label_nodes, labels_by_depth
+from roadmatch.matcher import match
 from roadmatch.seed_index import auto_tune_k, label_pair
 
 from conftest import forced_worker
@@ -86,14 +89,27 @@ class TestSameResults:
     def test_tune_unbounded(self):
         # Two stray edges on each side, four vertices labeled (1, 1), hold
         # the product at 16 from k = 2 on, so k = 2 is chosen after k = 4
-        # was tried, and labeled again by a second worker.
+        # was tried; it is not labeled again, so one worker is started.
         g1, g2 = (with_stray_edges(g, 2) for g in snapshot_pair(0))
         with forced_worker() as started:
             report = auto_tune_k(g1, g2, 1, 4)
         assert not report.bounded and report.k == 2
         assert [p for _, p in report.per_k] == [36, 16, 16, 16]
-        assert len(started) == 2
+        assert len(started) == 1
         assert report == relabeling_tune(g1, g2, 1, 4)
+
+    def test_match_when_unbounded(self, tmp_path, capsys):
+        # The same pair under match --auto-k: no index is built, and the
+        # error names the bound, the smallest product and its k.
+        g1, g2 = (with_stray_edges(g, 2) for g in snapshot_pair(0))
+        with pytest.raises(ConfigurationError, match=r"bound 1: .* product is 16, at k=2;"):
+            match(g1, g2, auto_k=True, max_product=1, k_max=4)
+        paths = [tmp_path / "g1.erg", tmp_path / "g2.erg"]
+        for path, g in zip(paths, (g1, g2)):
+            path.write_text(emit_erg(g))
+        argv = ["match", *map(str, paths), "--auto-k", "--max-product", "1", "--k-max", "4"]
+        assert dispatch(argv) == 2
+        assert "product is 16, at k=2" in capsys.readouterr().err
 
 
 class TestWorkerEnds:

@@ -14,9 +14,9 @@ from roadmatch.matcher import match
 from roadmatch.seed_index import (
     REMOVED,
     UNINDEXED,
+    SeedIndex,
     TuneReport,
     auto_tune_k,
-    build_seed_index,
 )
 
 from conftest import index_state, max_cross_product, path_graph, rebuilt_index
@@ -53,14 +53,14 @@ def lid_of(idx, label):
 class TestBuild:
     def test_two_path3_graphs_k1(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
-        idx = build_seed_index(mt1, mt2, 3, 3, 24)
+        idx = SeedIndex(mt1, mt2, 3, 3, 24)
         assert idx.product[lid_of(idx, (1, 2))] == 4
         assert idx.product[lid_of(idx, (2, 1, 1))] == 1
         assert min(idx.bucket) == 1
 
     def test_one_sided_label_not_indexed(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(2), 1)
-        idx = build_seed_index(mt1, mt2, 3, 2, 24)
+        idx = SeedIndex(mt1, mt2, 3, 2, 24)
         # (2,1,1) only occurs in the path of 3; (1,1) only in the path of 2.
         assert idx.labels == []
         assert not idx.bucket
@@ -69,7 +69,7 @@ class TestBuild:
     def test_label_with_empty_list_not_indexed(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
         mt2[bytes((2, 1, 1))] = []  # its vertex 1 is in no list of g2's table
-        idx = build_seed_index(mt1, mt2, 3, 3, 24)
+        idx = SeedIndex(mt1, mt2, 3, 3, 24)
         assert [tuple(lab) for lab in idx.labels] == [(1, 2)]
         # g2's vertex 1 is in no list of its table, but the index is sized
         # from the vertex counts, so it is unindexed like g1's vertex 1.
@@ -87,24 +87,24 @@ class TestBuild:
     def test_product_exceeding_bound_names_label(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
         with pytest.raises(ConfigurationError, match=r"\(1, 2\)"):
-            build_seed_index(mt1, mt2, 3, 3, 3)
+            SeedIndex(mt1, mt2, 3, 3, 3)
 
     def test_unique_common_label_min_product_one(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
-        idx = build_seed_index(mt1, mt2, 3, 3, 24)
+        idx = SeedIndex(mt1, mt2, 3, 3, 24)
         assert min(idx.bucket) == 1
 
 
 class TestPopMinLabel:
     def test_single_label(self):
         mt1, mt2 = tables_for(path_graph(2), path_graph(2), 1)
-        idx = build_seed_index(mt1, mt2, 2, 2, 24)
+        idx = SeedIndex(mt1, mt2, 2, 2, 24)
         lid = idx.pop_min_label(random.Random(0))
         assert tuple(idx.labels[lid]) == (1, 1)
 
     def test_prefers_smaller_product(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
-        idx = build_seed_index(mt1, mt2, 3, 3, 24)
+        idx = SeedIndex(mt1, mt2, 3, 3, 24)
         lid = idx.pop_min_label(random.Random(0))
         assert tuple(idx.labels[lid]) == (2, 1, 1)
 
@@ -112,27 +112,27 @@ class TestPopMinLabel:
         mt1, mt2 = tables_for(path_graph(2), path_graph(2), 1)
         mt1[bytes((9, 9))] = [99]
         mt2[bytes((9, 9))] = [99]  # second label with product 1
-        idx_of = lambda: build_seed_index(mt1, mt2, 100, 100, 24)  # noqa: E731
+        idx_of = lambda: SeedIndex(mt1, mt2, 100, 100, 24)  # noqa: E731
         picks = {idx_of().pop_min_label(random.Random(5)) for _ in range(5)}
         assert len(picks) == 1
 
     def test_empty_index_signals_exhaustion(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(2), 1)
-        idx = build_seed_index(mt1, mt2, 3, 2, 24)
+        idx = SeedIndex(mt1, mt2, 3, 2, 24)
         assert idx.pop_min_label(random.Random(0)) is None
 
 
 class TestRemoveVertex:
     def test_product_recomputed(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
-        idx = build_seed_index(mt1, mt2, 3, 3, 24)
+        idx = SeedIndex(mt1, mt2, 3, 3, 24)
         lid = lid_of(idx, (1, 2))
         idx.remove_pairs([(0, 1)])  # counts of (1, 2): (2, 2) -> (1, 2)
         assert idx.product[lid] == 2
 
     def test_last_vertex_unindexes_label(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
-        idx = build_seed_index(mt1, mt2, 3, 3, 24)
+        idx = SeedIndex(mt1, mt2, 3, 3, 24)
         lid = lid_of(idx, (2, 1, 1))
         idx.remove_pairs([(1, 0)])
         assert lid not in idx.product
@@ -140,14 +140,14 @@ class TestRemoveVertex:
 
     def test_double_removal_is_internal_error(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
-        idx = build_seed_index(mt1, mt2, 3, 3, 24)
+        idx = SeedIndex(mt1, mt2, 3, 3, 24)
         idx.remove_pairs([(0, 0)])
         with pytest.raises(InternalError):
             idx.remove_pairs([(0, 2)])
 
     def test_batch_removal_checks_each_vertex(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
-        idx = build_seed_index(mt1, mt2, 3, 3, 24)
+        idx = SeedIndex(mt1, mt2, 3, 3, 24)
         with pytest.raises(InternalError):
             idx.remove_pairs([(0, 0), (0, 2)])  # vertex 0 of g1 twice
         with pytest.raises(InternalError):
@@ -161,7 +161,7 @@ class TestRemoveVertex:
         g1 = gen_irregular_grid(4, 5, 0.2, 1)
         g2, _ = perturb(g1, 0.1, 0.05, 0.05, 2)
         mt1, mt2 = tables_for(g1, g2, 2)
-        idx = build_seed_index(mt1, mt2, g1.vertex_count, g2.vertex_count, 10**6)
+        idx = SeedIndex(mt1, mt2, g1.vertex_count, g2.vertex_count, 10**6)
         left = [list(range(g1.vertex_count)), list(range(g2.vertex_count))]
         for side in left:
             rng.shuffle(side)
@@ -179,7 +179,7 @@ class TestRemoveVertex:
 class TestRetireLabel:
     def test_retired_label_stays_out(self):
         mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
-        idx = build_seed_index(mt1, mt2, 3, 3, 24)
+        idx = SeedIndex(mt1, mt2, 3, 3, 24)
         lid = lid_of(idx, (1, 2))
         idx.retire_label(lid)
         assert lid not in idx.product
@@ -189,7 +189,7 @@ class TestRetireLabel:
 
     def test_retired_label_stays_out_after_batch_removal(self):
         mt1, mt2 = tables_for(path_graph(4), path_graph(4), 1)
-        idx = build_seed_index(mt1, mt2, 4, 4, 24)
+        idx = SeedIndex(mt1, mt2, 4, 4, 24)
         lid = lid_of(idx, (1, 2))
         idx.retire_label(lid)
         idx.remove_pairs([(0, 0)])
@@ -239,8 +239,7 @@ class TestAutoTuneK:
         report = auto_tune_k(path_graph(3), path_graph(4), 1, 3)
         assert report.per_k == [(1, 4), (2, 0)]
         assert (report.k, report.max_product, report.bounded) == (1, 4, False)
-        # Only the leaves' (1, 2) is in both tables.
-        assert report.tables == ({bytes((1, 2)): [0, 2]}, {bytes((1, 2)): [0, 3]})
+        assert report.tables is None
 
     def test_scan_passes_a_k_without_shared_label_when_one_label_is_a_prefix(self):
         # Every degree is 3, so a label is its ball size written in 3s.
@@ -269,14 +268,18 @@ class TestAutoTuneK:
         assert (report.k, report.max_product, report.bounded) == (1, 0, False)
         assert report.tables == ({}, {})
 
-    def test_unbounded_tables_match_chosen_k(self):
+    def test_unbounded_report_labels_nothing_again(self, monkeypatch):
         # The product stays 4 at every k, so k=1 is chosen after k=4 was
-        # tried; the leaf labels differ between the two, (1, 2) at k=1.
+        # tried.  No index may be built over a product above the bound, so
+        # the chosen k is not labeled again and the report has no tables.
+        def fail(*args):
+            raise AssertionError("labeled again after the scan")
+
+        monkeypatch.setattr(seed_index, "label_nodes", fail)
         g = path_graph(3)
         report = auto_tune_k(g, g, 1, 4)
         assert not report.bounded and report.k == 1
-        mt, _ = label_nodes(g, 1)
-        assert report.tables == (mt, mt)
+        assert report.tables is None
 
 
 def compatible_pairwise(labels1, labels2):
@@ -305,26 +308,27 @@ def relabeling_tune(g1, g2, max_product, k_max):
     A k qualifies, and the unbounded fallback considers it, only when some
     label is shared (max product > 0).  The scan stops at the first k with
     none at which no label of one graph is a proper prefix of a label of
-    the other; with none at any k, k = 1.  The tables hold the labels
-    present in both graphs.
+    the other; with none at any k, k = 1 and empty tables.  A bounded
+    report's tables hold the labels present in both graphs; an unbounded
+    one with a shared label has none.
     """
     per_k = []
-    best = None  # (max product, k, tables)
+    best = None  # (max product, k)
     for k in range(1, k_max + 1):
         mt1, _ = label_nodes(g1, k)
         mt2, _ = label_nodes(g2, k)
         p = max_cross_product(mt1, mt2)
         per_k.append((k, p))
         if p and (best is None or p < best[0]):
-            best = (p, k, (mt1, mt2))
+            best = (p, k)
         if 0 < p <= max_product:
             return TuneReport(k, p, True, per_k, shared_tables(mt1, mt2))
         if not p and not prefix_across_pairwise(mt1, mt2):
             break
     if best is None:
         return TuneReport(1, 0, False, per_k, shared_tables(*tables_for(g1, g2, 1)))
-    p, k, tables = best
-    return TuneReport(k, p, False, per_k, shared_tables(*tables))
+    p, k = best
+    return TuneReport(k, p, False, per_k, None)
 
 
 class TestTuneAgainstRelabeling:
