@@ -57,7 +57,13 @@ def format_matching(result: MatchResult) -> str:
 
 
 def parse_matching(text: str):
-    """Read back a matching file: (pairs, unmatched1, unmatched2, stats)."""
+    """Read back a matching file: (pairs, unmatched1, unmatched2, stats).
+
+    ``stats`` holds the ``# key: value`` comments whose value is a number;
+    other comments are skipped.  InputError, naming the line, for a record
+    that is not ``m v1 v2``, ``u1 v`` or ``u2 v`` and for a ``# k:`` value
+    that is not a non-negative integer.
+    """
     pairs, u1, u2 = [], [], []
     stats: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -68,23 +74,28 @@ def parse_matching(text: str):
             body = line.lstrip("#").strip()
             if ":" in body:
                 key, _, val = body.partition(":")
+                key, val = key.strip(), val.strip()
                 try:
-                    stats[key.strip()] = float(val)
+                    stats[key] = value = float(val)
                 except ValueError:
-                    pass
+                    value = None
+                if key == "k" and not (value is not None and value >= 0 and value.is_integer()):
+                    raise InputError(
+                        f"line {lineno}: matching file's k must be a non-negative integer, "
+                        f"got {val}"
+                    )
             continue
-        parts = line.split()
+        kind, *fields = line.split()
         try:
-            if parts[0] == "m":
-                pairs.append((int(parts[1]), int(parts[2])))
-            elif parts[0] == "u1":
-                u1.append(int(parts[1]))
-            elif parts[0] == "u2":
-                u2.append(int(parts[1]))
-            else:
-                raise ValueError
-        except (ValueError, IndexError):
-            raise InputError(f"line {lineno}: malformed matching record: {line!r}") from None
+            ids = [int(f) for f in fields]
+        except ValueError:
+            ids = []
+        if kind == "m" and len(ids) == 2:
+            pairs.append((ids[0], ids[1]))
+        elif kind in ("u1", "u2") and len(ids) == 1:
+            (u1 if kind == "u1" else u2).append(ids[0])
+        else:
+            raise InputError(f"line {lineno}: malformed matching record: {line!r}")
     return pairs, u1, u2, stats
 
 
@@ -190,24 +201,13 @@ def _check_pairs(pairs: list[tuple[int, int]], n1: int, n2: int) -> None:
             seen[side].add(v)
 
 
-def _file_k(stats: dict[str, float]) -> int:
-    """The matching file's ``# k:`` label depth, ``DEFAULT_K`` without one;
-    InputError unless it is a non-negative integer."""
-    if "k" not in stats:
-        return DEFAULT_K
-    k = stats["k"]
-    if not (k >= 0 and k.is_integer()):
-        raise InputError(f"matching file's k must be a non-negative integer, got {k:g}")
-    return int(k)
-
-
 def _cmd_validate(args) -> int:
     g1, g2 = load_pair(args.graph1, args.graph2, args.format)
     with open(args.matching, encoding="utf-8") as fh:
         pairs, _, _, stats = parse_matching(fh.read())
     _check_pairs(pairs, g1.vertex_count, g2.vertex_count)
     # Score the labeling the matching was made with unless told otherwise.
-    k = args.k if args.k is not None else _file_k(stats)
+    k = args.k if args.k is not None else int(stats.get("k", DEFAULT_K))
     mt1, mt2 = label_pair(g1, g2, k)
     ratio = approximation_ratio(mt1, mt2, g1.vertex_count, g2.vertex_count)
     print(f"approximation_ratio: {ratio:.4f}")

@@ -237,13 +237,8 @@ PARSE_WORKER_MIN_BYTES = 600_000
 
 
 def _parse_replies(path: str, fmt: str) -> Iterator:
-    """The parse job: one reply, ``load_graph(path, fmt)`` or the
-    ``InputError`` or ``OSError`` it raised."""
-    try:
-        reply = load_graph(path, fmt)
-    except (InputError, OSError) as e:
-        reply = e
-    yield reply
+    """The parse job: one reply, ``load_graph(path, fmt)``."""
+    yield load_graph(path, fmt)
 
 
 def load_pair(path1: str, path2: str, fmt: str = "erg") -> tuple[EmbeddedGraph, EmbeddedGraph]:
@@ -265,6 +260,4 @@ def load_pair(path1: str, path2: str, fmt: str = "erg") -> tuple[EmbeddedGraph, 
     with worker.job(_parse_replies, path2, fmt, in_worker=in_worker) as second:
         g1 = load_graph(path1, fmt)
         g2 = second.receive()
-    if isinstance(g2, BaseException):
-        raise g2
     return g1, g2

@@ -13,18 +13,18 @@ lining up the seeds' neighbours: starts at offsets i and j pair
 rotation1[i + t] with rotation2[j + t], so it is fixed by (j - i) mod deg,
 and two start pairs with the same alignment differ only in which neighbour
 pair is queued first.  Each alignment runs once, from the first start pair
-in offset order that reaches it, as an isolated trial: a conformal BFS
-flood that writes only the two match arrays and a journal of its pairs, so
-rolling it back resets the journaled entries.  Every trial of a label
-starts from the same state, so the best (largest) trial's journal is
-committed as it stands; its vertices leave the seed index permanently.
-The loop ends when no cross-present label remains.
+in offset order that reaches it, as one `run_trial` call: a conformal BFS
+flood that writes only the two match arrays and the caller's journal of
+its pairs, and resets the journaled entries before it returns.  Every
+trial of a label thus starts from the same state, so the best (largest)
+trial's journal is committed as it stands; its vertices leave the seed
+index permanently.  The loop ends when no cross-present label remains.
 
 The matching is conformal at every step: each pair is admitted by one
 insertion check (`admissible_at`) that looks only where the pair enters the
 cyclic orders and relies on the state being conformal already.  The flood
-anchors it at the pair a vertex was reached from; `pair_admissible` checks
-a seed pair through it, anchored at the seed's first matched neighbour.
+anchors it at the pair a vertex was reached from, and the seed loop checks
+a seed pair at the seed's first matched neighbour.
 `graph.verify_conformal` is the full check.
 """
 
@@ -47,28 +47,6 @@ class MatchState:
         self.g2 = g2
         self.matched1: list[int | None] = [None] * g1.vertex_count
         self.matched2: list[int | None] = [None] * g2.vertex_count
-        self.total: list[tuple[int, int]] = []
-        self.trial: list[tuple[int, int]] | None = None
-
-    def checkpoint(self) -> None:
-        if self.trial is not None:
-            raise InternalError("trial already in progress")
-        self.trial = []
-
-    def abort_trial(self) -> list[tuple[int, int]]:
-        """Unmatch the trial's journaled pairs, restoring the pre-trial state.
-
-        Returns the journal, which `commit` can apply later.
-        """
-        journal = self.trial
-        if journal is None:
-            raise InternalError("no trial to abort")
-        matched1, matched2 = self.matched1, self.matched2
-        for v1, v2 in journal:
-            matched1[v1] = None
-            matched2[v2] = None
-        self.trial = None
-        return journal
 
     def commit(self, pairs: list[tuple[int, int]], idx: SeedIndex) -> None:
         """Keep a rolled-back trial's pairs and drop their vertices from idx.
@@ -76,13 +54,10 @@ class MatchState:
         The trial must have been flooded from the current state, so that
         applying its journal gives exactly what re-running it would.
         """
-        if self.trial is not None:
-            raise InternalError("commit during a trial")
         idx.remove_pairs(pairs)
         for v1, v2 in pairs:
             self.matched1[v1] = v2
             self.matched2[v2] = v1
-        self.total.extend(pairs)
 
 
 def admissible_at(state: MatchState, v1: int, v2: int, i1: int, i2: int) -> bool:
@@ -159,26 +134,6 @@ def first_matched_neighbor(state: MatchState, v1: int) -> tuple[int, int] | None
     return None
 
 
-def pair_admissible(state: MatchState, v1: int, v2: int) -> bool:
-    """`admissible_at`, anchored at v1's first matched neighbour.
-
-    True when v1 has no matched neighbour, and False when the first one's
-    image is not adjacent to v2.  The answer does not depend on the anchor:
-    images that increase in offset from one anchor's image are cyclically
-    increasing, which they are from any other.  Pairs failing it are
-    skipped, so every returned matching passes verify_conformal.
-    """
-    anchor = first_matched_neighbor(state, v1)
-    if anchor is None:
-        return True
-    i1, w = anchor
-    try:
-        i2 = state.g2.rotation[v2].index(w)
-    except ValueError:
-        return False
-    return admissible_at(state, v1, v2, i1, i2)
-
-
 def component_at_most(
     sizes: dict[int, tuple[int, bool]],
     rotation: tuple[tuple[int, ...], ...],
@@ -215,25 +170,27 @@ def run_trial(
     s2: int,
     rotation1: tuple[int, ...],
     rotation2: tuple[int, ...],
+    journal: list[tuple[int, int]],
 ) -> int:
-    """Flood from one seed pair under one alignment of its rotations.
+    """Flood from one seed pair under one alignment of its rotations, as a
+    trial that leaves the state as it found it.
 
-    Matches the seed pair and journals it, then pairs the two start
-    rotations entry by entry, which fixes the alignment, and floods
-    breadth-first: each admitted pair enqueues its neighbours clockwise
-    after the pair it was reached from, aligned on both sides.  Starts
-    with the same alignment flood the same neighbour pairs, only queued
-    from another one first, so `match` runs one per alignment.  The caller
-    checks the seed pair with `pair_admissible` first; `match` does so once
-    per pair it visits, before its alignments, since the check does not
-    depend on rotations.  A pair where either vertex is already matched
-    (when it is enqueued or dequeued), where the degrees differ, or that
+    Matches the seed pair, then pairs the two start rotations entry by
+    entry, which fixes the alignment, and floods breadth-first: each
+    admitted pair enqueues its neighbours clockwise after the pair it was
+    reached from, aligned on both sides.  Starts with the same alignment
+    flood the same neighbour pairs, only queued from another one first, so
+    `flood_match` runs one per alignment.  The caller checks the seed pair
+    with `admissible_at` first; `flood_match` does so once per pair it
+    visits, before its alignments, since the check does not depend on
+    rotations.  A pair where either vertex is already matched (when it is
+    enqueued or dequeued), where the degrees differ, or that
     `admissible_at` rejects, anchored at the pair it was reached from,
-    silently ends that branch.  Returns the trial's cardinality.
+    silently ends that branch.  Every admitted pair, the seed pair first,
+    is appended to journal; they are all unmatched again before this
+    returns their count, so `MatchState.commit` can apply the journal
+    later.
     """
-    journal = state.trial
-    if journal is None:
-        raise InternalError("run_trial outside a trial")
     g1, g2 = state.g1, state.g2
     matched1, matched2 = state.matched1, state.matched2
     if matched1[s1] is not None or matched2[s2] is not None:
@@ -243,6 +200,7 @@ def run_trial(
     if len(rotation1) != len(rotation2):
         raise InternalError(f"start rotations of unequal length at ({s1},{s2})")
     rot1, rot2 = g1.rotation, g2.rotation
+    first = len(journal)
     matched1[s1] = s2
     matched2[s2] = s1
     journal.append((s1, s2))
@@ -270,7 +228,10 @@ def run_trial(
             b = r2[k + i2 - i1]
             if matched1[a] is None and matched2[b] is None:
                 push((a, b, v1, v2))
-    return len(journal)
+    for v1, v2 in journal[first:]:
+        matched1[v1] = None
+        matched2[v2] = None
+    return len(journal) - first
 
 
 @dataclass
@@ -301,13 +262,14 @@ def flood_match(
 
     Deterministic for fixed inputs: seed pairs are enumerated in ascending
     vertex id and start rotations in offset order, s1's outside s2's.  A
-    pair is visited only if it can pass `pair_admissible` and beat the
-    label's best trial: when s1 has a matched neighbour, s2 must be
-    adjacent to the first one's image, and once a trial has matched
-    anything, both seeds' components among the vertices unmatched at the
-    pop must be larger than the best trial, since a trial stays inside
-    them.  Both rules are exact: the matching, the pops and the retired
-    labels are those of visiting every pair.  Start offsets are looked up
+    pair is visited only if it can pass the seed check and beat the label's
+    best trial.  The check is `admissible_at` anchored at s1's first
+    matched neighbour (any anchor gives the same answer); it passes when
+    s1 has none and fails unless s2 is adjacent to that neighbour's image.
+    Once a trial has matched anything, both seeds' components among the
+    vertices unmatched at the pop must be larger than the best trial, since
+    a trial stays inside them.  Both rules are exact: the matching, the
+    pops and the retired labels are those of visiting every pair.  Start offsets are looked up
     only for visited pairs that pass the check, in one memo per call keyed
     by neighbour degrees (``labeling.depth_one_at``).  A start pair whose
     alignment its seed pair has already flooded is skipped, as the paper
@@ -328,7 +290,7 @@ def flood_match(
             break
         seeds1 = idx.vertices(0, lid)
         seeds2 = idx.vertices(1, lid)
-        # pair_admissible assumes unmatched vertices and would answer wrongly
+        # admissible_at assumes unmatched vertices and would answer wrongly
         # for a matched seed, so a stale index must fail here rather than in
         # run_trial.
         if any(state.matched1[v] is not None for v in seeds1) or any(
@@ -341,11 +303,13 @@ def flood_match(
         best: list[tuple[int, int]] = []  # journal of the earliest largest trial
         for s1 in seeds1:
             anchor = first_matched_neighbor(state, s1)
-            # pair_admissible rejects every s2 not adjacent to the anchor's image.
+            # The seed check rejects every s2 not adjacent to the anchor's
+            # image; with no anchor, it accepts every s2.
             if anchor is None:
                 candidates = seeds2
             else:
-                candidates = sorted(seed2_set.intersection(g2.rotation[anchor[1]]))
+                i1, w = anchor
+                candidates = sorted(seed2_set.intersection(g2.rotation[w]))
             offsets1 = None
             rot1 = g1.rotation[s1]
             d = len(rot1) or 1
@@ -358,7 +322,9 @@ def flood_match(
                     or component_at_most(sizes2, g2.rotation, state.matched2, s2, len(best))
                 ):
                     continue
-                if not pair_admissible(state, s1, s2):
+                if anchor is not None and not admissible_at(
+                    state, s1, s2, i1, g2.rotation[s2].index(w)
+                ):
                     continue
                 if offsets1 is None:
                     offsets1 = depth_one_at(g1.rotation, s1, starts)[0]
@@ -371,9 +337,8 @@ def flood_match(
                         if alignment in flooded:
                             continue
                         flooded.add(alignment)
-                        state.checkpoint()
-                        run_trial(state, s1, s2, rot1[i:] + rot1[:i], rot2[j:] + rot2[:j])
-                        journal = state.abort_trial()
+                        journal = []
+                        run_trial(state, s1, s2, rot1[i:] + rot1[:i], rot2[j:] + rot2[:j], journal)
                         if len(journal) > len(best):
                             best = journal
         if not best:
@@ -417,7 +382,7 @@ def match(
     state = flood_match(g1, g2, idx, rng_seed)
     match_time = time.perf_counter() - t0 - seed_time
 
-    pairs = sorted(state.total)
+    pairs = [(v, w) for v, w in enumerate(state.matched1) if w is not None]
     unmatched1 = [v for v in range(g1.vertex_count) if state.matched1[v] is None]
     unmatched2 = [v for v in range(g2.vertex_count) if state.matched2[v] is None]
     stats = MatchStats(

@@ -13,10 +13,12 @@ function pickles by its qualified name, so it must be a module-level
 generator function of this package.  Each caller decides whether a worker
 pays (two usable CPUs at least, and its own size gate); otherwise, or when
 the interpreter cannot be started, the same job runs in this process, a
-reply at a time, when its replies are received.  A worker that ends
-without its reply raises ``InternalError`` with its exit status and the
-tail of its stderr.  Leaving ``job``'s block, normally or by any
-exception, kills the worker and reaps it.
+reply at a time, when its replies are received.  A ``RoadmatchError`` or
+``OSError`` that the job raises in the worker is sent in place of its
+reply and raised again by ``receive``, as it would be in process.  A
+worker that ends without its reply raises ``InternalError`` with its exit
+status and the tail of its stderr.  Leaving ``job``'s block, normally or
+by any exception, kills the worker and reaps it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import tempfile
 import threading
 from collections.abc import Callable, Iterator
 
-from .errors import InternalError
+from .errors import InternalError, RoadmatchError
 
 # Runs in the worker: the package root is its only argument, ahead of
 # everything else on the path; -I -S keeps the environment and site
@@ -113,9 +115,12 @@ class _Worker:
 
     def receive(self):
         try:
-            return pickle.load(self._proc.stdout)
+            ok, reply = pickle.load(self._proc.stdout)
         except (EOFError, pickle.UnpicklingError):
             raise self._died() from None
+        if not ok:
+            raise reply  # the job's own error, raised in the worker
+        return reply
 
     def _died(self) -> InternalError:
         try:
@@ -144,19 +149,28 @@ class _Worker:
 
 
 def main() -> None:
-    """Entry point of the worker: one job from stdin, its replies to stdout."""
+    """Entry point of the worker: one job from stdin, its replies to stdout.
+
+    Each reply goes out as (True, reply); an input or OS error raised by
+    the job goes out as (False, error) and ends the worker.
+    """
     stdin, stdout = sys.stdin.buffer, sys.stdout.buffer
     func, args = pickle.load(stdin)
     replies = func(*args)
-    reply = next(replies)
+    command = None  # the first send starts the job
     while True:
+        try:
+            reply = (True, replies.send(command))
+        except (RoadmatchError, OSError) as e:
+            reply = (False, e)
         pickle.dump(reply, stdout, pickle.HIGHEST_PROTOCOL)
         stdout.flush()
+        if not reply[0]:
+            return
         try:
             command = pickle.load(stdin)
         except EOFError:
             return
-        reply = replies.send(command)
 
 
 @contextlib.contextmanager

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from roadmatch import ingest, labeling, worker
 from roadmatch.errors import InputError
 from roadmatch.graph import EmbeddedGraph
-from roadmatch.matcher import MatchState
+from roadmatch.matcher import MatchState, admissible_at, first_matched_neighbor
 from roadmatch.seed_index import SeedIndex
 
 # Longest a test that may start a worker process can take.
@@ -174,6 +174,26 @@ def reference_admissible(state: MatchState, v1: int, v2: int) -> bool:
     """Full re-check of pair_admissible's question for unmatched v1, v2;
     the reference for the matcher's insertion check."""
     return rechecked_admissible(state.g1, state.g2, state.matched1, v1, v2)
+
+
+def pair_admissible(state: MatchState, v1: int, v2: int) -> bool:
+    """The matcher's seed check for any unmatched v1, v2: `admissible_at`,
+    anchored at v1's first matched neighbour.
+
+    True when v1 has no matched neighbour, and False when the first one's
+    image is not adjacent to v2.  The answer does not depend on the anchor:
+    images that increase in offset from one anchor's image are cyclically
+    increasing, which they are from any other.
+    """
+    anchor = first_matched_neighbor(state, v1)
+    if anchor is None:
+        return True
+    i1, w = anchor
+    try:
+        i2 = state.g2.rotation[v2].index(w)
+    except ValueError:
+        return False
+    return admissible_at(state, v1, v2, i1, i2)
 
 
 def canonical_start_rotations(g: EmbeddedGraph, v: int) -> list[tuple[int, ...]]:

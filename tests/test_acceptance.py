@@ -144,8 +144,7 @@ def test_a5_flood_trial_differential():
         for r1 in canonical_start_rotations(g1, s1):
             for r2 in canonical_start_rotations(g2, s2):
                 state = MatchState(g1, g2)
-                state.checkpoint()
-                best = max(best, run_trial(state, s1, s2, r1, r2))
+                best = max(best, run_trial(state, s1, s2, r1, r2, []))
         disagreements += best != exhaustive_flood_from(g1, g2, s1, s2)
         checked += 1
     report("A5 flood-trial differential", disagreements == 0, f"{disagreements} of 500")
@@ -158,11 +157,11 @@ def test_a6_junction_alignment_fixture():
     names2 = {1: 1, 5: 2, 6: 3, 7: 4}
     g2 = figure_star(tuple(names2[x] for x in (1, 7, 6, 5)))
     state = MatchState(g1, g2)
-    state.checkpoint()
+    journal = []
     # Flood from the centers; both rotations start at the arm named 1.
-    run_trial(state, 0, 0, g1.rotation[0], g2.rotation[0])
+    run_trial(state, 0, 0, g1.rotation[0], g2.rotation[0], journal)
     back = {v: k for k, v in names2.items()}
-    got = [(v1, back[v2]) for v1, v2 in state.trial[1:]]
+    got = [(v1, back[v2]) for v1, v2 in journal[1:]]
     report("A6 junction alignment fixture", got == [(1, 1), (4, 7), (3, 6), (2, 5)], str(got))
 
 
@@ -276,9 +275,9 @@ def test_a10_haversine_references():
 
 
 def test_a11_rollback_exactness():
-    # 100 random checkpoint/trial/abort sequences restore state exactly, and
-    # committing each trial's journal leaves the seed index equal to one
-    # rebuilt from the tables reduced to the unmatched vertices.
+    # 100 random trials each restore the state exactly before run_trial
+    # returns, and committing each trial's journal leaves the seed index
+    # equal to one rebuilt from the tables reduced to the unmatched vertices.
     rng = random.Random(11)
     g1 = gen_irregular_grid(5, 6, 0.3, 20)
     g2, _ = perturb(g1, 0.1, 0.05, 0.0, 21)
@@ -300,25 +299,15 @@ def test_a11_rollback_exactness():
         if not candidates:
             break
         s1, s2 = rng.choice(candidates)
-        before = (
-            list(state.matched1),
-            list(state.matched2),
-            list(state.total),
-            index_state(idx),
-        )
-        state.checkpoint()
+        before = (list(state.matched1), list(state.matched2), index_state(idx))
+        journal = []
         run_trial(
             state, s1, s2,
             canonical_start_rotations(g1, s1)[0],
             canonical_start_rotations(g2, s2)[0],
+            journal,
         )
-        journal = state.abort_trial()
-        after = (
-            list(state.matched1),
-            list(state.matched2),
-            list(state.total),
-            index_state(idx),
-        )
+        after = (list(state.matched1), list(state.matched2), index_state(idx))
         failures += before != after
         committed, committed_idx = deepcopy((state, idx))
         committed.commit(journal, committed_idx)

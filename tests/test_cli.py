@@ -103,7 +103,7 @@ class TestPipeline:
         dispatch(["gen", "grid", "--rows", "6", "--cols", "6", "--rng-seed", "4",
                   "-o", str(g)])
         m = tmp_path / "m.txt"
-        m.write_text("m 0 0\n")
+        m.write_text("# note: hand-written\nm 0 0\n")  # a comment that is not a number
         capsys.readouterr()
         outs = [run(capsys, "validate", str(m), str(g), str(g), *flags)[1]
                 for flags in ((), ("--k", "7"))]
@@ -206,7 +206,7 @@ class TestErrors:
         assert "k must be >= 0, got -2" in err
         assert "# k:" not in out
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "2.5"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "2.5", "three"])
     def test_validate_rejects_non_integer_k_line(self, tmp_path, capsys, value):
         g, m = tmp_path / "g.erg", tmp_path / "m.txt"
         g.write_text(emit_erg(path_graph(3)))
@@ -316,9 +316,11 @@ class TestMatchingFormat:
         assert 0 <= stats["label_time_s"] <= stats["seed_time_s"]
 
     def test_stats_without_label_time_still_parse(self):
-        _, _, _, stats = parse_matching("m 0 0\n# stats\n# seed_time_s: 0.5\n")
+        _, _, _, stats = parse_matching("m 0 0\n# stats\n# note: a\n# seed_time_s: 0.5\n")
         assert stats == {"seed_time_s": 0.5}
 
     def test_malformed_record_names_line(self):
-        with pytest.raises(InputError, match="line 2"):
-            parse_matching("m 0 0\nx 1 1\n")
+        # Extra fields are as malformed as missing or unknown ones.
+        for record in ("x 1 1", "m 1 2 3", "u1 4 5", "u2", "m 1 x"):
+            with pytest.raises(InputError, match=f"line 2: malformed matching record: '{record}'"):
+                parse_matching(f"m 0 0\n{record}\n")

@@ -17,7 +17,6 @@ from roadmatch.matcher import (
     admissible_at,
     flood_match,
     match,
-    pair_admissible,
     run_trial,
 )
 from roadmatch.oracle import brute_force_max_conformal
@@ -30,6 +29,7 @@ from conftest import (
     embedded_graphs,
     figure_star,
     index_state,
+    pair_admissible,
     path_graph,
     random_graph,
     rebuilt_index,
@@ -45,12 +45,12 @@ def make_state_and_index(g1, g2, k=2, bound=10**6):
 
 
 def state_fingerprint(state, idx):
-    return (
-        tuple(state.matched1),
-        tuple(state.matched2),
-        tuple(state.total),
-        index_state(idx),
-    )
+    return (tuple(state.matched1), tuple(state.matched2), index_state(idx))
+
+
+def state_pairs(state):
+    """The state's matched pairs in vertex order, as `match` reports them."""
+    return [(v, w) for v, w in enumerate(state.matched1) if w is not None]
 
 
 class TestProcessNodes:
@@ -61,61 +61,54 @@ class TestProcessNodes:
         names2 = {1: 1, 5: 2, 6: 3, 7: 4}
         g2 = figure_star(tuple(names2[x] for x in (1, 7, 6, 5)))
         state, idx = make_state_and_index(g1, g2, k=1)
-        state.checkpoint()
+        journal = []
         # Both centers' rotations start at the arm named 1.
-        run_trial(state, 0, 0, g1.rotation[0], g2.rotation[0])
+        run_trial(state, 0, 0, g1.rotation[0], g2.rotation[0], journal)
         back = {v: k for k, v in names2.items()}
-        flooded = [(v1, back[v2]) for v1, v2 in state.trial[1:]]
+        flooded = [(v1, back[v2]) for v1, v2 in journal[1:]]
         assert flooded == [(1, 1), (4, 7), (3, 6), (2, 5)]
 
     def test_degree_one_pair_enqueues_nothing(self):
         g = path_graph(2)
         state, idx = make_state_and_index(g, g, k=1)
-        state.checkpoint()
+        journal = []
         # The pair (1, 1) is reached through its only edge.
-        assert run_trial(state, 0, 0, (1,), (1,)) == 2
-        assert state.trial == [(0, 0), (1, 1)]
+        assert run_trial(state, 0, 0, (1,), (1,), journal) == 2
+        assert journal == [(0, 0), (1, 1)]
 
     def test_undo_restores_unmatched_and_reindexes(self):
         g = path_graph(3)
         state, idx = make_state_and_index(g, g, k=1)
         before = state_fingerprint(state, idx)
-        state.checkpoint()
-        run_trial(state, 1, 1, (0, 2), (0, 2))
-        assert state.matched1[1] == 1
-        state.abort_trial()
+        journal = [(9, 9)]  # pairs already in the journal stay as they are
+        assert run_trial(state, 1, 1, (0, 2), (0, 2), journal) == 3
+        assert journal == [(9, 9), (1, 1), (0, 0), (2, 2)]
         assert state_fingerprint(state, idx) == before
 
     def test_matched_vertex_rejected(self):
         g = path_graph(3)
         state, idx = make_state_and_index(g, g, k=1)
-        state.checkpoint()
-        run_trial(state, 1, 1, (0, 2), (0, 2))
+        journal = []
+        run_trial(state, 1, 1, (0, 2), (0, 2), journal)
+        state.commit(journal, idx)
         with pytest.raises(InternalError, match="seed already matched"):
-            run_trial(state, 1, 1, (0, 2), (0, 2))
-
-    def test_outside_trial_rejected(self):
-        g = path_graph(3)
-        state, idx = make_state_and_index(g, g, k=1)
-        with pytest.raises(InternalError, match="outside a trial"):
-            run_trial(state, 1, 1, (0, 2), (0, 2))
-        assert state.matched1 == [None] * 3
+            run_trial(state, 1, 1, (0, 2), (0, 2), [])
 
     def test_unequal_degrees_rejected(self):
         g1, g2 = path_graph(3), path_graph(2)
         state, idx = make_state_and_index(g1, g2, k=1)
-        state.checkpoint()
+        journal = []
         with pytest.raises(InternalError, match="degrees differ"):
-            run_trial(state, 1, 0, (0, 2), (1,))
-        assert state.trial == []
+            run_trial(state, 1, 0, (0, 2), (1,), journal)
+        assert journal == []
 
     def test_unaligned_start_rotations_rejected(self):
         g = path_graph(3)
         state, idx = make_state_and_index(g, g, k=1)
-        state.checkpoint()
+        journal = []
         with pytest.raises(InternalError, match="unequal length"):
-            run_trial(state, 1, 1, (0, 2), (0,))
-        assert state.trial == []
+            run_trial(state, 1, 1, (0, 2), (0,), journal)
+        assert journal == []
 
 
 class TestRunTrial:
@@ -123,8 +116,7 @@ class TestRunTrial:
         g = gen_irregular_grid(4, 4, 0.2, 3)
         state, idx = make_state_and_index(g, g)
         rot = canonical_start_rotations(g, 0)[0]
-        state.checkpoint()
-        assert run_trial(state, 0, 0, rot, rot) == g.vertex_count
+        assert run_trial(state, 0, 0, rot, rot, []) == g.vertex_count
 
     def test_immediately_diverging_neighborhoods(self):
         # Equal-degree seeds whose neighbor degrees differ: only the seed
@@ -132,16 +124,14 @@ class TestRunTrial:
         g1 = path_graph(5)  # vertex 0 has a degree-2 neighbor
         g2 = path_graph(2)  # vertex 0 has a degree-1 neighbor
         state, idx = make_state_and_index(g1, g2, k=0, bound=10**6)
-        state.checkpoint()
-        assert run_trial(state, 0, 0, (1,), (1,)) == 1
+        assert run_trial(state, 0, 0, (1,), (1,), []) == 1
 
     def test_p3_vs_p4_end_seeds(self):
         g1 = path_graph(3)
         g2 = path_graph(4)
         state, idx = make_state_and_index(g1, g2, k=0)
-        state.checkpoint()
         # Ends match, middles match, then degree 1 vs 2 stops the branch.
-        assert run_trial(state, 0, 0, (1,), (1,)) == 2
+        assert run_trial(state, 0, 0, (1,), (1,), []) == 2
 
 
 def grow_against_reference(rng, g1, g2, steps, seen=None):
@@ -224,8 +214,9 @@ def re_embedded_pairs(draw):
 
 
 class TestInsertionCheck:
-    """admissible_at and pair_admissible, an O(deg) insertion check that
-    assumes a conformal state, against the full re-check kept in conftest."""
+    """admissible_at and conftest.pair_admissible, an O(deg) insertion check
+    that assumes a conformal state, against the full re-check kept in
+    conftest."""
 
     @staticmethod
     def star_state(center2, matched_leaves, center_matched):
@@ -298,8 +289,7 @@ class TestInsertionCheck:
         # Leaves 2 and 3 are matched; a flood seeded at leaf 1 reaches the
         # centers, where only the order of the leaves' images can reject.
         state = self.star_state(center2, (2, 3), center_matched=False)
-        state.checkpoint()
-        assert run_trial(state, 1, 1, (0,), (0,)) == flooded
+        assert run_trial(state, 1, 1, (0,), (0,), []) == flooded
 
     def test_reads_state_without_changing_it(self):
         state = self.star_state((1, 2, 3, 4), (1, 3), center_matched=True)
@@ -387,9 +377,9 @@ class TestInsertionCheck:
             r1, r2 = g1.rotation[s1], g2.rotation[s2]
             i1, i2 = rng.randrange(len(r1) or 1), rng.randrange(len(r2) or 1)
             r1, r2 = r1[i1:] + r1[:i1], r2[i2:] + r2[:i2]
-            state.checkpoint()
-            run_trial(state, s1, s2, r1, r2)
-            assert state.abort_trial() == reference_trial(state, s1, s2, r1, r2)
+            journal = []
+            run_trial(state, s1, s2, r1, r2, journal)
+            assert journal == reference_trial(state, s1, s2, r1, r2)
 
     @given(st.integers(2, 6), st.integers(2, 6), st.integers(0, 10**6),
            st.randoms(use_true_random=False))
@@ -409,37 +399,14 @@ class TestCheckpointCommitAbort:
         g = gen_irregular_grid(3, 4, 0.3, 1)
         state, idx = make_state_and_index(g, g)
         before = state_fingerprint(state, idx)
-        state.checkpoint()
         rot = canonical_start_rotations(g, 2)[0]
-        run_trial(state, 2, 2, rot, rot)
-        state.abort_trial()
+        assert run_trial(state, 2, 2, rot, rot, []) > 1
         assert state_fingerprint(state, idx) == before
 
-    def test_commit_then_abort_errors(self):
-        g = path_graph(2)
-        state, idx = make_state_and_index(g, g)
-        state.checkpoint()
-        state.commit(state.abort_trial(), idx)
-        with pytest.raises(InternalError):
-            state.abort_trial()
-
-    def test_commit_during_trial_errors(self):
-        g = path_graph(2)
-        state, idx = make_state_and_index(g, g)
-        state.checkpoint()
-        with pytest.raises(InternalError):
-            state.commit([], idx)
-
-    def test_double_checkpoint_errors(self):
-        g = path_graph(2)
-        state, _ = make_state_and_index(g, g)
-        state.checkpoint()
-        with pytest.raises(InternalError):
-            state.checkpoint()
-
     def test_random_trials_agree_with_snapshot_semantics(self):
-        # 100 random trials with random abort/commit, checked against
-        # deepcopy-snapshot reference behavior.
+        # 100 random trials, each rolled back by run_trial and then
+        # committed at random, checked against deepcopy snapshots and an
+        # index rebuilt from the unmatched vertices.
         rng = random.Random(42)
         g1 = gen_irregular_grid(4, 5, 0.3, 5)
         g2, _ = perturb(g1, 0.1, 0.05, 0.0, 6)
@@ -459,17 +426,13 @@ class TestCheckpointCommitAbort:
             r1 = canonical_start_rotations(g1, s1)[0]
             r2 = canonical_start_rotations(g2, s2)[0]
             snap_state, snap_idx = deepcopy((state, idx))
-            state.checkpoint()
-            run_trial(state, s1, s2, r1, r2)
-            if rng.random() < 0.5:
-                state.abort_trial()
-                assert state_fingerprint(state, idx) == state_fingerprint(
-                    snap_state, snap_idx
-                )
-            else:
-                committed = state.abort_trial()
-                state.commit(committed, idx)
-                assert state.total == snap_state.total + committed
+            journal = []
+            run_trial(state, s1, s2, r1, r2, journal)
+            assert state_fingerprint(state, idx) == state_fingerprint(snap_state, snap_idx)
+            if rng.random() >= 0.5:
+                state.commit(journal, idx)
+                assert state_pairs(state) == sorted(state_pairs(snap_state) + journal)
+                assert index_state(idx) == index_state(rebuilt_state_index(idx, state, 1))
 
 
 class TestMatch:
@@ -541,9 +504,9 @@ def recorded_trials(monkeypatch):
     calls = []
     flood = matcher.run_trial
 
-    def recorded(state, s1, s2, r1, r2):
+    def recorded(state, s1, s2, r1, r2, journal):
         calls.append((s1, s2, r1, r2))
-        return flood(state, s1, s2, r1, r2)
+        return flood(state, s1, s2, r1, r2, journal)
 
     monkeypatch.setattr(matcher, "run_trial", recorded)
     return calls
@@ -802,13 +765,13 @@ class TestMatchAgainstReference:
                 state = flood_match(g1, g2, idx, seed)
                 monkeypatch.setattr(SeedIndex, "pop_min_label", pop)
                 case = (rows, cols, irregularity, k, seed)
-                assert sorted(state.total) == ref_pairs, case
+                assert state_pairs(state) == ref_pairs, case
                 assert [v for v, w in enumerate(state.matched1) if w is None] == ref_u1, case
                 assert [v for v, w in enumerate(state.matched2) if w is None] == ref_u2, case
                 assert stale_pops and not any(stale_pops), case
                 rebuilt = rebuilt_state_index(idx, state, k)
                 assert index_state(idx) == index_state(rebuilt) == ref_state, case
-                totals["pairs"] += len(state.total)
+                totals["pairs"] += len(ref_pairs)
                 for key, n in counts.items():
                     totals[key] += n
         # The cases must exercise every branch of the seed loop.
@@ -832,12 +795,15 @@ class TestSeedPairRules:
     def test_anchored_rule_drops_only_inadmissible_seed2s(self, monkeypatch):
         # With the component bound off, a seed s1 with a matched neighbour
         # is checked only against the seeds adjacent to the first such
-        # neighbour's image, every seed2 it is not checked against fails
-        # pair_admissible, and a seed without one is checked against all.
+        # neighbour's image, and every seed2 it is not checked against fails
+        # pair_admissible; a seed without one is flooded against all
+        # unchecked.  Seed checks are the admissible_at calls made outside
+        # run_trial.
         g1 = gen_irregular_grid(12, 12, 0.02, 4)
         g2, _ = perturb(g1, 0.03, 0.02, 0.03, 5)
         states, pops = [], []
-        dropped, unanchored, checked = set(), set(), set()
+        dropped, unanchored, checked, flooded = set(), set(), set(), set()
+        in_trial = []
 
         class RecordedState(MatchState):
             def __init__(self, g1, g2):
@@ -862,17 +828,31 @@ class TestSeedPairRules:
             pops.append(lid)
             return lid
 
-        def recorded_check(state, s1, s2):
-            checked.add((len(pops) - 1, s1, s2))
-            return pair_admissible(state, s1, s2)
+        check = matcher.admissible_at
+        flood = matcher.run_trial
+
+        def recorded_check(state, s1, s2, i1, i2):
+            if not in_trial:
+                checked.add((len(pops) - 1, s1, s2))
+            return check(state, s1, s2, i1, i2)
+
+        def recorded_trial(state, s1, s2, r1, r2, journal):
+            flooded.add((len(pops) - 1, s1, s2))
+            in_trial.append(True)
+            try:
+                return flood(state, s1, s2, r1, r2, journal)
+            finally:
+                in_trial.pop()
 
         monkeypatch.setattr(matcher, "MatchState", RecordedState)
         monkeypatch.setattr(SeedIndex, "pop_min_label", recorded_pop)
-        monkeypatch.setattr(matcher, "pair_admissible", recorded_check)
+        monkeypatch.setattr(matcher, "admissible_at", recorded_check)
+        monkeypatch.setattr(matcher, "run_trial", recorded_trial)
         monkeypatch.setattr(matcher, "component_at_most", lambda *args: False)
         match(g1, g2, k=1, max_product=10**6)
-        assert dropped and not dropped & checked
-        assert unanchored < checked  # anchored seeds are checked too
+        assert dropped and not dropped & (checked | flooded)
+        assert unanchored <= flooded and not unanchored & checked
+        assert checked and flooded - unanchored <= checked  # anchored seeds are checked
 
     @staticmethod
     def triangle_and_square():
@@ -894,9 +874,9 @@ class TestSeedPairRules:
         assert [(s1, s2) for s1, s2, _, _ in calls] == [(0, 0)] * 2 + [(3, 3)] * 2 + [(0, 0)] * 2
         # A skipped pair would have tied the best trial with other pairs...
         state = MatchState(g, g)
-        state.checkpoint()
-        assert run_trial(state, 0, 1, (1, 2), (2, 0)) == 3
-        assert state.abort_trial() != [(0, 0), (1, 1), (2, 2)]
+        journal = []
+        assert run_trial(state, 0, 1, (1, 2), (2, 0), journal) == 3
+        assert journal != [(0, 0), (1, 1), (2, 2)]
         # ...and the earliest trial, the identity, still wins over the
         # mirrored one flooded next from the same pair.
         assert res.pairs == [(v, v) for v in range(7)]

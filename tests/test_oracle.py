@@ -106,7 +106,6 @@ class TestExhaustiveFlood:
             for r1 in canonical_start_rotations(g1, s1):
                 for r2 in canonical_start_rotations(g2, s2):
                     state = MatchState(g1, g2)
-                    state.checkpoint()
-                    best = max(best, run_trial(state, s1, s2, r1, r2))
+                    best = max(best, run_trial(state, s1, s2, r1, r2, []))
             assert best == exhaustive_flood_from(g1, g2, s1, s2)
             checked += 1

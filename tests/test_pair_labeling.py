@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from roadmatch import labeling, seed_index, worker
 from roadmatch.cli import dispatch
-from roadmatch.errors import ConfigurationError, InternalError
+from roadmatch.errors import ConfigurationError, InputError, InternalError
 from roadmatch.generator import gen_irregular_grid, perturb
 from roadmatch.graph import EmbeddedGraph
 from roadmatch.ingest import emit_erg
@@ -155,6 +155,23 @@ class TestWorkerEnds:
             with pytest.raises(error):
                 label_pair(g1, g2, 3)
         assert len(started) == 1 and started[0].returncode is not None
+
+    @pytest.mark.parametrize(
+        "call", [lambda g1, g2: label_pair(g1, g2, 2), auto_tune_k], ids=["label_pair", "tune"]
+    )
+    def test_job_input_error_raised_as_in_process(self, call):
+        # g2's degree-300 vertex is beyond what labels hold: the job's own
+        # InputError reaches the caller as it is, worker or not.
+        g1 = snapshot_pair(2)[0]
+        g2 = EmbeddedGraph((tuple(range(1, 301)),) + ((0,),) * 300, d_max=400)
+        message = "vertex 0 has degree 300; labels hold degrees up to 255"
+        with pytest.raises(InputError) as in_process:
+            call(g1, g2)
+        with forced_worker() as started:
+            with pytest.raises(InputError) as in_worker:
+                call(g1, g2)
+        assert len(started) == 1
+        assert str(in_worker.value) == str(in_process.value) == message
 
     def test_worker_error_is_internal(self, monkeypatch):
         # A worker that fails on its job exits 1 with a traceback: that is
