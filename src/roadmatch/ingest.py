@@ -30,6 +30,12 @@ from .graph import EmbeddedGraph
 
 ERG_HEADER = "ERG 1"
 
+# The most vertices an ERG file may declare.  Parsing makes a rotation
+# entry for each declared vertex, the file's lines or not, so a larger
+# ``n`` is an input error rather than an allocation that hangs or fails.
+# Ten times a 1000 x 1000 grid.
+MAX_VERTICES = 10_000_000
+
 
 @dataclass
 class SegmentSet:
@@ -69,6 +75,10 @@ def parse_erg(text: str) -> EmbeddedGraph:
                 n = int(parts[1])
                 if n < 0 or len(parts) != 2:
                     raise ValueError
+                if n > MAX_VERTICES:
+                    raise InputError(
+                        f"line {lineno}: n = {n} is above the limit of {MAX_VERTICES} vertices"
+                    )
             elif tag == "v":
                 if n is None:
                     raise InputError(f"line {lineno}: 'v' before 'n'")

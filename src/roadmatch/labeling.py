@@ -19,33 +19,40 @@ The start rotations and the whole depth-1 label depend only on the
 degrees of the vertex's neighbours in rotation order, and a road network
 of bounded degree has few distinct such sequences (hundreds to a few
 thousand on tens of thousands of vertices).  So ``depth_one`` computes
-them once per sequence, memoised for one pass by ``depth_one_at``, which
-also enforces the degree cap; the matcher looks its seeds' start offsets
-up the same way.  At k <= 1 that is the whole label, and no BFS runs.
+them once per sequence, memoised for one pass under those degrees.  At
+k <= 1 that is the whole label, read from the caller's rotations by
+``depth_one_at``, which also enforces the degree cap, and no BFS runs;
+the matcher looks its seeds' start offsets up the same way.
 
-Past depth 1, one kernel computes the canonical BFS for ``label_nodes``
-and ``labels_by_depth``, from the tied starts ``depth_one`` gives, and
-appends levels 2..k to its depth-1 label.  It first renumbers the graph
-in breadth-first order over every component, so the vertices of one ball
-sit close together in memory, and maps results back to the caller's ids
-at the end; labels are degree sequences, so renumbering cannot change
-them.  The BFS itself is level-synchronous: each level is a list of
-directed edges, a table gives the clockwise successor edges of every
-directed edge, and a stamp array marks the vertices already listed.
-``_BallKernel.grow`` is the one place that expands levels.
+Past depth 1, one kernel computes the canonical BFS for both
+``label_nodes`` and ``labels_by_depth``.  It first renumbers the graph in
+breadth-first order over every component, so the vertices of one ball sit
+close together in memory, and everything after that runs on these local
+ids: a vertex's depth-1 label and tied starts come from its slice of the
+kernel's head-degree bytes, through the same memo (the build enforces the
+cap), and each label is written straight to its caller id.  Labels are
+degree sequences, so the renumbering cannot change them.  The BFS is
+level-synchronous: each level is a list of directed edges, a table gives
+the clockwise successor edges of every directed edge, and a stamp array
+marks the vertices already listed.  ``_BallKernel.walk`` is the one place
+that expands levels.  A vertex with a single start grows all its levels
+into one flat edge list after one stamp pass.  Tied starts share one
+stamp pass per level, each start marking what it finds with a mark of
+its own, and after each level only the starts with the smallest degrees
+go on; their tails are compared as bytes.
 
 The ball within distance k holds the same vertices whatever the start
 rotation, and the depth-k order from a start is a prefix of its
 depth-(k+1) order.  So a start whose label loses at depth k loses at every
 greater depth, and ``labels_by_depth`` can grow every ball by one level per
-k, carrying only the starts still tied, instead of walking it again.  It
-grows only the live vertices: after each k its caller names the labels to
-keep, and a vertex whose label is not among them is never grown again.
-The tuner keeps just the labels that can still be shared by the other
-graph (``seed_index.auto_tune_k``) and speaks to it through
-``counts_by_depth``, which sends label counts and, at the end, a master
-table of the labels it is asked for.  A ball stops growing at its first
-empty level, when it covers its component, whatever k asks for.
+k, with the same walk, carrying only the starts still tied, instead of
+walking it again.  It grows only the live vertices: after each k its
+caller names the labels to keep, and a vertex whose label is not among
+them is never grown again.  The tuner keeps just the labels that can still
+be shared by the other graph (``seed_index.auto_tune_k``) and speaks to it
+through ``counts_by_depth``, which sends label counts and, at the end, a
+master table of the labels it is asked for.  A ball stops growing at its
+first empty level, when it covers its component, whatever k asks for.
 
 A label depends only on its own graph, so two snapshots can be labeled at
 the same time.  ``labeling_job`` labels one graph in a worker process (see
@@ -58,10 +65,11 @@ this process.
 from __future__ import annotations
 
 import copy
-import itertools
 from array import array
 from collections import Counter
-from collections.abc import Generator, Iterable, Iterator, Sequence
+from collections.abc import Generator, Iterable, Iterator, MutableSequence, Sequence
+from itertools import accumulate, count, islice
+from operator import itemgetter
 
 from . import worker
 from .errors import InputError
@@ -117,10 +125,11 @@ def depth_one_at(rotation, v: int, memo: StartMemo) -> tuple[tuple[int, ...], La
         return found
     except ValueError:
         w = next(u for u in (v, *rot) if len(rotation[u]) > MAX_LABEL_DEGREE)
-        raise InputError(
-            f"vertex {w} has degree {len(rotation[w])}; "
-            f"labels hold degrees up to {MAX_LABEL_DEGREE}"
-        ) from None
+        raise _degree_error(w, len(rotation[w])) from None
+
+
+def _degree_error(v: int, d: int) -> InputError:
+    return InputError(f"vertex {v} has degree {d}; labels hold degrees up to {MAX_LABEL_DEGREE}")
 
 
 def _breadth_first_ids(rotation) -> list[int]:
@@ -146,104 +155,163 @@ class _BallKernel:
     """Canonical BFS over one graph, on breadth-first local ids.
 
     ``old[x]`` is the caller's id of local vertex x.  Directed edges are
-    numbered so that the out-edges of x are ``first[x] .. first[x] +
-    deg[x] - 1`` in clockwise order; ``head[e]`` is the vertex edge e
-    enters, ``head_deg[e]`` its degree, and ``succ[e]`` lists the out-edges
-    of that vertex clockwise after the one leading back along e.  Depth-1
-    labels need none of this (``depth_one``), so the kernel is built only
-    to grow balls past depth 1.  The tables live as long as the kernel.
+    numbered so that the out-edges of x are ``first[x] .. first[x + 1] -
+    1`` in clockwise order; ``head[e]`` is the vertex edge e enters,
+    ``head_deg[e]`` (bytes) its degree, and ``succ[e]`` lists the
+    out-edges of that vertex clockwise after the one leading back along e.
+    Depth-1 labels need none of this (``depth_one``), so the kernel is
+    built only to grow balls past depth 1.  The tables live as long as the
+    kernel.  A degree above ``MAX_LABEL_DEGREE`` is ``InputError``, naming
+    the caller's id of its vertex.
     """
 
     def __init__(self, g: EmbeddedGraph):
-        self.old = old = _breadth_first_ids(g.rotation)
+        rotation = g.rotation
+        self.old = old = _breadth_first_ids(rotation)
         new = [0] * len(old)
         for x, v in enumerate(old):
             new[v] = x
-        rot = [tuple(map(new.__getitem__, g.rotation[v])) for v in old]
-        self.deg = deg = [len(r) for r in rot]
-        # Never read inside a walk, so machine ints will do.
-        self.first = first = array("i")
-        edges = 0
-        for d in deg:
-            first.append(edges)
-            edges += d
+        deg = [len(rotation[v]) for v in old]
+        # Ends with the edge count.  Read once per vertex, outside the
+        # walk's loops, so machine ints will do.
+        self.first = array("i", accumulate(deg, initial=0))
         # One int object per edge id, shared by every table that names it.
-        self.edge_ids = list(range(edges))
-        self.head = [u for r in rot for u in r]
-        self.head_deg = [deg[u] for u in self.head]
-        del rot  # so that it and the larger successor table never peak together
-        self.succ = self._successors()
+        self.edge_ids = list(range(self.first[-1]))
+        self.head = [new[u] for v in old for u in rotation[v]]
+        del new
+        try:
+            # Every vertex of degree above 0 is the head of an edge.
+            self.head_deg = bytes(map(deg.__getitem__, self.head))
+        except ValueError:
+            x = next(x for x, d in enumerate(deg) if d > MAX_LABEL_DEGREE)
+            raise _degree_error(old[x], deg[x]) from None
+        self.succ = self._successors(deg)
         self.stamp = [0] * len(old)
         self.mark = 0
 
-    def _successors(self) -> list[tuple[int, ...]]:
-        deg, first, head, ids = self.deg, self.first, self.head, self.edge_ids
+    def _successors(self, deg: list[int]) -> list[tuple[int, ...]]:
+        # A list reads faster than the array; it lives only for this build.
+        first, head, ids = self.first.tolist(), self.head, self.edge_ids
+        index = head.index
         succ: list[tuple[int, ...]] = [()] * len(ids)
         for u, d in enumerate(deg):
             a = first[u]
-            out = ids[a : a + d] * 2
-            for i in range(d):
-                x = head[a + i]
+            out = tuple(ids[a : a + d]) * 2
+            i = 1
+            for x in head[a : a + d]:
                 # The edge x -> u, found among the out-edges of x.
-                succ[head.index(u, first[x], first[x] + deg[x])] = tuple(out[i + 1 : i + d])
+                succ[index(u, first[x], first[x + 1])] = out[i : i + d - 1]
+                i += 1
         return succ
 
-    def first_levels(self, x: int, offsets: Sequence[int]) -> list[list[int]]:
-        """The out-edges of local vertex x rotated to start at each offset:
-        the depth-1 BFS from each of its tied starts (``depth_one``)."""
-        a = self.first[x]
-        out = self.edge_ids[a : a + self.deg[x]]
-        return [out[i:] + out[:i] for i in offsets]
+    def starts(self, x: int, memo: StartMemo) -> tuple[Label, list[list[int]]]:
+        """The depth-1 label of local vertex x, and its out-edges rotated to
+        each tied start: the depth-1 BFS from each (``depth_one``, memoised
+        in ``memo`` under x's neighbour degrees as ``depth_one_at`` is)."""
+        a, b = self.first[x], self.first[x + 1]
+        degs = self.head_deg[a:b]
+        found = memo.get(degs)
+        if found is None:
+            memo[degs] = found = depth_one(degs)
+        offsets, label = found
+        out = self.edge_ids[a:b]
+        return label, [out[i:] + out[:i] if i else out for i in offsets]
 
-    def grow(
-        self, x: int, prev: Sequence[int], balls: list[list[Sequence[int]]], levels: int
-    ) -> list[list[Sequence[int]]]:
-        """Extend the BFS of local vertex x by ``levels`` levels under each start.
+    def walk(
+        self, x: int, prev: Sequence[int], levels: list[MutableSequence[int]], steps: int
+    ) -> tuple[Label, list[MutableSequence[int]]]:
+        """Grow the canonical BFS of local vertex x by up to ``steps`` levels.
 
-        ``balls`` holds, for each start rotation still tied, the edges of
-        its levels so far in discovery order, deepest last; only that last
-        one must be there.  ``prev`` holds the edges of the level before it
-        (empty at depth 1, where that level is x alone).  A level holds the
-        same vertices under every start, only in another order, so one
-        ``prev`` serves them all.  The stamp array is reset to x and the
-        last two levels, because walks from other vertices reuse it; only
-        their neighbours can be new.  Each new level is appended to its
-        ball, and after each level only the starts whose new vertices have
-        the smallest degree sequence go on.  The first empty level ends the
-        walk: the ball covers its component, under every start.  Returns
-        those balls, winner (the first) first.
+        ``levels`` holds the edges of the deepest level so far under each
+        start rotation still tied, in discovery order; ``prev`` the edges of
+        the level before it (empty at depth 1, where that level is x
+        alone).  A level holds the same vertices under every start, only in
+        another order, so one ``prev`` serves them all, and only the
+        neighbours of the last level can be new.  Returns the degrees of
+        the levels grown under the start that gives the smallest label and,
+        for each start still tied with it, that start first, a list that
+        ends with its deepest level.  The first empty level ends the walk:
+        the ball covers its component, under every start.
+
+        The stamp array is shared with every other walk, so each walk first
+        marks x and the last two levels with a mark above every earlier
+        one.  While starts are tied they share one such pass per level:
+        with B starts, marks base .. base + B are fresh, the last two
+        levels get base + B, and start b marks what it finds with base + b,
+        so a vertex is new to it exactly when its stamp is below base + b,
+        whatever the starts before it found.  Once one start is left, its
+        levels grow into one flat edge list with no further stamp pass:
+        the walk appends them to that start's list in ``levels``.
         """
         head, head_deg, stamp, succ = self.head, self.head_deg, self.stamp, self.succ
-        for step in range(levels):
-            # Every start's walk stamps the same vertices, so a lone start
-            # goes on from whatever stamps the last walk left.
-            fresh = step == 0 or len(balls) > 1
-            for ball in balls:
-                level = ball[-1]
-                if fresh:
-                    self.mark += 1
-                    mark = self.mark
-                    stamp[x] = mark
-                    for e in prev:
-                        stamp[head[e]] = mark
-                    for e in level:
-                        stamp[head[e]] = mark
-                nxt = []
+        tail = b""
+        mark = 0  # no stamp pass yet
+        while len(levels) > 1:
+            if not steps:
+                return tail, levels
+            steps -= 1
+            base = self.mark + 1
+            self.mark = top = base + len(levels)
+            stamp[x] = top
+            for e in prev:
+                stamp[head[e]] = top
+            for e in levels[0]:
+                stamp[head[e]] = top
+            grown = []
+            for own, level in enumerate(levels, base):
+                nxt: list[int] = []
                 for e in level:
                     for f in succ[e]:
                         u = head[f]
-                        if stamp[u] != mark:
-                            stamp[u] = mark
+                        if stamp[u] < own:
+                            stamp[u] = own
                             nxt.append(f)
-                ball.append(nxt)
+                grown.append(nxt)
+            mark = base
             if not nxt:
-                break  # the ball covers its component, under every start
-            prev = level
-            if len(balls) > 1:
-                tails = [[head_deg[f] for f in ball[-1]] for ball in balls]
-                best = min(tails)
-                balls = [ball for ball, tail in zip(balls, tails) if tail == best]
-        return balls
+                return tail, levels  # the ball covers its component
+            tails = [_degrees(head_deg, nxt) for nxt in grown]
+            best = min(tails)
+            tail += best
+            prev = levels[0]
+            levels = [nxt for nxt, t in zip(grown, tails) if t == best]
+        if not steps:
+            return tail, levels
+        if not mark:
+            self.mark = mark = self.mark + 1
+            stamp[x] = mark
+            for e in prev:
+                stamp[head[e]] = mark
+            for e in levels[0]:
+                stamp[head[e]] = mark
+        # Stamps at or above mark are x and the last two levels (the tied
+        # starts' last pass gave them base .. base + B), so one test serves
+        # from here on.
+        ball = levels[0]
+        lo, hi = 0, len(ball)
+        start = hi
+        for _ in range(steps):
+            for e in islice(ball, lo, hi):
+                for f in succ[e]:
+                    u = head[f]
+                    if stamp[u] < mark:
+                        stamp[u] = mark
+                        ball.append(f)
+            if len(ball) == hi:
+                break  # the ball covers its component
+            lo, hi = hi, len(ball)
+        if not lo:
+            return tail, levels
+        return tail + _degrees(head_deg, ball[start:]), levels
+
+
+def _degrees(head_deg: bytes, edges: Sequence[int]) -> bytes:
+    """The degrees of the vertices the edges enter, in order."""
+    if len(edges) > 1:
+        # Gathered in C, about twice as fast as ``map``; one item would
+        # come back bare rather than in a tuple.
+        return bytes(itemgetter(*edges)(head_deg))
+    return bytes(map(head_deg.__getitem__, edges))
 
 
 def master_table(labels: Iterable[tuple[int, Label]]) -> MasterTable:
@@ -272,18 +340,13 @@ def label_nodes(g: EmbeddedGraph, k: int) -> tuple[MasterTable, list[Label]]:
             labels = [lab[:1] for lab in labels]  # the degrees alone
         return master_table(enumerate(labels)), labels
     kernel = _BallKernel(g)
-    head_deg = kernel.head_deg
     labels = [b""] * len(rotation)
     for x, v in enumerate(kernel.old):
-        # The levels under the tied start that gives the smallest full
-        # label; its first level is already in the depth-1 label.
-        offsets, label = depth_one_at(rotation, v, memo)
-        balls = [[edges] for edges in kernel.first_levels(x, offsets)]
-        ball = kernel.grow(x, (), balls, k - 1)[0]
-        labels[v] = label + bytes([head_deg[e] for level in ball[1:] for e in level])
+        label, levels = kernel.starts(x, memo)
+        labels[v] = label + kernel.walk(x, (), levels, k - 1)[0]
     # The kernel's tables (``succ`` above all) outweigh the master table;
     # free them before it is built, so the two never peak together.
-    del kernel, head_deg
+    del kernel
     return master_table(enumerate(labels)), labels
 
 
@@ -301,20 +364,20 @@ def labels_by_depth(
 
     Depth 1 is each vertex's ``depth_one``; the kernel is built only when
     depth 2 is asked for, and the first growth reads each vertex's tied
-    starts from ``depth_one``.  After that, each live vertex carries only
-    its last two levels of edges in flat arrays: the last level under
-    every start still tied, back to back, the level before it once, and
-    per local id where each sits and how long it is; a small dict counts
-    the starts of the vertices that still have more than one.  A ball that
-    covers its component is grown no further, since its label no longer
-    changes.
+    starts from it (``_BallKernel.starts``).  Each depth is one level of
+    ``_BallKernel.walk`` per live vertex.  Between depths, each live vertex
+    carries only its last two levels of edges in flat arrays: the last
+    level under every start still tied, back to back, the level before it
+    once, and per local id where each sits and how long it is; a small
+    dict counts the starts of the vertices that still have more than one.
+    A ball that covers its component is grown no further, since its label
+    no longer changes.
     """
     rotation, memo = g.rotation, {}
-    firsts = [depth_one_at(rotation, v, memo) for v in range(len(rotation))]
-    labels: list[Label | None] = [lab for _, lab in firsts]
+    labels: list[Label | None] = [depth_one_at(rotation, v, memo)[1] for v in range(len(rotation))]
     keep = yield labels
     kernel = _BallKernel(g)
-    head_deg, old, first, deg = kernel.head_deg, kernel.old, kernel.first, kernel.deg
+    old, first = kernel.old, kernel.first
     n = len(old)
     # Where each local id's last two levels sit in ``prev`` and ``level``.
     prev_at, prev_n = array("i", [0]) * n, array("i", [0]) * n
@@ -322,7 +385,7 @@ def labels_by_depth(
     prev = level = array("i")
     tied: dict[int, int] = {}
     growing: Sequence[int] = range(n)  # local ids, ascending
-    for depth in itertools.count(2):
+    for depth in count(2):
         if keep is not None:
             for v, label in enumerate(labels):
                 if label not in keep:
@@ -334,38 +397,37 @@ def labels_by_depth(
             if label is None:
                 continue  # dropped
             if depth == 2:
-                balls = [[edges] for edges in kernel.first_levels(x, firsts[v][0])]
+                levels = kernel.starts(x, memo)[1]
                 before = ()
             else:
                 a, q = level_at[x], level_n[x]
                 w = q // tied.get(x, 1)
-                balls = [[level[i : i + w]] for i in range(a, a + q, w)]
+                # Lists, which grow faster than arrays.
+                levels = [level[i : i + w].tolist() for i in range(a, a + q, w)]
                 before = prev[prev_at[x] : prev_at[x] + prev_n[x]]
-            balls = kernel.grow(x, before, balls, 1)
-            new = balls[0][-1]
-            if not new:
+            tail, levels = kernel.walk(x, before, levels, 1)
+            if not tail:
                 continue  # the ball covers its component
-            labels[v] = label + bytes([head_deg[e] for e in new])
+            labels[v] = label + tail
             still.append(x)
             # The level just grown from, once: every start holds the same
             # edges.  At depth 2 that is x's out-edges, which ``edge_ids``
             # lists in place.
             if depth == 2:
-                prev_at[x], prev_n[x] = first[x], deg[x]
+                prev_at[x], prev_n[x] = first[x], first[x + 1] - first[x]
             else:
                 prev_at[x], prev_n[x] = a, w
-            level_at[x], level_n[x] = len(grown), len(balls) * len(new)
-            for ball in balls:
-                grown.extend(ball[-1])
-            if len(balls) > 1:
-                tied[x] = len(balls)
+            # The level just grown, under each start: a byte of the tail
+            # per edge.
+            width = len(tail)
+            level_at[x], level_n[x] = len(grown), len(levels) * width
+            for ends in levels:
+                grown.extend(ends[len(ends) - width :])
+            if len(levels) > 1:
+                tied[x] = len(levels)
             else:
                 tied.pop(x, None)
-        if depth == 2:
-            del firsts
-            prev = kernel.edge_ids
-        else:
-            prev = level
+        prev = kernel.edge_ids if depth == 2 else level
         level, growing = grown, still
         keep = yield labels
 
@@ -394,12 +456,12 @@ def counts_by_depth(g: EmbeddedGraph) -> Generator[Counter | MasterTable, tuple,
 # Below about this many vertices, a worker costs more than it saves:
 # starting it and moving the graph and its labels through pickles take
 # about 0.1 s.  Measured with ``label_pair`` on snapshot pairs of irregular
-# grids (2 vCPUs, Python 3.11.7, medians of 11 to 15 alternating runs on a
-# noisy host), the two ways tie near 5k-6k vertices at k = 2 (0.20 s each
-# at 5k) and near 5k at k = 3; at 4k the worker is 50% slower, and from 7k
-# on it saves 15-25%.  The gate stays above the tie, where the saving is
-# clear.
-WORKER_MIN_VERTICES = 8000
+# grids (2 vCPUs, Python 3.11.7, medians of 11 alternating runs, twice, on
+# a noisy host), the two ways tie near 5k-6k vertices at k = 2 (0.17-0.20 s
+# each) and near 4k at k = 3; at 7k the worker saves 11% at k = 2 and
+# 19-22% at k = 3, at 8k 14-16% and 21-28%.  The gate stays above the tie
+# at k = 2, where the saving is clear.
+WORKER_MIN_VERTICES = 7000
 
 
 def _replies(g: EmbeddedGraph, k: int | None) -> Iterator:

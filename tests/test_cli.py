@@ -206,6 +206,20 @@ class TestErrors:
         assert "k must be >= 0, got -2" in err
         assert "# k:" not in out
 
+    @pytest.mark.parametrize("bad_side", [0, 1])
+    @pytest.mark.parametrize("command", ["match", "tune-k", "validate", "oracle"])
+    def test_vertex_count_above_limit_exit_one(self, tmp_path, capsys, command, bad_side):
+        good, bad, m = tmp_path / "g.erg", tmp_path / "huge.erg", tmp_path / "m.txt"
+        good.write_text(emit_erg(path_graph(3)))
+        bad.write_text("ERG 1\nn 10000000000\n")
+        m.write_text("m 0 0\n")
+        pair = [good, good]
+        pair[bad_side] = bad
+        files = [m, *pair] if command == "validate" else pair
+        code, _, err = run(capsys, command, *map(str, files))
+        assert code == 1
+        assert "line 2: n = 10000000000 is above the limit" in err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "2.5", "three"])
     def test_validate_rejects_non_integer_k_line(self, tmp_path, capsys, value):
         g, m = tmp_path / "g.erg", tmp_path / "m.txt"

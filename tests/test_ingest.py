@@ -1,11 +1,13 @@
 import os
 import re
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roadmatch import ingest
 from roadmatch.errors import InputError
 from roadmatch.generator import gen_irregular_grid
 from roadmatch.ingest import (
@@ -74,6 +76,19 @@ class TestParseErg:
         assert g.coords[0] == (-122.5, 37.5)
         assert g.coords[1] is None
 
+    @pytest.mark.parametrize("n", [ingest.MAX_VERTICES + 1, 10**10])
+    def test_vertex_count_above_limit_names_line(self, n):
+        # Rejected at the 'n' line, before a rotation entry is made for
+        # any vertex.
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match=f"line 3: n = {n} is above the limit"):
+                parse_erg(f"ERG 1\n# declared\nn {n}\na 0 1\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestEmitErg:
     def test_empty_graph_is_header_only(self):
@@ -89,6 +104,18 @@ class TestEmitErg:
         g2 = parse_erg(emit_erg(g))
         assert g2.rotation == g.rotation
         assert g2.coords == g.coords
+
+    @given(embedded_graphs())
+    def test_round_trip_up_to_the_vertex_limit(self, g):
+        # A limit of exactly g's vertex count still reads it back; one
+        # below rejects it.
+        text = emit_erg(g)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "MAX_VERTICES", g.vertex_count)
+            assert parse_erg(text).rotation == g.rotation
+            mp.setattr(ingest, "MAX_VERTICES", g.vertex_count - 1)
+            with pytest.raises(InputError, match="line 2: .* above the limit"):
+                parse_erg(text)
 
 
 class TestSegments:

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from roadmatch.errors import InputError
 from roadmatch.generator import gen_irregular_grid
 from roadmatch.graph import EmbeddedGraph
-from roadmatch.labeling import depth_one, depth_one_at, label_nodes, labels_by_depth
+from roadmatch.labeling import (
+    _BallKernel,
+    depth_one,
+    depth_one_at,
+    label_nodes,
+    labels_by_depth,
+)
 
 from conftest import (
     canonical_start_rotations,
@@ -294,6 +300,119 @@ class TestLabelNodes:
         ):
             with pytest.raises(InputError, match="vertex 256 has degree 256"):
                 label()
+
+
+def labels_grown_to(g, k):
+    """``labels_by_depth(g)`` run to k with ``next``, as tuples."""
+    depths = labels_by_depth(g)
+    for _ in range(k):
+        labels = next(depths)
+    depths.close()
+    return tuples(labels)
+
+
+def assert_both_drivers_match_reference(g, k):
+    want = [reference_label(g, v, k) for v in range(g.vertex_count)]
+    assert tuples(label_nodes(g, k)[1]) == want
+    assert labels_grown_to(g, k) == want
+
+
+def tied_walk(g, v, k):
+    """(label, number of starts still tied) of v after the kernel walks
+    its levels 2..k."""
+    kernel = _BallKernel(g)
+    x = kernel.old.index(v)
+    label, levels = kernel.starts(x, {})
+    tail, levels = kernel.walk(x, (), levels, k - 1)
+    return tuple(label + tail), len(levels)
+
+
+def grid(rows, cols):
+    """A perfect lattice, rotations from its coordinates."""
+    g = gen_irregular_grid(rows, cols, 0.0, 0)
+    interior = (r * cols + c for r in range(1, rows - 1) for c in range(1, cols - 1))
+    assert all(g.degree(v) == 4 for v in interior)
+    return g
+
+
+@st.composite
+def tied_and_single_graphs(draw):
+    """Symmetric pieces, whose vertices have tied starts, mixed with
+    random ones and joined by a few edges, which break the ties at
+    different depths; ids shuffled.  The kernel walks tied and
+    single-start vertices in turn, on one stamp array."""
+    pieces = [
+        cycle_graph(draw(st.integers(3, 8))),
+        star_graph(draw(st.integers(2, 5))),
+        grid(3, 3),
+        grid(4, 4),
+        draw(embedded_graphs(max_vertices=6)),
+        path_graph(draw(st.integers(1, 4))),
+    ]
+    chosen = draw(st.lists(st.sampled_from(pieces), min_size=1, max_size=4))
+    nbrs = []
+    for piece in chosen:
+        base = len(nbrs)
+        nbrs += [[base + u for u in rot] for rot in piece.rotation]
+    n = len(nbrs)
+    for _ in range(draw(st.integers(0, 3))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if u == v or v in nbrs[u]:
+            continue
+        nbrs[u].insert(draw(st.integers(0, len(nbrs[u]))), v)
+        nbrs[v].insert(draw(st.integers(0, len(nbrs[v]))), u)
+    g = EmbeddedGraph(tuple(tuple(rot) for rot in nbrs))
+    return renumbered(g, draw(st.permutations(range(n))))
+
+
+class TestTiedStarts:
+    """Vertices with several canonical start rotations: their starts
+    share one stamp pass per level while they stay tied."""
+
+    @pytest.mark.parametrize("k", range(2, 6))
+    def test_grid_interior_stays_tied(self, k):
+        # The lattice looks the same from its centre under every quarter
+        # turn, so all four starts tie to any depth.
+        g = grid(11, 11)
+        label, tied = tied_walk(g, 60, k)
+        assert tied == 4
+        assert label == reference_label(g, 60, k)
+        assert_both_drivers_match_reference(g, k)
+
+    @pytest.mark.parametrize("k", range(2, 6))
+    def test_later_start_wins_at_depth_three(self, k):
+        # Three arms 0-1-4-7, 0-2-5-8-10 and 0-3-6-9: the starts at 1, 2
+        # and 3 read degrees (2, 2, 2) at depths 1 and 2, and at depth 3
+        # (1, 2, 1), (2, 1, 1) and (1, 1, 2), so the last start wins there.
+        g = EmbeddedGraph(
+            ((1, 2, 3), (0, 4), (0, 5), (0, 6), (1, 7), (2, 8), (3, 9), (4,), (5, 10), (6,), (8,))
+        )
+        label, tied = tied_walk(g, 0, k)
+        assert tied == (3 if k == 2 else 1)
+        if k >= 3:
+            assert label[7:10] == (1, 1, 2)
+        assert label == reference_label(g, 0, k)
+        assert_both_drivers_match_reference(g, k)
+
+    @pytest.mark.parametrize("k", range(2, 6))
+    @pytest.mark.parametrize(
+        "g",
+        [cycle_graph(4), cycle_graph(5), grid(3, 3), star_graph(3)],
+        ids=["cycle4", "cycle5", "grid3x3", "star3"],
+    )
+    def test_symmetric_component_smaller_than_its_ball(self, g, k):
+        # The centre's ball covers its component by depth 2 (the star's by
+        # depth 1), so its tied starts run out of levels before k; the
+        # walk ends there, still tied.
+        assert_both_drivers_match_reference(g, k)
+        centre = 4 if g.vertex_count == 9 else 0
+        _, tied = tied_walk(g, centre, k)
+        assert tied == g.degree(centre)
+
+    @given(tied_and_single_graphs(), st.integers(2, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_marks_never_leak_between_walks(self, g, k):
+        assert_both_drivers_match_reference(g, k)
 
 
 @st.composite
