@@ -12,7 +12,7 @@ import sys
 
 from .errors import ConfigurationError, InputError
 from .generator import gen_irregular_grid, perturb
-from .ingest import emit_erg, load_graph, load_pair
+from .ingest import emit_erg, load_graph, open_pair
 from .labeling import DEFAULT_K, label_nodes
 from .matcher import MatchResult, match
 from .metrics import (
@@ -21,7 +21,7 @@ from .metrics import (
     pair_distance_histogram,
     threshold_ratio,
 )
-from .oracle import DEFAULT_SIZE_CAP, brute_force_max_conformal
+from .oracle import DEFAULT_SIZE_CAP, MAX_SIZE_CAP, brute_force_max_conformal
 from .seed_index import DEFAULT_MAX_PRODUCT, auto_tune_k, label_pair
 
 
@@ -135,8 +135,8 @@ def _cmd_label(args) -> int:
 
 
 def _cmd_tune_k(args) -> int:
-    g1, g2 = load_pair(args.graph1, args.graph2, args.format)
-    report = auto_tune_k(g1, g2, args.max_product, args.k_max)
+    with open_pair(args.graph1, args.graph2, args.format) as (g1, g2, g2_job):
+        report = auto_tune_k(g1, g2, args.max_product, args.k_max, g2_job)
     for k, p in report.per_k:
         print(f"k: {k} max_product: {p}")
     print(f"chosen_k: {report.k}")
@@ -157,16 +157,17 @@ def _cmd_tune_k(args) -> int:
 
 
 def _cmd_match(args) -> int:
-    g1, g2 = load_pair(args.graph1, args.graph2, args.format)
-    result = match(
-        g1,
-        g2,
-        k=args.k,
-        max_product=args.max_product,
-        rng_seed=args.rng_seed,
-        auto_k=args.auto_k,
-        k_max=args.k_max,
-    )
+    with open_pair(args.graph1, args.graph2, args.format) as (g1, g2, g2_job):
+        result = match(
+            g1,
+            g2,
+            k=args.k,
+            max_product=args.max_product,
+            rng_seed=args.rng_seed,
+            auto_k=args.auto_k,
+            k_max=args.k_max,
+            g2_job=g2_job,
+        )
     _write(args.output, format_matching(result))
     # A label product of 0 means no label is shared by both graphs.
     if not result.stats.max_product:
@@ -202,13 +203,13 @@ def _check_pairs(pairs: list[tuple[int, int]], n1: int, n2: int) -> None:
 
 
 def _cmd_validate(args) -> int:
-    g1, g2 = load_pair(args.graph1, args.graph2, args.format)
-    with open(args.matching, encoding="utf-8") as fh:
-        pairs, _, _, stats = parse_matching(fh.read())
-    _check_pairs(pairs, g1.vertex_count, g2.vertex_count)
-    # Score the labeling the matching was made with unless told otherwise.
-    k = args.k if args.k is not None else int(stats.get("k", DEFAULT_K))
-    mt1, mt2 = label_pair(g1, g2, k)
+    with open_pair(args.graph1, args.graph2, args.format) as (g1, g2, g2_job):
+        with open(args.matching, encoding="utf-8") as fh:
+            pairs, _, _, stats = parse_matching(fh.read())
+        _check_pairs(pairs, g1.vertex_count, g2.vertex_count)
+        # Score the labeling the matching was made with unless told otherwise.
+        k = args.k if args.k is not None else int(stats.get("k", DEFAULT_K))
+        mt1, mt2 = label_pair(g1, g2, k, g2_job)
     ratio = approximation_ratio(mt1, mt2, g1.vertex_count, g2.vertex_count)
     print(f"approximation_ratio: {ratio:.4f}")
     if g1.coords is not None and g2.coords is not None:
@@ -232,7 +233,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    g1, g2 = load_pair(args.graph1, args.graph2, args.format)
+    # The oracle labels nothing: its worker, if any, only parses g2.
+    with open_pair(args.graph1, args.graph2, args.format) as (g1, g2, _):
+        pass
     card, witness = brute_force_max_conformal(g1, g2, args.size_cap)
     print(f"max_conformal_cardinality: {card}")
     for v, w in sorted(witness.items()):
@@ -311,7 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="exact maximum conformal matching (tiny graphs)")
     p_oracle.add_argument("graph1")
     p_oracle.add_argument("graph2")
-    p_oracle.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
+    p_oracle.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP,
+                          help=f"largest graph searched, at most {MAX_SIZE_CAP} "
+                               f"(default {DEFAULT_SIZE_CAP})")
     _add_format(p_oracle)
     p_oracle.set_defaults(func=_cmd_oracle)
 

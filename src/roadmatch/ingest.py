@@ -7,24 +7,28 @@ collapsed to their endpoints so curved roads do not introduce chains of
 degree-2 vertices.  A file must be UTF-8 text; any other is an
 ``InputError`` naming the file.
 
-``load_pair`` reads the two snapshots of a pair.  When that pays (two
+``open_pair`` reads the two snapshots of a pair.  When that pays (two
 usable CPUs and a second file of at least ``PARSE_WORKER_MIN_BYTES``), a
 worker process (see ``worker``) reads and parses the second file while
 this process parses the first, and sends the graph back whole,
 coordinates included; otherwise both are parsed here, one after the
 other.  The graphs and the errors are the same either way: the first
 file's error wins, and the second file's is raised only once the first
-has parsed.
+has parsed.  The worker keeps its graph and waits for a labeling command,
+so the commands that label the pair (``match``, ``tune-k``, ``validate``)
+have it labeled where it was parsed, with no second worker to start and
+no graph to send back to one; ``oracle`` sends none.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from . import worker
+from . import labeling, worker
 from .errors import InputError
 from .graph import EmbeddedGraph
 
@@ -168,8 +172,18 @@ def collapse_polylines(s: SegmentSet) -> SegmentSet:
 
 
 def bearing_degrees(src: tuple[float, float], dst: tuple[float, float]) -> float:
-    """Compass bearing of dst as seen from src: 0 = due north, clockwise positive."""
+    """Compass bearing of dst as seen from src: 0 = due north, clockwise positive.
+
+    The longitude difference is taken the short way round, in [-180, 180),
+    so a road that crosses the antimeridian points the way it runs.
+    """
     dlon = dst[0] - src[0]
+    # One shift suffices for longitudes in [-180, 180]; a difference already
+    # in range is left exactly as it is.
+    if dlon >= 180.0:
+        dlon -= 360.0
+    elif dlon < -180.0:
+        dlon += 360.0
     dlat = dst[1] - src[1]
     return math.degrees(math.atan2(dlon, dlat)) % 360.0
 
@@ -181,8 +195,8 @@ def rotation_from_coords(coords, neighbor_lists) -> tuple[tuple[int, ...], ...]:
     deterministic.
     """
     rotation = []
-    for v, nbrs in enumerate(neighbor_lists):
-        rotation.append(tuple(sorted(nbrs, key=lambda u: (bearing_degrees(coords[v], coords[u]), u))))
+    for src, nbrs in zip(coords, neighbor_lists):
+        rotation.append(tuple(sorted(nbrs, key=lambda u: (bearing_degrees(src, coords[u]), u))))
     return tuple(rotation)
 
 
@@ -246,28 +260,42 @@ def load_graph(path: str, fmt: str = "erg") -> EmbeddedGraph:
 PARSE_WORKER_MIN_BYTES = 600_000
 
 
-def _parse_replies(path: str, fmt: str) -> Iterator:
-    """The parse job: one reply, ``load_graph(path, fmt)``."""
-    yield load_graph(path, fmt)
+def _snapshot_job(path: str, fmt: str) -> Iterator:
+    """The pair worker's job: ``load_graph(path, fmt)``, then the labeling
+    job (``labeling.label_replies``) of that graph under the command sent
+    back, if one is."""
+    g = load_graph(path, fmt)
+    k = yield g
+    yield from labeling.label_replies(g, k)
 
 
-def load_pair(path1: str, path2: str, fmt: str = "erg") -> tuple[EmbeddedGraph, EmbeddedGraph]:
-    """``(load_graph(path1, fmt), load_graph(path2, fmt))``, the second
-    parsed in a worker process while this one parses the first, when that
-    pays: two usable CPUs and a second file of at least
-    ``PARSE_WORKER_MIN_BYTES`` bytes.
+@contextlib.contextmanager
+def open_pair(
+    path1: str, path2: str, fmt: str = "erg"
+) -> Iterator[tuple[EmbeddedGraph, EmbeddedGraph, object]]:
+    """Yield ``(g1, g2, g2_job)``: the graphs ``load_graph(path1, fmt)`` and
+    ``load_graph(path2, fmt)``, and the job that parsed g2 and can label it.
 
-    The worker reads the file itself.  Errors are those of the two calls
-    made in order: the second file's ``InputError`` or ``OSError`` is
-    raised only once the first file has parsed cleanly.  The worker is
-    killed and reaped before this returns or raises.
+    When that pays (two usable CPUs and a second file of at least
+    ``PARSE_WORKER_MIN_BYTES`` bytes), a worker process reads and parses
+    the second file while this one parses the first, and keeps g2 after
+    sending it back.  ``g2_job`` is then its peer (see ``worker``), which
+    ``labeling.labeling_job`` labels g2 through at any k, so one worker
+    parses and labels g2; otherwise both files are parsed here, one after
+    the other, and ``g2_job`` is None.
+
+    Errors are those of the two ``load_graph`` calls made in order: the
+    second file's ``InputError`` or ``OSError`` is raised only once the
+    first file has parsed cleanly.  The worker is killed and reaped once
+    g2 is labeled, and at the latest when the block is left.
     """
     try:
         big = os.path.getsize(path2) >= PARSE_WORKER_MIN_BYTES
     except OSError:
         big = False  # parsing it raises the error, in order
-    in_worker = big and worker.usable_cpus() >= 2
-    with worker.job(_parse_replies, path2, fmt, in_worker=in_worker) as second:
+    if not (big and worker.usable_cpus() >= 2):
+        yield load_graph(path1, fmt), load_graph(path2, fmt), None
+        return
+    with worker.job(_snapshot_job, path2, fmt, in_worker=True) as second:
         g1 = load_graph(path1, fmt)
-        g2 = second.receive()
-    return g1, g2
+        yield g1, second.receive(), second

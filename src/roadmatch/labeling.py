@@ -56,14 +56,17 @@ first empty level, when it covers its component, whatever k asks for.
 
 A label depends only on its own graph, so two snapshots can be labeled at
 the same time.  ``labeling_job`` labels one graph in a worker process (see
-``worker``).  It runs only where it can pay for itself (two usable CPUs,
-k >= 2 and a graph of at least ``WORKER_MIN_VERTICES`` vertices);
-otherwise, or when the interpreter cannot be started, the same job runs in
-this process.
+``worker``).  When the worker that parsed the graph still holds it
+(``ingest.open_pair``), it is labeled there, at any k.  A graph in memory
+gets a worker of its own only where that can pay for itself (two usable
+CPUs, k >= 2 and at least ``WORKER_MIN_VERTICES`` vertices); otherwise,
+or when the interpreter cannot be started, the same job runs in this
+process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 from array import array
 from collections import Counter
@@ -453,18 +456,18 @@ def counts_by_depth(g: EmbeddedGraph) -> Generator[Counter | MasterTable, tuple,
         labels = depths.send(chosen)
 
 
-# Below about this many vertices, a worker costs more than it saves:
-# starting it and moving the graph and its labels through pickles take
-# about 0.1 s.  Measured with ``label_pair`` on snapshot pairs of irregular
-# grids (2 vCPUs, Python 3.11.7, medians of 11 alternating runs, twice, on
-# a noisy host), the two ways tie near 5k-6k vertices at k = 2 (0.17-0.20 s
-# each) and near 4k at k = 3; at 7k the worker saves 11% at k = 2 and
-# 19-22% at k = 3, at 8k 14-16% and 21-28%.  The gate stays above the tie
-# at k = 2, where the saving is clear.
+# Below about this many vertices, a worker of its own costs more than it
+# saves: starting it and moving the graph and its labels through pickles
+# take about 0.1 s.  Measured with ``label_pair`` on snapshot pairs of
+# irregular grids (2 vCPUs, Python 3.11.7, medians of 11 alternating runs,
+# twice, on a noisy host), the two ways tie near 5k-6k vertices at k = 2
+# (0.17-0.20 s each) and near 4k at k = 3; at 7k the worker saves 11% at
+# k = 2 and 19-22% at k = 3, at 8k 14-16% and 21-28%.  The gate stays
+# above the tie at k = 2, where the saving is clear.
 WORKER_MIN_VERTICES = 7000
 
 
-def _replies(g: EmbeddedGraph, k: int | None) -> Iterator:
+def label_replies(g: EmbeddedGraph, k: int | None) -> Iterator:
     """The labeling job, as the replies the worker sends for it.
 
     With k set, one reply: the master table ``label_nodes(g, k)[0]``.
@@ -476,24 +479,30 @@ def _replies(g: EmbeddedGraph, k: int | None) -> Iterator:
     yield from counts_by_depth(g)
 
 
-def labeling_job(g: EmbeddedGraph, k: int, by_depth: bool = False):
-    """Label g, in a worker process when that pays; a ``worker.job`` context.
+def labeling_job(g: EmbeddedGraph, k: int, by_depth: bool = False, held=None):
+    """Label g, in a worker process when that pays; a context yielding the
+    job's peer (see ``worker``), which is closed when the block is left.
 
     Its peer's ``receive()`` returns the next reply of the job and
-    ``send(command)`` passes a command (see ``_replies``).  At fixed k
-    (``by_depth`` false) the one reply is the master table of
+    ``send(command)`` passes a command (see ``label_replies``).  At fixed
+    k (``by_depth`` false) the one reply is the master table of
     ``label_nodes(g, k)``.  With ``by_depth`` the replies and commands are
     those of ``counts_by_depth(g)``, and k is the deepest level that may be
     asked for.
 
-    The worker runs only with two usable CPUs, k >= 2 and at least
-    ``WORKER_MIN_VERTICES`` vertices; otherwise the job runs in this
+    ``held`` is a peer whose job already holds g and waits for its
+    labeling command (``ingest.open_pair``): g is labeled there, at any k.
+    Without one, a worker runs only with two usable CPUs, k >= 2 and at
+    least ``WORKER_MIN_VERTICES`` vertices; otherwise the job runs in this
     process, with the same results.
     """
+    if held is not None:
+        held.send(None if by_depth else k)
+        return contextlib.closing(held)
     in_worker = k >= 2 and g.vertex_count >= WORKER_MIN_VERTICES and worker.usable_cpus() >= 2
     if in_worker:
         # The worker needs only the rotation system; unpickling the graph
         # does not validate it again.
         g = copy.copy(g)
         g.coords = None
-    return worker.job(_replies, g, None if by_depth else k, in_worker=in_worker)
+    return worker.job(label_replies, g, None if by_depth else k, in_worker=in_worker)

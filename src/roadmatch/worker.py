@@ -2,10 +2,11 @@
 
 A job is a generator function and its arguments: its first reply is
 ``next(job(*args))``, and every later one answers a command sent into it.
-The pair commands use it twice, one worker at a time: ``ingest.load_pair``
-parses the second snapshot's file while this process parses the first,
-and ``labeling.labeling_job`` labels the second snapshot while this
-process labels the first.
+The pair commands start one worker: ``ingest.open_pair`` has it parse the
+second snapshot's file while this process parses the first, and the same
+worker, still holding that graph, then labels it while this process
+labels the first (``labeling.labeling_job``).  A graph already in memory
+is labeled by a worker started for the labeling alone.
 
 The worker is a fresh interpreter that imports this package from the same
 location.  It gets the job as a pickle on stdin and answers on stdout; the

@@ -62,6 +62,13 @@ def forced_worker():
         yield started
 
 
+def parse_pair(path1, path2, fmt="erg"):
+    """The two graphs ``ingest.open_pair`` yields; its worker, if any, is
+    reaped before this returns."""
+    with ingest.open_pair(path1, path2, fmt) as (g1, g2, _):
+        return g1, g2
+
+
 def segments_text(g) -> str:
     """A segment-format document: one two-point segment per edge of g, at
     g's coordinates."""

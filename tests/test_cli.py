@@ -6,6 +6,7 @@ from roadmatch.generator import gen_irregular_grid, perturb
 from roadmatch.graph import verify_conformal
 from roadmatch.ingest import emit_erg, parse_erg
 from roadmatch.matcher import match
+from roadmatch.oracle import MAX_SIZE_CAP
 
 from conftest import path_graph
 
@@ -314,6 +315,13 @@ class TestLabelTuneOracle:
         code, _, err = run(capsys, "oracle", str(g), str(g))
         assert code == 1
         assert "size cap" in err
+
+    def test_oracle_size_cap_above_the_maximum_exit_one(self, tmp_path, capsys):
+        g = tmp_path / "g.erg"
+        g.write_text(emit_erg(path_graph(4)))
+        code, _, err = run(capsys, "oracle", str(g), str(g), "--size-cap", str(MAX_SIZE_CAP + 1))
+        assert code == 1
+        assert err == f"error: size cap {MAX_SIZE_CAP + 1} is above the maximum of {MAX_SIZE_CAP}\n"
 
 
 class TestMatchingFormat:

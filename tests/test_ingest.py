@@ -17,7 +17,6 @@ from roadmatch.ingest import (
     collapse_polylines,
     emit_erg,
     load_graph,
-    load_pair,
     parse_erg,
     parse_segments,
 )
@@ -27,6 +26,7 @@ from conftest import (
     edge_count,
     embedded_graphs,
     forced_worker,
+    parse_pair,
     segments_text,
 )
 
@@ -141,6 +141,29 @@ class TestSegments:
         assert bearing_degrees((0.0, 0.0), (1.0, 0.0)) == 90.0
 
 
+@st.composite
+def shiftable_segments(draw):
+    """Segments between distinct points at whole degrees, longitudes in
+    [-180, 180), no edge twice: any longitudes, so roads may run across
+    the antimeridian."""
+    points = draw(
+        st.lists(
+            st.tuples(st.integers(-180, 179), st.integers(-90, 90)),
+            min_size=2, max_size=12, unique=True,
+        )
+    )
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(points) - 1), st.integers(0, len(points) - 1))
+            .filter(lambda e: e[0] != e[1])
+            .map(lambda e: (min(e), max(e))),
+            min_size=1, max_size=20, unique=True,
+        )
+    )
+    as_float = [(float(lon), float(lat)) for lon, lat in points]
+    return SegmentSet([[as_float[a], as_float[b]] for a, b in pairs])
+
+
 class TestBuildFromSegments:
     def test_plus_junction_rotation(self):
         # Four arms north, east, south, west: clockwise from north.
@@ -181,6 +204,30 @@ class TestBuildFromSegments:
         s = parse_segments("s 0,0 1,0\ns 0,0 0,1\ns 1,0 0,1\n")
         g = build_graph_from_segments(s)  # construction runs full validation
         assert edge_count(g) == 3
+
+    def test_antimeridian_crossing(self):
+        # Vertex 0 sits just west of the antimeridian; its east arm crosses
+        # it.  Clockwise from north: north, east, south, west.
+        s = parse_segments(
+            "s 179.9,0 -179.9,0\ns 179.9,0 179.9,0.1\ns 179.9,0 179.9,-0.1\ns 179.9,0 179.8,0\n"
+        )
+        g = build_graph_from_segments(s)
+        assert g.rotation[0] == (2, 1, 3, 4)
+        assert bearing_degrees((179.9, 0.0), (-179.9, 0.0)) == 90.0
+        assert bearing_degrees((-179.9, 0.0), (179.9, 0.0)) == 270.0
+
+    @given(shiftable_segments(), st.integers(-360, 360))
+    @settings(max_examples=200, deadline=None)
+    def test_rotations_invariant_under_longitude_shift(self, segments, shift):
+        # Integer degrees keep every difference exact, so the bearings
+        # before and after the shift are the same floats.
+        def wrapped(p):
+            return (float((p[0] + shift + 180) % 360 - 180), p[1])
+
+        moved = SegmentSet([[wrapped(a), wrapped(b)] for a, b in segments.polylines])
+        assert build_graph_from_segments(moved).rotation == (
+            build_graph_from_segments(segments).rotation
+        )
 
 
 # --- malformed input ----------------------------------------------------
@@ -247,6 +294,6 @@ class TestMalformedInput:
             with open(good, "wb") as fh:
                 fh.write(emit_erg(g).encode() if fmt == "erg" else segments_text(g).encode())
             with forced_worker() as started:
-                loads_or_input_error(load_pair, good, path, fmt)
+                loads_or_input_error(parse_pair, good, path, fmt)
             assert len(started) == 1
         assert_no_children()

@@ -8,7 +8,8 @@ from roadmatch.errors import InputError
 from roadmatch.generator import gen_irregular_grid
 from roadmatch.graph import EmbeddedGraph, verify_conformal
 from roadmatch.matcher import MatchState, match, run_trial
-from roadmatch.oracle import brute_force_max_conformal
+from roadmatch import oracle
+from roadmatch.oracle import MAX_SIZE_CAP, brute_force_max_conformal
 
 from conftest import (
     canonical_start_rotations,
@@ -59,6 +60,17 @@ class TestBruteForce:
         with pytest.raises(InputError, match="size cap"):
             brute_force_max_conformal(g, g)
         assert brute_force_max_conformal(g, g, size_cap=16)[0] == 16
+
+    def test_size_cap_above_the_maximum(self, monkeypatch):
+        def no_search(g):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(oracle, "_search_order", no_search)
+        g = path_graph(2)
+        with pytest.raises(InputError, match=f"size cap {MAX_SIZE_CAP + 1} is above the maximum"):
+            brute_force_max_conformal(g, g, size_cap=MAX_SIZE_CAP + 1)
+        with pytest.raises(AssertionError, match="the search ran"):
+            brute_force_max_conformal(g, g, size_cap=MAX_SIZE_CAP)
 
     @given(embedded_graphs(min_vertices=1), embedded_graphs(min_vertices=1))
     @settings(max_examples=60, deadline=None)

@@ -1,14 +1,19 @@
 """Labeling the second snapshot in a worker process (``labeling_job``).
 
-Graphs here are far below the worker's size gate, so the tests that need
-the worker lower ``WORKER_MIN_VERTICES`` to 0 (and report two usable CPUs)
-and record every worker started (``conftest.forced_worker``).  Every test
+Two workers can label it: the one the pair commands start to parse the
+second file (``ingest.open_pair``), which then labels what it parsed at
+any k, and, for graphs in memory, a worker started for the labeling
+alone.  Graphs here are far below both size gates, so the tests that need
+a worker lower ``WORKER_MIN_VERTICES`` and ``PARSE_WORKER_MIN_BYTES`` to 0
+(and report two usable CPUs) and record every worker started
+(``conftest.forced_worker``).  Every test
 runs under an alarm, so a worker that never answers fails the test instead
 of hanging it, and ends by checking that this process has no child left,
 reaped or not (``conftest.deadline``).
 """
 
 import os
+import re
 import signal
 import subprocess
 
@@ -16,17 +21,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadmatch import labeling, seed_index, worker
+from roadmatch import ingest, labeling, matcher, seed_index, worker
 from roadmatch.cli import dispatch
 from roadmatch.errors import ConfigurationError, InputError, InternalError
 from roadmatch.generator import gen_irregular_grid, perturb
 from roadmatch.graph import EmbeddedGraph
-from roadmatch.ingest import emit_erg
+from roadmatch.ingest import emit_erg, open_pair
 from roadmatch.labeling import label_nodes, labels_by_depth
 from roadmatch.matcher import match
 from roadmatch.seed_index import auto_tune_k, label_pair
 
-from conftest import forced_worker
+from conftest import assert_no_children, forced_worker
 from test_labeling import scattered_graphs
 from test_seed_index import relabeling_tune
 
@@ -220,3 +225,216 @@ class TestInProcess:
         monkeypatch.setattr(labeling, "WORKER_MIN_VERTICES", 0)
         assert label_pair(g1, g2, 1) == tables(g1, g2, 1)
         assert auto_tune_k(g1, g2, 24, 1) == relabeling_tune(g1, g2, 24, 1)
+
+
+@pytest.fixture
+def snapshot_files(tmp_path):
+    """(g1, g2, path of g1's ERG file, path of g2's)."""
+    g1, g2 = snapshot_pair(3, 10, 12)
+    paths = []
+    for name, g in (("g1.erg", g1), ("g2.erg", g2)):
+        path = tmp_path / name
+        path.write_text(emit_erg(g), encoding="utf-8")
+        paths.append(str(path))
+    return g1, g2, *paths
+
+
+def cli_output(capsys, argv, out=None):
+    """Exit code and output of one command, without its ``_time_s`` lines:
+    the matching file when ``out`` names it, else stdout."""
+    code = dispatch(argv)
+    text = capsys.readouterr().out
+    if out is not None:
+        with open(out, encoding="utf-8") as fh:
+            text = fh.read()
+    return code, re.sub(r"(?m)^.*_time_s: .*\n", "", text)
+
+
+class TestPairWorker:
+    """The worker that parsed g2 labels it too (``ingest.open_pair``)."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 4])
+    def test_label_pair_equals_label_nodes(self, snapshot_files, k):
+        g1, g2, p1, p2 = snapshot_files
+        with forced_worker() as started:
+            with open_pair(p1, p2) as (h1, h2, g2_job):
+                assert g2_job is not None
+                got = label_pair(h1, h2, k, g2_job)
+                # Reaped as soon as g2's table is in, before the block ends.
+                assert started[0].returncode is not None
+        assert len(started) == 1
+        assert got == tables(g1, g2, k)
+
+    @pytest.mark.parametrize("bound, k_max", [(1, 6), (24, 4), (10**6, 1)])
+    def test_tune_equals_relabeling(self, snapshot_files, bound, k_max):
+        g1, g2, p1, p2 = snapshot_files
+        with forced_worker() as started:
+            with open_pair(p1, p2) as (h1, h2, g2_job):
+                report = auto_tune_k(h1, h2, bound, k_max, g2_job)
+                assert started[0].returncode is not None
+        assert len(started) == 1
+        assert report == relabeling_tune(g1, g2, bound, k_max)
+
+    def test_one_worker_per_command(self, snapshot_files, tmp_path, capsys):
+        _, _, p1, p2 = snapshot_files
+        out = str(tmp_path / "m.txt")
+        for argv in (
+            ["tune-k", p1, p2],
+            ["match", p1, p2, "--k", "3", "--max-product", "100000", "-o", out],
+            ["match", p1, p2, "--auto-k", "-o", out],
+            ["validate", out, p1, p2],
+            ["oracle", p1, p2],
+        ):
+            with forced_worker() as started:
+                # The oracle refuses graphs this large, after parsing them.
+                assert dispatch(argv) == (1 if argv[0] == "oracle" else 0), argv
+            assert len(started) == 1, argv
+            assert_no_children()
+        capsys.readouterr()
+
+    def test_outputs_equal_in_process(self, snapshot_files, tmp_path, capsys, monkeypatch):
+        _, _, p1, p2 = snapshot_files
+        out = str(tmp_path / "m.txt")
+        commands = (
+            (["tune-k", p1, p2, "--max-product", "2"], None),
+            (["match", p1, p2, "--k", "3", "--max-product", "100000", "-o", out], out),
+            (["match", p1, p2, "--auto-k", "-o", out], out),
+            (["validate", out, p1, p2, "--k", "2"], None),
+        )
+        with forced_worker() as started:
+            in_worker = [cli_output(capsys, argv, path) for argv, path in commands]
+        assert len(started) == len(commands)
+        monkeypatch.setattr(subprocess, "Popen", no_worker)
+        in_process = [cli_output(capsys, argv, path) for argv, path in commands]
+        assert in_worker == in_process
+        assert all(code == 0 for code, _ in in_process)
+
+    @pytest.mark.parametrize("auto_k", [False, True])
+    def test_reaped_before_the_flood(self, snapshot_files, monkeypatch, auto_k):
+        g1, g2, p1, p2 = snapshot_files
+        real = matcher.flood_match
+        floods = []
+
+        def flood(*args):
+            floods.append([proc.returncode for proc in started])
+            return real(*args)
+
+        monkeypatch.setattr(matcher, "flood_match", flood)
+        with forced_worker() as started:
+            with open_pair(p1, p2) as (h1, h2, g2_job):
+                got = match(h1, h2, k=3, max_product=10**5, auto_k=auto_k, g2_job=g2_job)
+        assert len(floods) == 1 and None not in floods[0] and len(floods[0]) == 1
+        want = match(g1, g2, k=3, max_product=10**5, auto_k=auto_k)
+        assert (got.pairs, got.stats.k) == (want.pairs, want.stats.k)
+
+    def test_labeling_input_error_as_in_process(self, snapshot_files, monkeypatch):
+        # k = -1 fails g2's labeling, in whichever process labels it; this
+        # process's own labeling of g1 is stubbed so that g2's error is the
+        # one raised.
+        g1, g2, p1, p2 = snapshot_files
+        monkeypatch.setattr(seed_index, "label_nodes", lambda g, k: ({}, []))
+        with pytest.raises(InputError) as in_process:
+            label_pair(g1, g2, -1)
+        with forced_worker() as started:
+            with open_pair(p1, p2) as (h1, h2, g2_job):
+                with pytest.raises(InputError) as in_worker:
+                    label_pair(h1, h2, -1, g2_job)
+        assert len(started) == 1
+        assert str(in_worker.value) == str(in_process.value) == "label depth k must be >= 0, got -1"
+
+    def test_popen_fails(self, snapshot_files):
+        # The pair's job then runs in this process and still labels g2.
+        def no_interpreter(*args, **kwargs):
+            raise OSError("cannot start an interpreter")
+
+        g1, g2, p1, p2 = snapshot_files
+        with forced_worker(), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(subprocess, "Popen", no_interpreter)
+            for k in (1, 3):
+                with open_pair(p1, p2) as (h1, h2, g2_job):
+                    assert g2_job is not None
+                    assert label_pair(h1, h2, k, g2_job) == tables(g1, g2, k)
+            with open_pair(p1, p2) as (h1, h2, g2_job):
+                report = auto_tune_k(h1, h2, 1, 6, g2_job)
+        assert report == relabeling_tune(g1, g2, 1, 6)
+
+    @pytest.mark.parametrize("tune", [False, True], ids=["label_pair", "tune"])
+    def test_killed(self, snapshot_files, tune):
+        _, _, p1, p2 = snapshot_files
+        with forced_worker() as started:
+            with open_pair(p1, p2) as (h1, h2, g2_job):
+                started[0].kill()
+                with pytest.raises(InternalError, match="exit status -9"):
+                    if tune:
+                        auto_tune_k(h1, h2, 1, 6, g2_job)
+                    else:
+                        label_pair(h1, h2, 3, g2_job)
+        assert started[0].returncode == -signal.SIGKILL
+
+
+def no_worker(*args, **kwargs):
+    raise AssertionError("a worker was started")
+
+
+def _malformed(side):
+    def setup(paths, tmp_path, monkeypatch, started):
+        path = tmp_path / "bad.erg"
+        path.write_text("ERG 1\nn 2\na 0 1\n", encoding="utf-8")
+        paths[side] = str(path)
+
+    return setup
+
+
+def _bad_k(paths, tmp_path, monkeypatch, started):
+    # Only g2's labeling fails: see test_labeling_input_error_as_in_process.
+    monkeypatch.setattr(seed_index, "label_nodes", lambda g, k: ({}, []))
+    paths.extend(["--k", "-1"])
+
+
+def _killed(paths, tmp_path, monkeypatch, started):
+    def label_after_kill(g, k):
+        started[0].kill()
+        return label_nodes(g, k)
+
+    monkeypatch.setattr(seed_index, "label_nodes", label_after_kill)
+
+
+def _interrupted(module, name):
+    def patch(paths, tmp_path, monkeypatch, started):
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(module, name, interrupt)
+
+    return patch
+
+
+@pytest.mark.parametrize(
+    "setup, outcome",
+    [
+        (None, 0),
+        (_malformed(0), 1),
+        (_malformed(1), 1),
+        (_bad_k, 1),
+        (_killed, InternalError),
+        (_interrupted(ingest, "load_graph"), KeyboardInterrupt),
+        (_interrupted(seed_index, "label_nodes"), KeyboardInterrupt),
+    ],
+    ids=["normal", "first-malformed", "second-malformed", "second-labeling-error",
+         "killed", "interrupt-first-parse", "interrupt-first-labeling"],
+)
+def test_every_exit_reaps_the_worker(snapshot_files, tmp_path, capsys, monkeypatch, setup, outcome):
+    _, _, p1, p2 = snapshot_files
+    argv = [p1, p2]
+    with forced_worker() as started:
+        if setup is not None:
+            setup(argv, tmp_path, monkeypatch, started)
+        argv = ["match", *argv, "--max-product", "100000", "-o", str(tmp_path / "m.txt")]
+        if isinstance(outcome, int):
+            assert dispatch(argv) == outcome
+        else:
+            with pytest.raises(outcome):
+                dispatch(argv)
+    capsys.readouterr()
+    assert len(started) == 1
+    assert_no_children()

@@ -1,10 +1,13 @@
-"""Parsing the second snapshot's file in a worker process (``ingest.load_pair``).
+"""Parsing the second snapshot's file in a worker process (``ingest.open_pair``).
 
 Files here are far below the worker's size gate, so the tests that need
 the worker lower ``PARSE_WORKER_MIN_BYTES`` to 0 (and report two usable
-CPUs) and record every worker started (``conftest.forced_worker``).  Every
-test runs under an alarm and ends by checking that this process has no
-child left, reaped or not (``conftest.deadline``).
+CPUs) and record every worker started (``conftest.forced_worker``).
+``conftest.parse_pair`` reads the two graphs through ``open_pair`` and
+leaves its block.  Every test runs under an alarm and ends by checking
+that this process has no child left, reaped or not
+(``conftest.deadline``).  The same worker labeling what it parsed is
+tested in ``test_pair_labeling``.
 """
 
 import contextlib
@@ -17,9 +20,9 @@ from roadmatch import cli, ingest, worker
 from roadmatch.cli import dispatch
 from roadmatch.errors import InputError, InternalError
 from roadmatch.generator import gen_irregular_grid, perturb
-from roadmatch.ingest import emit_erg, load_graph, load_pair
+from roadmatch.ingest import emit_erg, load_graph, open_pair
 
-from conftest import forced_worker, segments_text
+from conftest import forced_worker, parse_pair, segments_text
 
 pytestmark = pytest.mark.usefixtures("deadline")
 
@@ -65,7 +68,7 @@ class TestSameResults:
     def test_worker_on(self, pair_files, fmt):
         p1, p2 = pair_files[fmt]
         with forced_worker() as started:
-            got = load_pair(p1, p2, fmt)
+            got = parse_pair(p1, p2, fmt)
         assert len(started) == 1 and started[0].returncode is not None
         want = (load_graph(p1, fmt), load_graph(p2, fmt))
         for g, h in zip(got, want):
@@ -78,7 +81,7 @@ class TestSameResults:
     def test_worker_off(self, pair_files, fmt, monkeypatch):
         p1, p2 = pair_files[fmt]
         monkeypatch.setattr(subprocess, "Popen", no_worker)
-        got = load_pair(p1, p2, fmt)
+        got = parse_pair(p1, p2, fmt)
         want = (load_graph(p1, fmt), load_graph(p2, fmt))
         for g, h in zip(got, want):
             assert g.rotation == h.rotation
@@ -91,9 +94,9 @@ class TestSameResults:
 
         def recorded(*args):
             calls.append(args)
-            return load_pair(*args)
+            return open_pair(*args)
 
-        monkeypatch.setattr(cli, "load_pair", recorded)
+        monkeypatch.setattr(cli, "open_pair", recorded)
         p1, p2 = pair_files["erg"]
         out = str(tmp_path / "m.txt")
         small1 = write(tmp_path, "s1.erg", "ERG 1\nn 2\na 0 1\na 1 0\n")
@@ -115,7 +118,7 @@ class TestErrors:
         bad = write(tmp_path, "bad.erg", "ERG 1\nn 2\na 0 1\n")
         want = error_of(load_graph, bad)
         with forced_worker() if forced else contextlib.nullcontext([]) as started:
-            assert error_of(load_pair, p1, bad) == want
+            assert error_of(parse_pair, p1, bad) == want
             assert dispatch(["match", p1, bad]) == 1
         assert capsys.readouterr().err == f"error: {want[1]}\n"
         assert len(started) == (2 if forced else 0)
@@ -126,10 +129,32 @@ class TestErrors:
         want = error_of(load_graph, bad1)
         assert want != error_of(load_graph, bad2)
         with forced_worker() as started:
-            assert error_of(load_pair, bad1, bad2) == want
+            assert error_of(parse_pair, bad1, bad2) == want
             assert dispatch(["tune-k", bad1, bad2]) == 1
         assert capsys.readouterr().err == f"error: {want[1]}\n"
         assert len(started) == 2
+
+    @pytest.mark.parametrize("forced", [True, False])
+    def test_second_error_after_first_parsed(self, pair_files, tmp_path, monkeypatch, forced):
+        # This process records each file it has parsed; with the worker,
+        # the second is parsed there, and its error must still wait for
+        # the first file.
+        p1, _ = pair_files["erg"]
+        bad = write(tmp_path, "bad.erg", "ERG 1\nn 2\na 0 1\n")
+        parsed = []
+        real = ingest.load_graph
+
+        def recorded(path, fmt="erg"):
+            g = real(path, fmt)
+            parsed.append(path)
+            return g
+
+        with forced_worker() if forced else contextlib.nullcontext([]) as started:
+            monkeypatch.setattr(ingest, "load_graph", recorded)
+            with pytest.raises(InputError, match="asymmetric"):
+                parse_pair(p1, bad)
+        assert parsed == [p1]
+        assert len(started) == (1 if forced else 0)
 
     def test_missing_second(self, pair_files, tmp_path, capsys):
         p1, _ = pair_files["erg"]
@@ -137,7 +162,7 @@ class TestErrors:
         want = error_of(load_graph, missing)
         assert want[0] is FileNotFoundError
         with forced_worker():
-            assert error_of(load_pair, p1, missing) == want
+            assert error_of(parse_pair, p1, missing) == want
             assert dispatch(["match", p1, missing]) == 1
         assert capsys.readouterr().err == f"error: {want[1]}\n"
 
@@ -146,7 +171,7 @@ class TestErrors:
         p1, _ = pair_files["erg"]
         want = error_of(load_graph, str(tmp_path))
         with forced_worker() as started:
-            assert error_of(load_pair, p1, str(tmp_path)) == want
+            assert error_of(parse_pair, p1, str(tmp_path)) == want
             assert dispatch(["oracle", p1, str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: {want[1]}\n"
         assert len(started) == 2
@@ -160,7 +185,7 @@ class TestErrors:
         assert error_of(load_graph, bad, fmt) == (InputError, message)
         with forced_worker() if forced else contextlib.nullcontext():
             for pair in ((bad, good), (good, bad), (bad, bad)):
-                assert error_of(load_pair, *pair, fmt) == (InputError, message)
+                assert error_of(parse_pair, *pair, fmt) == (InputError, message)
                 assert dispatch(["match", *pair, "--format", fmt]) == 1
                 assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -176,7 +201,7 @@ class TestWorkerEnds:
         with forced_worker() as started:
             monkeypatch.setattr(ingest, "load_graph", fail)
             with pytest.raises(error):
-                load_pair(p1, p2)
+                parse_pair(p1, p2)
         assert len(started) == 1 and started[0].returncode is not None
 
     def test_worker_error_is_internal(self, pair_files, monkeypatch):
@@ -184,7 +209,7 @@ class TestWorkerEnds:
         with forced_worker() as started:
             monkeypatch.setattr(worker, "_WORKER_CODE", "raise SystemExit('no graph here')")
             with pytest.raises(InternalError, match="exit status 1.*no graph here"):
-                load_pair(p1, p2)
+                parse_pair(p1, p2)
         assert len(started) == 1
 
 
@@ -196,7 +221,7 @@ class TestInProcess:
         p1, p2 = pair_files["erg"]
         with forced_worker():
             monkeypatch.setattr(subprocess, "Popen", no_interpreter)
-            assert load_pair(p1, p2) == (load_graph(p1), load_graph(p2))
+            assert parse_pair(p1, p2) == (load_graph(p1), load_graph(p2))
 
     def test_one_cpu(self, pair_files, monkeypatch):
         p1, p2 = pair_files["erg"]
@@ -205,11 +230,11 @@ class TestInProcess:
         if hasattr(os, "sched_getaffinity"):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert load_pair(p1, p2) == (load_graph(p1), load_graph(p2))
+        assert parse_pair(p1, p2) == (load_graph(p1), load_graph(p2))
 
     def test_file_under_the_gate(self, pair_files, monkeypatch):
         p1, p2 = pair_files["erg"]
         monkeypatch.setattr(worker, "usable_cpus", lambda: 2)
         monkeypatch.setattr(ingest, "PARSE_WORKER_MIN_BYTES", os.path.getsize(p2) + 1)
         monkeypatch.setattr(subprocess, "Popen", no_worker)
-        assert load_pair(p1, p2) == (load_graph(p1), load_graph(p2))
+        assert parse_pair(p1, p2) == (load_graph(p1), load_graph(p2))
