@@ -1,5 +1,9 @@
 """Command-line interface: gen, perturb, label, tune-k, match, validate, oracle.
 
+Only ``validate`` and ``perturb`` read coordinates; ``label``, ``tune-k``,
+``match`` and ``oracle`` load their graphs without them (``coords=False``),
+which checks the files just the same.
+
 All output is deterministic under fixed flags and --rng-seed.  Exit codes:
 0 success, 1 input error, 2 configuration error (e.g. product bound
 exceeded).
@@ -21,7 +25,7 @@ from .metrics import (
     pair_distance_histogram,
     threshold_ratio,
 )
-from .oracle import DEFAULT_SIZE_CAP, MAX_SIZE_CAP, brute_force_max_conformal
+from .oracle import DEFAULT_SIZE_CAP, MAX_SIZE_CAP, brute_force_max_conformal, check_size_cap
 from .seed_index import DEFAULT_MAX_PRODUCT, auto_tune_k, label_pair
 
 
@@ -118,7 +122,7 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_label(args) -> int:
-    g = load_graph(args.graph, args.format)
+    g = load_graph(args.graph, args.format, coords=False)
     table, labels = label_nodes(g, args.k)
     out = []
     for v, lab in enumerate(labels):
@@ -135,7 +139,7 @@ def _cmd_label(args) -> int:
 
 
 def _cmd_tune_k(args) -> int:
-    with open_pair(args.graph1, args.graph2, args.format) as (g1, g2, g2_job):
+    with open_pair(args.graph1, args.graph2, args.format, coords=False) as (g1, g2, g2_job):
         report = auto_tune_k(g1, g2, args.max_product, args.k_max, g2_job)
     for k, p in report.per_k:
         print(f"k: {k} max_product: {p}")
@@ -157,7 +161,7 @@ def _cmd_tune_k(args) -> int:
 
 
 def _cmd_match(args) -> int:
-    with open_pair(args.graph1, args.graph2, args.format) as (g1, g2, g2_job):
+    with open_pair(args.graph1, args.graph2, args.format, coords=False) as (g1, g2, g2_job):
         result = match(
             g1,
             g2,
@@ -233,8 +237,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    # A cap it would refuse wins over any fault of the files, unread.
+    check_size_cap(args.size_cap)
     # The oracle labels nothing: its worker, if any, only parses g2.
-    with open_pair(args.graph1, args.graph2, args.format) as (g1, g2, _):
+    with open_pair(args.graph1, args.graph2, args.format, coords=False) as (g1, g2, _):
         pass
     card, witness = brute_force_max_conformal(g1, g2, args.size_cap)
     print(f"max_conformal_cardinality: {card}")

@@ -3,17 +3,22 @@
 A rotation system stores, for every vertex, the clockwise cyclic order of
 its neighbors.  That ordering is the only topological information the
 matching pipeline relies on; coordinates are carried along purely for
-validation metrics and may be absent.
+validation metrics and may be absent.  ``without_coords`` gives the
+rotation system alone, as a shallow copy, for code that never reads a
+coordinate (labeling, matching, the oracle).
 
 Construction validates the graph.  Each vertex's rotation is checked with
 builtins over its tuple (degree, then range, self-loop and parallel edges
 in one expression) and walked again only to name its first fault;
 symmetry is checked as membership in the neighbour's rotation tuple, so no
-per-vertex set is kept.
+per-vertex set is kept.  Coordinates are checked last, by ``lonlat_ok``,
+the one coordinate rule, which the ERG parser also applies to the
+coordinates it does not keep.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 from .errors import InputError
@@ -46,6 +51,13 @@ class EmbeddedGraph:
     def vertex_count(self) -> int:
         return len(self.rotation)
 
+    def without_coords(self) -> EmbeddedGraph:
+        """This graph without its coordinates: a shallow copy that shares the
+        rotation tuples and is not validated again."""
+        g = copy.copy(self)
+        g.coords = None
+        return g
+
     def degree(self, v: int) -> int:
         if not 0 <= v < len(self.rotation):
             raise InputError(f"vertex {v} out of range 0..{len(self.rotation) - 1}")
@@ -71,11 +83,19 @@ def _validate(g: EmbeddedGraph) -> None:
                 raise InputError(f"asymmetric adjacency: {u} in rotation[{v}] but not vice versa")
     if g.coords is not None:
         for v, c in enumerate(g.coords):
-            if c is None:
-                continue
-            lon, lat = c
-            if not (lon == lon and lat == lat) or abs(lon) > 180 or abs(lat) > 90:
-                raise InputError(f"vertex {v} has invalid coordinates {c}")
+            if c is not None and not lonlat_ok(*c):
+                raise coords_error(v, c)
+
+
+def lonlat_ok(lon: float, lat: float) -> bool:
+    """The coordinate rule: both finite, |lon| <= 180 and |lat| <= 90 (NaN
+    fails every comparison)."""
+    return abs(lon) <= 180 and abs(lat) <= 90
+
+
+def coords_error(v: int, c: LonLat) -> InputError:
+    """The error for vertex v's coordinates c, which break ``lonlat_ok``."""
+    return InputError(f"vertex {v} has invalid coordinates {c}")
 
 
 def _name_fault(v: int, rot: tuple[int, ...], n: int) -> None:

@@ -7,14 +7,23 @@ collapsed to their endpoints so curved roads do not introduce chains of
 degree-2 vertices.  A file must be UTF-8 text; any other is an
 ``InputError`` naming the file.
 
+Matching is topological, so most commands never read a coordinate.  The
+readers take ``coords``: when it is false, every coordinate is still
+parsed and checked, and a file is refused with the same error either way,
+but the graph carries none (an ERG file's coordinates are never stored,
+a segment file's are dropped once they have given the rotations).
+``match``, ``tune-k``, ``oracle`` and ``label`` read without them;
+``validate`` and ``perturb`` keep them.
+
 ``open_pair`` reads the two snapshots of a pair.  When that pays (two
 usable CPUs and a second file of at least ``PARSE_WORKER_MIN_BYTES``), a
 worker process (see ``worker``) reads and parses the second file while
-this process parses the first, and sends the graph back whole,
-coordinates included; otherwise both are parsed here, one after the
-other.  The graphs and the errors are the same either way: the first
-file's error wins, and the second file's is raised only once the first
-has parsed.  The worker keeps its graph and waits for a labeling command,
+this process parses the first, and sends the graph back as ``load_graph``
+would return it, so with no coordinates unless they are asked for;
+otherwise both are parsed here, one after the other.  The graphs and the
+errors are the same either way: the first file's error wins, and the
+second file's is raised only once the first has parsed.  The worker
+keeps its graph, less any coordinates, and waits for a labeling command,
 so the commands that label the pair (``match``, ``tune-k``, ``validate``)
 have it labeled where it was parsed, with no second worker to start and
 no graph to send back to one; ``oracle`` sends none.
@@ -30,7 +39,7 @@ from dataclasses import dataclass
 
 from . import labeling, worker
 from .errors import InputError
-from .graph import EmbeddedGraph
+from .graph import EmbeddedGraph, coords_error, lonlat_ok
 
 ERG_HEADER = "ERG 1"
 
@@ -56,9 +65,17 @@ class SegmentSet:
 # --- ERG format ---------------------------------------------------------
 
 
-def parse_erg(text: str) -> EmbeddedGraph:
+def parse_erg(text: str, coords: bool = True) -> EmbeddedGraph:
+    """The graph of an ERG document; InputError naming the first fault.
+
+    With ``coords`` false the graph has no coordinates, and none is stored
+    while parsing, but the document is checked as it would be with them:
+    each ``v`` line's id and numbers, then, after the rotation checks, the
+    coordinate rule (``graph.lonlat_ok``) at the lowest vertex id.
+    """
     n = None
-    coords: dict[int, tuple[float, float]] = {}
+    kept: dict[int, tuple[float, float]] = {}
+    bad = None  # (id, (lon, lat)) of the lowest invalid coordinates not kept
     adjacency: dict[int, tuple[int, ...]] = {}
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -83,16 +100,22 @@ def parse_erg(text: str) -> EmbeddedGraph:
                     raise InputError(
                         f"line {lineno}: n = {n} is above the limit of {MAX_VERTICES} vertices"
                     )
+                listed = bytearray(n)  # 1 at each id whose 'v' line has coordinates
             elif tag == "v":
                 if n is None:
                     raise InputError(f"line {lineno}: 'v' before 'n'")
                 vid = int(parts[1])
                 if not 0 <= vid < n:
                     raise InputError(f"line {lineno}: undeclared vertex {vid}")
-                if vid in coords:
+                if listed[vid]:
                     raise InputError(f"line {lineno}: duplicate vertex id {vid}")
                 if len(parts) == 4:
-                    coords[vid] = (float(parts[2]), float(parts[3]))
+                    lon, lat = float(parts[2]), float(parts[3])
+                    listed[vid] = 1
+                    if coords:
+                        kept[vid] = (lon, lat)
+                    elif not lonlat_ok(lon, lat) and (bad is None or vid < bad[0]):
+                        bad = vid, (lon, lat)
                 elif len(parts) != 2:
                     raise ValueError
             elif tag == "a":
@@ -119,13 +142,14 @@ def parse_erg(text: str) -> EmbeddedGraph:
     if n is None:
         raise InputError("missing 'n' line")
     rotation = tuple(adjacency.get(v, ()) for v in range(n))
-    graph_coords = None
-    if coords:
-        graph_coords = tuple(coords.get(v) for v in range(n))
+    graph_coords = tuple(kept.get(v) for v in range(n)) if kept else None
     try:
-        return EmbeddedGraph(rotation, graph_coords)
+        g = EmbeddedGraph(rotation, graph_coords)
+        if bad is not None:
+            raise coords_error(*bad)
     except InputError as e:
         raise InputError(f"invalid graph: {e}") from None
+    return g
 
 
 def emit_erg(g: EmbeddedGraph) -> str:
@@ -236,16 +260,19 @@ def build_graph_from_segments(s: SegmentSet, snap_epsilon: float = 0.0) -> Embed
     return EmbeddedGraph(rotation, tuple(coords))
 
 
-def load_graph(path: str, fmt: str = "erg") -> EmbeddedGraph:
+def load_graph(path: str, fmt: str = "erg", coords: bool = True) -> EmbeddedGraph:
+    """The graph in the file at path, in format fmt, with its coordinates
+    only if ``coords``; the same InputError either way."""
     with open(path, "rb") as fh:
         try:
             text = fh.read().decode("utf-8")
         except UnicodeDecodeError as e:
             raise InputError(f"{path}: not UTF-8 text at byte {e.start}") from None
     if fmt == "erg":
-        return parse_erg(text)
+        return parse_erg(text, coords)
     if fmt == "segments":
-        return build_graph_from_segments(parse_segments(text))
+        g = build_graph_from_segments(parse_segments(text))
+        return g if coords else g.without_coords()
     raise InputError(f"unknown format {fmt!r}")
 
 
@@ -260,29 +287,36 @@ def load_graph(path: str, fmt: str = "erg") -> EmbeddedGraph:
 PARSE_WORKER_MIN_BYTES = 600_000
 
 
-def _snapshot_job(path: str, fmt: str) -> Iterator:
-    """The pair worker's job: ``load_graph(path, fmt)``, then the labeling
-    job (``labeling.label_replies``) of that graph under the command sent
-    back, if one is."""
-    g = load_graph(path, fmt)
+def _snapshot_job(path: str, fmt: str, coords: bool = True) -> Iterator:
+    """The pair worker's job: ``load_graph(path, fmt, coords)``, then the
+    labeling job (``labeling.label_replies``) of that graph under the
+    command sent back, if one is.
+
+    Once the graph is sent, the job holds only its coordinate-free copy, so
+    a worker labels without coordinates whatever it sent.  The copy is the
+    job's own: run in process, the job leaves the caller's graph as it is.
+    """
+    g = load_graph(path, fmt, coords)
     k = yield g
+    g = g.without_coords()
     yield from labeling.label_replies(g, k)
 
 
 @contextlib.contextmanager
 def open_pair(
-    path1: str, path2: str, fmt: str = "erg"
+    path1: str, path2: str, fmt: str = "erg", coords: bool = True
 ) -> Iterator[tuple[EmbeddedGraph, EmbeddedGraph, object]]:
-    """Yield ``(g1, g2, g2_job)``: the graphs ``load_graph(path1, fmt)`` and
-    ``load_graph(path2, fmt)``, and the job that parsed g2 and can label it.
+    """Yield ``(g1, g2, g2_job)``: the graphs ``load_graph(path1, fmt,
+    coords)`` and ``load_graph(path2, fmt, coords)``, and the job that
+    parsed g2 and can label it.
 
     When that pays (two usable CPUs and a second file of at least
     ``PARSE_WORKER_MIN_BYTES`` bytes), a worker process reads and parses
-    the second file while this one parses the first, and keeps g2 after
-    sending it back.  ``g2_job`` is then its peer (see ``worker``), which
-    ``labeling.labeling_job`` labels g2 through at any k, so one worker
-    parses and labels g2; otherwise both files are parsed here, one after
-    the other, and ``g2_job`` is None.
+    the second file while this one parses the first, and keeps g2, less
+    any coordinates, after sending it back.  ``g2_job`` is then its peer
+    (see ``worker``), which ``labeling.labeling_job`` labels g2 through at
+    any k, so one worker parses and labels g2; otherwise both files are
+    parsed here, one after the other, and ``g2_job`` is None.
 
     Errors are those of the two ``load_graph`` calls made in order: the
     second file's ``InputError`` or ``OSError`` is raised only once the
@@ -294,8 +328,8 @@ def open_pair(
     except OSError:
         big = False  # parsing it raises the error, in order
     if not (big and worker.usable_cpus() >= 2):
-        yield load_graph(path1, fmt), load_graph(path2, fmt), None
+        yield load_graph(path1, fmt, coords), load_graph(path2, fmt, coords), None
         return
-    with worker.job(_snapshot_job, path2, fmt, in_worker=True) as second:
-        g1 = load_graph(path1, fmt)
+    with worker.job(_snapshot_job, path2, fmt, coords, in_worker=True) as second:
+        g1 = load_graph(path1, fmt, coords)
         yield g1, second.receive(), second

@@ -61,13 +61,15 @@ the same time.  ``labeling_job`` labels one graph in a worker process (see
 gets a worker of its own only where that can pay for itself (two usable
 CPUs, k >= 2 and at least ``WORKER_MIN_VERTICES`` vertices); otherwise,
 or when the interpreter cannot be started, the same job runs in this
-process.
+process.  Labels read nothing but the rotation system, so no worker holds
+coordinates while it labels: a graph in memory is sent to its worker as
+``EmbeddedGraph.without_coords``, and the pair worker labels such a copy
+of what it parsed.
 """
 
 from __future__ import annotations
 
 import contextlib
-import copy
 from array import array
 from collections import Counter
 from collections.abc import Generator, Iterable, Iterator, MutableSequence, Sequence
@@ -493,8 +495,9 @@ def labeling_job(g: EmbeddedGraph, k: int, by_depth: bool = False, held=None):
     ``held`` is a peer whose job already holds g and waits for its
     labeling command (``ingest.open_pair``): g is labeled there, at any k.
     Without one, a worker runs only with two usable CPUs, k >= 2 and at
-    least ``WORKER_MIN_VERTICES`` vertices; otherwise the job runs in this
-    process, with the same results.
+    least ``WORKER_MIN_VERTICES`` vertices, and gets g's coordinate-free
+    copy (``EmbeddedGraph.without_coords``); otherwise the job runs in this
+    process, on g itself, with the same results.
     """
     if held is not None:
         held.send(None if by_depth else k)
@@ -503,6 +506,5 @@ def labeling_job(g: EmbeddedGraph, k: int, by_depth: bool = False, held=None):
     if in_worker:
         # The worker needs only the rotation system; unpickling the graph
         # does not validate it again.
-        g = copy.copy(g)
-        g.coords = None
+        g = g.without_coords()
     return worker.job(label_replies, g, None if by_depth else k, in_worker=in_worker)

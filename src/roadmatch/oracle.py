@@ -23,6 +23,12 @@ DEFAULT_SIZE_CAP = 10
 MAX_SIZE_CAP = 20
 
 
+def check_size_cap(size_cap: int) -> None:
+    """InputError for a size cap above ``MAX_SIZE_CAP``."""
+    if size_cap > MAX_SIZE_CAP:
+        raise InputError(f"size cap {size_cap} is above the maximum of {MAX_SIZE_CAP}")
+
+
 def _search_order(g: EmbeddedGraph) -> list[int]:
     # BFS component by component from the highest-degree vertex, so each
     # vertex tends to be adjacent to already-assigned ones (better pruning).
@@ -69,8 +75,7 @@ def brute_force_max_conformal(
     InputError for a size cap above ``MAX_SIZE_CAP`` or a graph above the
     size cap, before any search.
     """
-    if size_cap > MAX_SIZE_CAP:
-        raise InputError(f"size cap {size_cap} is above the maximum of {MAX_SIZE_CAP}")
+    check_size_cap(size_cap)
     if g1.vertex_count > size_cap or g2.vertex_count > size_cap:
         raise InputError(
             f"graphs exceed size cap {size_cap} ({g1.vertex_count}, {g2.vertex_count})"

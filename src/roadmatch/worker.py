@@ -5,8 +5,11 @@ A job is a generator function and its arguments: its first reply is
 The pair commands start one worker: ``ingest.open_pair`` has it parse the
 second snapshot's file while this process parses the first, and the same
 worker, still holding that graph, then labels it while this process
-labels the first (``labeling.labeling_job``).  A graph already in memory
-is labeled by a worker started for the labeling alone.
+labels the first (``labeling.labeling_job``).  The graph it sends back
+carries coordinates only for the command that reads them (``validate``),
+and it labels a copy without them; once a reply is sent, ``main`` keeps
+no reference to it, so what the job drops is freed.  A graph already in
+memory is labeled by a worker started for the labeling alone.
 
 The worker is a fresh interpreter that imports this package from the same
 location.  It gets the job as a pickle on stdin and answers on stdout; the
@@ -168,6 +171,7 @@ def main() -> None:
         stdout.flush()
         if not reply[0]:
             return
+        reply = None  # the job may drop what it sent while it makes the next
         try:
             command = pickle.load(stdin)
         except EOFError:

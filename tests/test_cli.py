@@ -1,5 +1,6 @@
 import pytest
 
+from roadmatch import cli
 from roadmatch.cli import dispatch, format_matching, parse_matching
 from roadmatch.errors import InputError
 from roadmatch.generator import gen_irregular_grid, perturb
@@ -8,7 +9,8 @@ from roadmatch.ingest import emit_erg, parse_erg
 from roadmatch.matcher import match
 from roadmatch.oracle import MAX_SIZE_CAP
 
-from conftest import path_graph
+from conftest import path_graph, segments_text
+from test_ingest import MALFORMED
 
 
 def run(capsys, *argv):
@@ -171,11 +173,29 @@ class TestNoSharedLabel:
 
 class TestErrors:
     def test_malformed_erg_names_line(self, tmp_path, capsys):
+        # label reads the file without coordinates, perturb with them.
         bad = tmp_path / "bad.erg"
         bad.write_text("ERG 1\nn 2\na 0 1\na 1 zero\n")
         code, _, err = run(capsys, "label", str(bad))
         assert code == 1
         assert "line 4" in err
+        assert run(capsys, "perturb", str(bad)) == (1, "", err)
+
+    @pytest.mark.parametrize("command", ["label", "perturb", "match", "tune-k", "validate", "oracle"])
+    @pytest.mark.parametrize(
+        "case", ["erg-nan", "erg-asymmetric-and-bad-coords", "erg-lowest-id-named", "segments-lat-95"]
+    )
+    def test_malformed_file_same_error_every_command(self, tmp_path, capsys, case, command):
+        # validate and perturb read coordinates, the others do not.
+        fmt, text, message = MALFORMED[case]
+        good, bad, m = tmp_path / "good", tmp_path / "bad", tmp_path / "m.txt"
+        g = gen_irregular_grid(2, 2, 0.0, 0)
+        good.write_text(emit_erg(g) if fmt == "erg" else segments_text(g))
+        bad.write_text(text)
+        m.write_text("m 0 0\n")
+        files = {"label": [bad], "perturb": [bad], "validate": [m, good, bad]}.get(command, [good, bad])
+        code, out, err = run(capsys, command, *map(str, files), "--format", fmt)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_missing_file_exit_one(self, capsys):
         code, _, err = run(capsys, "label", "/nonexistent/g.erg")
@@ -315,6 +335,17 @@ class TestLabelTuneOracle:
         code, _, err = run(capsys, "oracle", str(g), str(g))
         assert code == 1
         assert "size cap" in err
+
+    def test_oracle_size_cap_checked_before_reading(self, tmp_path, capsys, monkeypatch):
+        # A cap above the maximum wins over files that are not there.
+        def unread(*args, **kwargs):
+            raise AssertionError("oracle opened its files")
+
+        monkeypatch.setattr(cli, "open_pair", unread)
+        missing = str(tmp_path / "missing.erg")
+        code, out, err = run(capsys, "oracle", missing, missing, "--size-cap", str(MAX_SIZE_CAP + 1))
+        assert (code, out) == (1, "")
+        assert err == f"error: size cap {MAX_SIZE_CAP + 1} is above the maximum of {MAX_SIZE_CAP}\n"
 
     def test_oracle_size_cap_above_the_maximum_exit_one(self, tmp_path, capsys):
         g = tmp_path / "g.erg"

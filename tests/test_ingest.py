@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from roadmatch import ingest
 from roadmatch.errors import InputError
 from roadmatch.generator import gen_irregular_grid
+from roadmatch.graph import EmbeddedGraph
 from roadmatch.ingest import (
     SegmentSet,
     bearing_degrees,
@@ -39,6 +40,18 @@ a 2 0 1
 """
 
 
+def erg_error(text: str) -> str:
+    """The InputError message of ``parse_erg(text)``, which must be the same
+    whether coordinates are kept or not."""
+    messages = []
+    for coords in (True, False):
+        with pytest.raises(InputError) as info:
+            parse_erg(text, coords)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    return messages[0]
+
+
 class TestParseErg:
     def test_triangle(self):
         g = parse_erg(TRIANGLE)
@@ -56,20 +69,16 @@ class TestParseErg:
 
     def test_undeclared_vertex_names_line(self):
         text = "ERG 1\nn 2\na 0 1\na 1 0 5\n"
-        with pytest.raises(InputError, match="line 4"):
-            parse_erg(text)
+        assert re.search("line 4", erg_error(text))
 
     def test_missing_header(self):
-        with pytest.raises(InputError, match="header"):
-            parse_erg("n 3\n")
+        assert re.search("header", erg_error("n 3\n"))
 
     def test_duplicate_vertex_id(self):
-        with pytest.raises(InputError, match="duplicate vertex id"):
-            parse_erg("ERG 1\nn 1\nv 0 1.0 2.0\nv 0 1.0 2.0\n")
+        assert re.search("duplicate vertex id", erg_error("ERG 1\nn 1\nv 0 1.0 2.0\nv 0 1.0 2.0\n"))
 
     def test_symmetry_violation_rejected(self):
-        with pytest.raises(InputError, match="asymmetric"):
-            parse_erg("ERG 1\nn 2\na 0 1\n")
+        assert re.search("asymmetric", erg_error("ERG 1\nn 2\na 0 1\n"))
 
     def test_coords_parsed(self):
         g = parse_erg("ERG 1\nn 2\nv 0 -122.5 37.5\na 0 1\na 1 0\n")
@@ -82,11 +91,11 @@ class TestParseErg:
         # any vertex.
         tracemalloc.start()
         try:
-            with pytest.raises(InputError, match=f"line 3: n = {n} is above the limit"):
-                parse_erg(f"ERG 1\n# declared\nn {n}\na 0 1\n")
+            message = erg_error(f"ERG 1\n# declared\nn {n}\na 0 1\n")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert re.search(f"line 3: n = {n} is above the limit", message)
         assert peak < 1 << 20
 
 
@@ -257,6 +266,36 @@ def mutated_documents(draw):
     return fmt, b"".join(tokens)
 
 
+@st.composite
+def coordinate_faults(draw):
+    """An ERG document of a small grid whose 'v' lines may carry numbers out
+    of range, NaN, infinities or a word, and whose adjacency may have lost
+    one entry."""
+    g = gen_irregular_grid(3, draw(st.integers(2, 4)), 0.2, draw(st.integers(0, 3)))
+    lines = emit_erg(g).splitlines()
+    values = st.sampled_from(
+        ["nan", "inf", "-inf", "180", "-180", "90", "-90", "180.5", "-180.5", "90.5", "-90.5", "x"]
+    )
+    vs = [i for i, line in enumerate(lines) if line.startswith("v ")]
+    for i in draw(st.lists(st.sampled_from(vs), max_size=3)):
+        parts = lines[i].split()
+        parts[draw(st.sampled_from([2, 3]))] = draw(values)
+        lines[i] = " ".join(parts)
+    if draw(st.booleans()):
+        a = draw(st.sampled_from([i for i, line in enumerate(lines) if line.startswith("a ")]))
+        lines[a] = lines[a].rsplit(" ", 1)[0]
+    return "erg", ("\n".join(lines) + "\n").encode()
+
+
+def outcome(load, *args):
+    """What load returns, or the type and message of the InputError or
+    OSError it raises."""
+    try:
+        return load(*args)
+    except (InputError, OSError) as e:
+        return type(e), str(e)
+
+
 def loads_or_input_error(load, *args):
     """Call load; an InputError or OSError is a clean rejection, any other
     exception fails the test."""
@@ -276,6 +315,21 @@ class TestMalformedInput:
             with open(path, "wb") as fh:
                 fh.write(data)
             loads_or_input_error(load_graph, path, fmt)
+
+    @given(mutated_documents() | coordinate_faults())
+    @settings(max_examples=300, deadline=None)
+    def test_load_modes_agree(self, case):
+        # Without coordinates, the same error, or the same graph less its
+        # coordinates.
+        fmt, data = case
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "g")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            kept, bare = (outcome(load_graph, path, fmt, coords) for coords in (True, False))
+        if isinstance(kept, EmbeddedGraph):
+            kept = kept.without_coords()
+        assert kept == bare
 
     @pytest.mark.usefixtures("deadline")
     @given(mutated_documents())
@@ -297,3 +351,104 @@ class TestMalformedInput:
                 loads_or_input_error(parse_pair, good, path, fmt)
             assert len(started) == 1
         assert_no_children()
+
+
+# (format, document, message): refused with this message whether the
+# coordinates are kept or not.
+MALFORMED = {
+    "erg-nan": (
+        "erg", "ERG 1\nn 2\nv 0 nan 1\na 0 1\na 1 0\n",
+        "invalid graph: vertex 0 has invalid coordinates (nan, 1.0)",
+    ),
+    "erg-inf": (
+        "erg", "ERG 1\nn 2\nv 1 1 inf\na 0 1\na 1 0\n",
+        "invalid graph: vertex 1 has invalid coordinates (1.0, inf)",
+    ),
+    "erg-minus-inf": (
+        "erg", "ERG 1\nn 2\nv 0 -inf 0\na 0 1\na 1 0\n",
+        "invalid graph: vertex 0 has invalid coordinates (-inf, 0.0)",
+    ),
+    "erg-lat-90.5": (
+        "erg", "ERG 1\nn 2\nv 0 10 90\nv 1 10 90.5\na 0 1\na 1 0\n",
+        "invalid graph: vertex 1 has invalid coordinates (10.0, 90.5)",
+    ),
+    "erg-lon-minus-180.5": (
+        "erg", "ERG 1\nn 2\nv 0 -180.5 0\nv 1 180 -90\na 0 1\na 1 0\n",
+        "invalid graph: vertex 0 has invalid coordinates (-180.5, 0.0)",
+    ),
+    "erg-lowest-id-named": (
+        "erg", "ERG 1\nn 3\nv 2 0 91\nv 1 181 0\na 0 1\na 1 0\n",
+        "invalid graph: vertex 1 has invalid coordinates (181.0, 0.0)",
+    ),
+    "erg-asymmetric-and-bad-coords": (
+        "erg", "ERG 1\nn 2\nv 0 nan 0\nv 1 0 91\na 0 1\n",
+        "invalid graph: asymmetric adjacency: 1 in rotation[0] but not vice versa",
+    ),
+    "erg-bad-number": (
+        "erg", "ERG 1\nn 1\nv 0 1.5 north\n",
+        "line 3: malformed record: 'v 0 1.5 north'",
+    ),
+    "erg-one-number": (
+        "erg", "ERG 1\nn 1\nv 0 1.5\n",
+        "line 3: malformed record: 'v 0 1.5'",
+    ),
+    "erg-duplicate-vertex-id": (
+        "erg", "ERG 1\nn 1\nv 0 nan 0\nv 0 1 1\n",
+        "line 4: duplicate vertex id 0",
+    ),
+    "segments-lat-95": (
+        "segments", "s 0,0 0,95\n",
+        "vertex 1 has invalid coordinates (0.0, 95.0)",
+    ),
+    "segments-nan": (
+        "segments", "s nan,0 1,0\n",
+        "vertex 0 has invalid coordinates (nan, 0.0)",
+    ),
+    "segments-malformed-point": (
+        "segments", "s 0,0 1;0\n",
+        "line 1: malformed point in 's 0,0 1;0'",
+    ),
+    "segments-zero-length": (
+        "segments", "s 0,95 0,95\n",
+        "segment 0 has identical endpoints (0.0, 95.0)",
+    ),
+    "segments-duplicate-edge": (
+        "segments", "s 0,0 1,0\ns 1,0 0,0\n",
+        "segment 1 duplicates an existing edge (1,0)",
+    ),
+}
+
+
+class TestWithoutCoords:
+    """``load_graph(path, fmt, coords=False)``: no coordinates, same checks."""
+
+    @pytest.mark.parametrize("coords", [True, False])
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_same_error_either_way(self, tmp_path, case, coords):
+        fmt, text, message = MALFORMED[case]
+        path = tmp_path / "g"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError) as info:
+            load_graph(str(path), fmt, coords)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("fmt", ["erg", "segments"])
+    def test_equals_the_coordinate_free_copy(self, tmp_path, fmt):
+        g = gen_irregular_grid(5, 6, 0.2, 1)
+        path = tmp_path / "g"
+        path.write_text(emit_erg(g) if fmt == "erg" else segments_text(g), encoding="utf-8")
+        full = load_graph(str(path), fmt)
+        bare = load_graph(str(path), fmt, coords=False)
+        assert full.coords is not None and bare.coords is None
+        assert bare == full.without_coords()
+
+    @pytest.mark.parametrize("coords", [True, False])
+    def test_bounds_accepted(self, coords):
+        g = parse_erg("ERG 1\nn 2\nv 0 -180 90\nv 1 180 -90\na 0 1\na 1 0\n", coords)
+        assert g.coords == (((-180.0, 90.0), (180.0, -90.0)) if coords else None)
+
+    def test_copy_shares_the_rotations(self):
+        g = parse_erg("ERG 1\nn 2\nv 0 1 2\na 0 1\na 1 0\n")
+        bare = g.without_coords()
+        assert bare.rotation is g.rotation and bare.d_max == g.d_max
+        assert bare.coords is None and g.coords == ((1.0, 2.0), None)

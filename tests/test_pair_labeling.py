@@ -12,21 +12,27 @@ of hanging it, and ends by checking that this process has no child left,
 reaped or not (``conftest.deadline``).
 """
 
+import contextlib
+import io
 import os
+import pickle
 import re
 import signal
 import subprocess
+import sys
+import weakref
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadmatch import ingest, labeling, matcher, seed_index, worker
+from roadmatch import cli, ingest, labeling, matcher, seed_index, worker
 from roadmatch.cli import dispatch
 from roadmatch.errors import ConfigurationError, InputError, InternalError
 from roadmatch.generator import gen_irregular_grid, perturb
 from roadmatch.graph import EmbeddedGraph
-from roadmatch.ingest import emit_erg, open_pair
+from roadmatch.ingest import emit_erg, load_graph, open_pair
 from roadmatch.labeling import label_nodes, labels_by_depth
 from roadmatch.matcher import match
 from roadmatch.seed_index import auto_tune_k, label_pair
@@ -374,6 +380,119 @@ class TestPairWorker:
 
 def no_worker(*args, **kwargs):
     raise AssertionError("a worker was started")
+
+
+class Sent:
+    """A reply that can tell whether anything still holds it."""
+
+
+def forgetting_job():
+    """Replies with a ``Sent``, drops it, then replies whether it is gone."""
+    sent = Sent()
+    gone = weakref.ref(sent)
+    yield sent
+    del sent
+    yield gone() is None
+
+
+def test_worker_main_holds_no_sent_reply(monkeypatch):
+    # The pair worker labels after it has dropped the graph it sent; that
+    # frees the graph only if ``main`` holds no reference to it either.
+    stdin = io.BytesIO(pickle.dumps((forgetting_job, ())) + pickle.dumps(None))
+    stdout = io.BytesIO()
+    monkeypatch.setattr(sys, "stdin", SimpleNamespace(buffer=stdin))
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(buffer=stdout))
+    worker.main()
+    stdout.seek(0)
+    ok, reply = pickle.load(stdout)
+    assert ok and isinstance(reply, Sent)
+    assert pickle.load(stdout) == (True, True)
+
+
+@pytest.fixture(params=[True, False], ids=["worker", "no-worker"])
+def pair_worker(request, monkeypatch):
+    """The pair worker forced on (the list of workers started) or off."""
+    if request.param:
+        with forced_worker() as started:
+            yield started
+    else:
+        monkeypatch.setattr(subprocess, "Popen", no_worker)
+        yield None
+
+
+class TestCoordinates:
+    """Only ``validate`` reads coordinates, so only its graphs carry them."""
+
+    @staticmethod
+    def commands(snapshot_files, tmp_path):
+        """(argv, matching file or None) of each pair command that reads no
+        coordinates, and ``label``."""
+        _, _, p1, p2 = snapshot_files
+        small = tmp_path / "small.erg"
+        small.write_text(emit_erg(gen_irregular_grid(2, 3, 0.2, 1)), encoding="utf-8")
+        out = str(tmp_path / "m.txt")
+        return (
+            (["tune-k", p1, p2, "--max-product", "2"], None),
+            (["match", p1, p2, "--k", "3", "--max-product", "100000", "-o", out], out),
+            (["match", p1, p2, "--auto-k", "-o", out], out),
+            (["oracle", str(small), str(small)], None),
+            (["label", p2, "--k", "2"], None),
+        )
+
+    def test_only_validate_gets_coords(self, snapshot_files, tmp_path, capsys, monkeypatch,
+                                       pair_worker):
+        seen = []
+        real = cli.open_pair
+
+        @contextlib.contextmanager
+        def recorded(*args, **kwargs):
+            with real(*args, **kwargs) as (g1, g2, g2_job):
+                seen.append((g1.coords is not None, g2.coords is not None))
+                yield g1, g2, g2_job
+
+        monkeypatch.setattr(cli, "open_pair", recorded)
+        commands = self.commands(snapshot_files, tmp_path)[:-1]
+        for argv, _ in commands:
+            assert dispatch(argv) == 0, argv
+        # g2 came from the worker when there was one.
+        assert seen == [(False, False)] * len(commands)
+        if pair_worker is not None:
+            assert len(pair_worker) == len(commands)
+        _, _, p1, p2 = snapshot_files
+        code, out = cli_output(capsys, ["validate", str(tmp_path / "m.txt"), p1, p2])
+        assert code == 0
+        assert seen[-1] == (True, True)
+        assert re.search(r"(?m)^threshold_ratio: \d\.\d{4}$", out)
+
+    def test_outputs_as_with_coords(self, snapshot_files, tmp_path, capsys, monkeypatch,
+                                    pair_worker):
+        commands = self.commands(snapshot_files, tmp_path)
+        without = [cli_output(capsys, argv, path) for argv, path in commands]
+        monkeypatch.setattr(cli, "open_pair", lambda *args, coords: open_pair(*args))
+        monkeypatch.setattr(cli, "load_graph", lambda *args, coords: load_graph(*args))
+        kept = [cli_output(capsys, argv, path) for argv, path in commands]
+        assert without == kept
+        assert all(code == 0 for code, _ in kept)
+
+    def test_job_labels_a_copy_without_coords(self, snapshot_files, monkeypatch):
+        # Run in process, the job hands the caller its graph and must leave
+        # it whole, while what it labels has no coordinates.
+        _, g2, _, p2 = snapshot_files
+        labeled = []
+        real = labeling.label_replies
+
+        def recorded(g, k):
+            labeled.append(g)
+            yield from real(g, k)
+
+        monkeypatch.setattr(labeling, "label_replies", recorded)
+        job = ingest._snapshot_job(p2, "erg")
+        g = next(job)
+        table = job.send(2)
+        job.close()
+        assert g == load_graph(p2) and g.coords is not None
+        assert labeled == [g.without_coords()] and labeled[0].rotation is g.rotation
+        assert table == label_nodes(g2, 2)[0]
 
 
 def _malformed(side):

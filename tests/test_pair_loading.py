@@ -92,9 +92,9 @@ class TestSameResults:
     def test_pair_commands_use_it(self, pair_files, tmp_path, capsys, monkeypatch):
         calls = []
 
-        def recorded(*args):
-            calls.append(args)
-            return open_pair(*args)
+        def recorded(*args, **kwargs):
+            calls.append((args, kwargs))
+            return open_pair(*args, **kwargs)
 
         monkeypatch.setattr(cli, "open_pair", recorded)
         p1, p2 = pair_files["erg"]
@@ -108,7 +108,11 @@ class TestSameResults:
         ):
             assert dispatch(argv) == 0, argv
         capsys.readouterr()
-        assert calls == [(p1, p2, "erg")] * 3 + [(small1, small1, "erg")]
+        # Only validate reads coordinates.
+        without = {"coords": False}
+        assert calls == [((p1, p2, "erg"), without)] * 2 + [((p1, p2, "erg"), {})] + [
+            ((small1, small1, "erg"), without)
+        ]
 
 
 class TestErrors:
@@ -144,8 +148,8 @@ class TestErrors:
         parsed = []
         real = ingest.load_graph
 
-        def recorded(path, fmt="erg"):
-            g = real(path, fmt)
+        def recorded(path, fmt="erg", coords=True):
+            g = real(path, fmt, coords)
             parsed.append(path)
             return g
 
