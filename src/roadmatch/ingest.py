@@ -17,11 +17,12 @@ a segment file's are dropped once they have given the rotations).
 
 ``open_pair`` reads the two snapshots of a pair.  When that pays (two
 usable CPUs and a second file of at least ``PARSE_WORKER_MIN_BYTES``), a
-worker process (see ``worker``) reads and parses the second file while
-this process parses the first, and sends the graph back as ``load_graph``
-would return it, so with no coordinates unless they are asked for;
-otherwise both are parsed here, one after the other.  The graphs and the
-errors are the same either way: the first file's error wins, and the
+worker forked from this process (see ``worker``) reads and parses the
+second file while this process parses the first, and sends the graph
+back as ``load_graph`` would return it, so with no coordinates unless
+they are asked for; otherwise, or when no worker can be forked, both are
+parsed here, one after the other.  The graphs and the errors are the
+same either way: the first file's error wins, and the
 second file's is raised only once the first has parsed.  The worker
 keeps its graph, less any coordinates, and waits for a labeling command,
 so the commands that label the pair (``match``, ``tune-k``, ``validate``)
@@ -100,7 +101,7 @@ def parse_erg(text: str, coords: bool = True) -> EmbeddedGraph:
                     raise InputError(
                         f"line {lineno}: n = {n} is above the limit of {MAX_VERTICES} vertices"
                     )
-                listed = bytearray(n)  # 1 at each id whose 'v' line has coordinates
+                listed = bytearray(n)  # 1 at each id whose 'v' line has been read
             elif tag == "v":
                 if n is None:
                     raise InputError(f"line {lineno}: 'v' before 'n'")
@@ -109,9 +110,9 @@ def parse_erg(text: str, coords: bool = True) -> EmbeddedGraph:
                     raise InputError(f"line {lineno}: undeclared vertex {vid}")
                 if listed[vid]:
                     raise InputError(f"line {lineno}: duplicate vertex id {vid}")
+                listed[vid] = 1
                 if len(parts) == 4:
                     lon, lat = float(parts[2]), float(parts[3])
-                    listed[vid] = 1
                     if coords:
                         kept[vid] = (lon, lat)
                     elif not lonlat_ok(lon, lat) and (bad is None or vid < bad[0]):
@@ -279,12 +280,12 @@ def load_graph(path: str, fmt: str = "erg", coords: bool = True) -> EmbeddedGrap
 # --- both snapshots of a pair -------------------------------------------
 
 # Below this size of the second file, parsing it in a worker costs more
-# than it saves: starting the interpreter and sending the graph back take
-# about 0.1 s.  Timed alone on ERG files of irregular grids (2 vCPUs,
-# Python 3.11), the two ways tie between 0.45 and 0.75 MB; at 0.31 MB
-# (7k vertices) the worker costs about 0.03 s more, at 0.96 MB (20k) it
-# saves about 0.05-0.1 s.
-PARSE_WORKER_MIN_BYTES = 600_000
+# than it saves (forking it, sending the graph back).  Timed alone
+# (``open_pair``, medians of 15-21 alternating runs, ERG files of irregular
+# grids, 2 vCPUs, Python 3.11.7), the two ways tie at 37-80 kB from a small
+# heap and at 80-125 kB from a 68 MB one; at 125 kB (3k vertices) the
+# worker saves 5-28%, at 0.31 MB (7k) 40%.
+PARSE_WORKER_MIN_BYTES = 100_000
 
 
 def _snapshot_job(path: str, fmt: str, coords: bool = True) -> Iterator:

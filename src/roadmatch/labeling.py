@@ -60,11 +60,9 @@ the same time.  ``labeling_job`` labels one graph in a worker process (see
 (``ingest.open_pair``), it is labeled there, at any k.  A graph in memory
 gets a worker of its own only where that can pay for itself (two usable
 CPUs, k >= 2 and at least ``WORKER_MIN_VERTICES`` vertices); otherwise,
-or when the interpreter cannot be started, the same job runs in this
-process.  Labels read nothing but the rotation system, so no worker holds
-coordinates while it labels: a graph in memory is sent to its worker as
-``EmbeddedGraph.without_coords``, and the pair worker labels such a copy
-of what it parsed.
+or when no worker can be forked, the same job runs in this process.  The
+worker is forked, so a graph in memory reaches it with nothing copied or
+pickled, and the pair worker labels the coordinate-free copy it keeps.
 """
 
 from __future__ import annotations
@@ -459,14 +457,13 @@ def counts_by_depth(g: EmbeddedGraph) -> Generator[Counter | MasterTable, tuple,
 
 
 # Below about this many vertices, a worker of its own costs more than it
-# saves: starting it and moving the graph and its labels through pickles
-# take about 0.1 s.  Measured with ``label_pair`` on snapshot pairs of
-# irregular grids (2 vCPUs, Python 3.11.7, medians of 11 alternating runs,
-# twice, on a noisy host), the two ways tie near 5k-6k vertices at k = 2
-# (0.17-0.20 s each) and near 4k at k = 3; at 7k the worker saves 11% at
-# k = 2 and 19-22% at k = 3, at 8k 14-16% and 21-28%.  The gate stays
-# above the tie at k = 2, where the saving is clear.
-WORKER_MIN_VERTICES = 7000
+# saves (forking it, sending its labels back).  Measured with
+# ``label_pair`` on snapshot pairs of irregular grids (2 vCPUs, Python
+# 3.11.7, medians of 15-21 alternating runs), the two ways tie at 300-500
+# vertices from a small heap and, from a 68 MB one, near 500 at k = 3 and
+# at 500-1k at k = 2; at 1k the worker saves 24-30%, at 2k-7k 17-44%.  The
+# gate stays above the tie at k = 2, where the saving is clear.
+WORKER_MIN_VERTICES = 1000
 
 
 def label_replies(g: EmbeddedGraph, k: int | None) -> Iterator:
@@ -495,16 +492,12 @@ def labeling_job(g: EmbeddedGraph, k: int, by_depth: bool = False, held=None):
     ``held`` is a peer whose job already holds g and waits for its
     labeling command (``ingest.open_pair``): g is labeled there, at any k.
     Without one, a worker runs only with two usable CPUs, k >= 2 and at
-    least ``WORKER_MIN_VERTICES`` vertices, and gets g's coordinate-free
-    copy (``EmbeddedGraph.without_coords``); otherwise the job runs in this
-    process, on g itself, with the same results.
+    least ``WORKER_MIN_VERTICES`` vertices, and labels the g it inherits
+    from this process; otherwise the job runs in this process, with the
+    same results.
     """
     if held is not None:
         held.send(None if by_depth else k)
         return contextlib.closing(held)
     in_worker = k >= 2 and g.vertex_count >= WORKER_MIN_VERTICES and worker.usable_cpus() >= 2
-    if in_worker:
-        # The worker needs only the rotation system; unpickling the graph
-        # does not validate it again.
-        g = g.without_coords()
     return worker.job(label_replies, g, None if by_depth else k, in_worker=in_worker)

@@ -2,49 +2,45 @@
 
 A job is a generator function and its arguments: its first reply is
 ``next(job(*args))``, and every later one answers a command sent into it.
-The pair commands start one worker: ``ingest.open_pair`` has it parse the
-second snapshot's file while this process parses the first, and the same
-worker, still holding that graph, then labels it while this process
-labels the first (``labeling.labeling_job``).  The graph it sends back
-carries coordinates only for the command that reads them (``validate``),
-and it labels a copy without them; once a reply is sent, ``main`` keeps
-no reference to it, so what the job drops is freed.  A graph already in
-memory is labeled by a worker started for the labeling alone.
+The pair commands' worker parses the second snapshot, then labels it
+(``ingest.open_pair``, ``labeling.labeling_job``); ``main`` keeps no
+reply once it is sent, so what the job drops is freed.
 
-The worker is a fresh interpreter that imports this package from the same
-location.  It gets the job as a pickle on stdin and answers on stdout; the
-function pickles by its qualified name, so it must be a module-level
-generator function of this package.  Each caller decides whether a worker
-pays (two usable CPUs at least, and its own size gate); otherwise, or when
-the interpreter cannot be started, the same job runs in this process, a
-reply at a time, when its replies are received.  A ``RoadmatchError`` or
-``OSError`` that the job raises in the worker is sent in place of its
-reply and raised again by ``receive``, as it would be in process.  A
-worker that ends without its reply raises ``InternalError`` with its exit
-status and the tail of its stderr.  Leaving ``job``'s block, normally or
-by any exception, kills the worker and reaps it.
+The worker is a child forked from this process, so the job and its
+arguments are already in its memory; only commands and replies cross
+its two pipes, as pickles.  Each caller decides whether a worker pays
+(two usable CPUs at least, and its own size gate).  A child is forked
+only where ``os.fork`` exists and this process runs no other thread,
+whose locks the child could inherit held; otherwise, or when the fork
+fails, the job runs in this process, a reply at a time, as its replies
+are received.  The child runs only the job and leaves through
+``os._exit``: no exit handler, no flush of inherited buffers.  While it
+lives this process's collector is frozen (``gc.freeze``), since a
+collection writes to every object it scans, copying shared pages.
+
+A ``RoadmatchError`` or ``OSError`` that the job raises in the worker is
+sent in place of its reply and raised again by ``receive``, as it would
+be in process.  A worker that ends without its reply raises
+``InternalError`` with its exit status and the tail of its stderr.
+Leaving ``job``'s block, normally or by any exception, kills the worker
+and reaps it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import gc
 import os
 import pickle
-import subprocess
-import sys
+import signal
 import tempfile
 import threading
+import traceback
 from collections.abc import Callable, Iterator
+from typing import BinaryIO
 
 from .errors import InternalError, RoadmatchError
 
-# Runs in the worker: the package root is its only argument, ahead of
-# everything else on the path; -I -S keeps the environment and site
-# packages out.
-_WORKER_CODE = (
-    "import sys; sys.path.insert(0, sys.argv[1]); "
-    "from roadmatch.worker import main; main()"
-)
 _STDERR_TAIL = 2000
 
 
@@ -72,108 +68,119 @@ class _InProcess:
 
 
 class _Worker:
-    """The job in a worker process, spoken to through pickles on its pipes.
-
-    A thread writes the job to the worker's stdin, so that this process can
-    go on while the worker starts.  ``close`` kills the worker and waits for
-    it: by then it has sent everything it was asked for, or it is not
-    wanted any more.
-    """
+    """The job in a forked child, spoken to through pickles on two pipes.
+    ``close`` kills and reaps the child: by then it has sent all it was
+    asked for, or it is not wanted any more."""
 
     def __init__(self, func: Callable[..., Iterator], args: tuple):
         self._name = f"{func.__module__}.{func.__qualname__}"
-        payload = pickle.dumps((func, args), pickle.HIGHEST_PROTOCOL)
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        self._feeder = threading.Thread(target=self._feed, args=(payload,), daemon=True)
+        self._status = None  # the exit status, once reaped
         self._stderr = tempfile.TemporaryFile()
+        self._froze = gc.get_freeze_count() == 0
+        fds: list[int] = []
         try:
-            self._proc = subprocess.Popen(
-                [sys.executable, "-I", "-S", "-c", _WORKER_CODE, root],
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=self._stderr,
-            )
+            fds += os.pipe()  # commands: the child reads, this process writes
+            fds += os.pipe()  # replies: this process reads, the child writes
+            if self._froze:
+                gc.freeze()
+            self._pid = os.fork()
         except BaseException:
-            self._stderr.close()
+            for fd in fds:
+                os.close(fd)
+            self._release()
             raise
-        try:
-            self._feeder.start()
-        except BaseException:
-            self.close()
-            raise
-
-    def _feed(self, payload: bytes) -> None:
-        try:
-            self._proc.stdin.write(payload)
-            self._proc.stdin.flush()
-        except BrokenPipeError:
-            pass  # the worker is gone; receive() reports it
+        if self._pid == 0:
+            _serve(func, args, fds, self._stderr.fileno())
+        os.close(fds[0])
+        os.close(fds[3])
+        self._commands = os.fdopen(fds[1], "wb")
+        self._replies = os.fdopen(fds[2], "rb")
 
     def send(self, command) -> None:
-        self._feeder.join()
         try:
-            pickle.dump(command, self._proc.stdin, pickle.HIGHEST_PROTOCOL)
-            self._proc.stdin.flush()
+            pickle.dump(command, self._commands, pickle.HIGHEST_PROTOCOL)
+            self._commands.flush()
         except BrokenPipeError:
             raise self._died() from None
 
     def receive(self):
         try:
-            ok, reply = pickle.load(self._proc.stdout)
+            ok, reply = pickle.load(self._replies)
         except (EOFError, pickle.UnpicklingError):
             raise self._died() from None
         if not ok:
             raise reply  # the job's own error, raised in the worker
         return reply
 
+    def _reap(self) -> None:
+        _, status = os.waitpid(self._pid, 0)
+        self._status = os.waitstatus_to_exitcode(status)
+
     def _died(self) -> InternalError:
-        try:
-            status = self._proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            self._proc.kill()
-            status = self._proc.wait()
+        # Its pipe closed, so the child is exiting: only it held that end.
+        self._reap()
         size = self._stderr.seek(0, os.SEEK_END)
         self._stderr.seek(max(0, size - _STDERR_TAIL))
         tail = self._stderr.read().decode(errors="replace").strip()
         return InternalError(
             f"worker running {self._name} ended without its reply "
-            f"(exit status {status}); stderr: {tail or '(empty)'}"
+            f"(exit status {self._status}); stderr: {tail or '(empty)'}"
         )
 
     def close(self) -> None:
-        proc = self._proc
-        proc.kill()
-        proc.wait()
-        if self._feeder.is_alive():
-            self._feeder.join()  # its write fails now that the worker is gone
+        if self._status is None:
+            os.kill(self._pid, signal.SIGKILL)
+            self._reap()
         with contextlib.suppress(BrokenPipeError):
-            proc.stdin.close()  # flushes whatever a failed write left
-        proc.stdout.close()
+            self._commands.close()  # flushes whatever a failed send left
+        self._replies.close()
+        self._release()
+
+    def _release(self) -> None:  # may run twice: a held peer is closed twice
         self._stderr.close()
+        if self._froze:
+            self._froze = False
+            gc.unfreeze()
 
 
-def main() -> None:
-    """Entry point of the worker: one job from stdin, its replies to stdout.
+def _serve(func, args, fds: list[int], stderr: int):
+    """The forked child: ``main`` on the pipes ``fds``, then exit 0, or 1
+    with a traceback on stderr; it never returns into the caller's frames."""
+    code = 1
+    try:
+        gc.disable()
+        os.dup2(stderr, 2)
+        os.close(fds[1])
+        os.close(fds[2])
+        main(func(*args), os.fdopen(fds[0], "rb"), os.fdopen(fds[3], "wb"))
+        code = 0
+    except BaseException:  # the child's last frame: report, then exit
+        with contextlib.suppress(BaseException):
+            os.write(2, traceback.format_exc().encode(errors="replace"))
+    finally:
+        os._exit(code)
+
+
+def main(replies: Iterator, commands: BinaryIO, out: BinaryIO) -> None:
+    """The worker's loop: the job's replies to ``out``, ``commands`` into it.
 
     Each reply goes out as (True, reply); an input or OS error raised by
-    the job goes out as (False, error) and ends the worker.
+    the job goes out as (False, error) and ends the loop, as does the end
+    of the commands.
     """
-    stdin, stdout = sys.stdin.buffer, sys.stdout.buffer
-    func, args = pickle.load(stdin)
-    replies = func(*args)
     command = None  # the first send starts the job
     while True:
         try:
             reply = (True, replies.send(command))
         except (RoadmatchError, OSError) as e:
             reply = (False, e)
-        pickle.dump(reply, stdout, pickle.HIGHEST_PROTOCOL)
-        stdout.flush()
+        pickle.dump(reply, out, pickle.HIGHEST_PROTOCOL)
+        out.flush()
         if not reply[0]:
             return
         reply = None  # the job may drop what it sent while it makes the next
         try:
-            command = pickle.load(stdin)
+            command = pickle.load(commands)
         except EOFError:
             return
 
@@ -185,16 +192,15 @@ def job(func: Callable[..., Iterator], *args, in_worker: bool):
     ``peer.receive()`` returns the job's next reply and ``peer.send(command)``
     passes the command the job gets back from its next ``yield``.  Start the
     job, do this process's own work, then receive: the two run at the same
-    time.  Without a worker, or when its interpreter cannot be started, the
-    job runs in this process as its replies are received, with the same
-    results.
+    time.  Without a worker, or when no child can be forked, the job runs in
+    this process as its replies are received, with the same results.
     """
     peer = None
-    if in_worker and sys.executable:
+    if in_worker and hasattr(os, "fork") and threading.active_count() == 1:
         try:
             peer = _Worker(func, args)
         except OSError:
-            pass  # no interpreter to start: run in process
+            pass  # no child to fork: run in process
     if peer is None:
         peer = _InProcess(func(*args))
     try:

@@ -1,8 +1,8 @@
 import contextlib
+import gc
 import os
 import random
 import signal
-import subprocess
 from collections import deque
 
 import pytest
@@ -43,23 +43,52 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
+class Forked:
+    """A child forked by this process, with ``Popen``'s ``returncode``
+    (None until the child is reaped) and ``kill``, and the collector's
+    freeze count just after the fork."""
+
+    def __init__(self, pid):
+        self.pid = pid
+        self.returncode = None
+        self.frozen = gc.get_freeze_count()
+
+    def kill(self):
+        os.kill(self.pid, signal.SIGKILL)
+
+
 @contextlib.contextmanager
 def forced_worker():
     """Worker on for any graph and any file (with two usable CPUs reported);
-    yields the list of workers started."""
+    yields the list of children forked, as ``Forked``s."""
     started = []
+    real_fork, real_waitpid = os.fork, os.waitpid
 
-    class Recorded(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            started.append(self)
+    def fork():
+        pid = real_fork()
+        if pid:
+            started.append(Forked(pid))
+        return pid
+
+    def waitpid(pid, options):
+        reaped, status = real_waitpid(pid, options)
+        for child in started:
+            if reaped and child.pid == reaped:
+                child.returncode = os.waitstatus_to_exitcode(status)
+        return reaped, status
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(labeling, "WORKER_MIN_VERTICES", 0)
         mp.setattr(ingest, "PARSE_WORKER_MIN_BYTES", 0)
         mp.setattr(worker, "usable_cpus", lambda: 2)
-        mp.setattr(subprocess, "Popen", Recorded)
+        mp.setattr(os, "fork", fork)
+        mp.setattr(os, "waitpid", waitpid)
         yield started
+
+
+def no_fork():
+    """``os.fork`` on a system that cannot fork now."""
+    raise OSError("cannot fork")
 
 
 def parse_pair(path1, path2, fmt="erg"):

@@ -77,6 +77,15 @@ class TestParseErg:
     def test_duplicate_vertex_id(self):
         assert re.search("duplicate vertex id", erg_error("ERG 1\nn 1\nv 0 1.0 2.0\nv 0 1.0 2.0\n"))
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [("v 0", "v 0"), ("v 0", "v 0 1 2"), ("v 0 1 2", "v 0")],
+        ids=["bare-bare", "bare-coords", "coords-bare"],
+    )
+    def test_duplicate_vertex_id_with_or_without_coordinates(self, first, second):
+        text = f"ERG 1\nn 1\n{first}\n{second}\n"
+        assert erg_error(text) == "line 4: duplicate vertex id 0"
+
     def test_symmetry_violation_rejected(self):
         assert re.search("asymmetric", erg_error("ERG 1\nn 2\na 0 1\n"))
 

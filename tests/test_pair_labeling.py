@@ -13,15 +13,14 @@ reaped or not (``conftest.deadline``).
 """
 
 import contextlib
+import gc
 import io
 import os
 import pickle
 import re
 import signal
-import subprocess
-import sys
+import threading
 import weakref
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +36,7 @@ from roadmatch.labeling import label_nodes, labels_by_depth
 from roadmatch.matcher import match
 from roadmatch.seed_index import auto_tune_k, label_pair
 
-from conftest import assert_no_children, forced_worker
+from conftest import assert_no_children, forced_worker, no_fork
 from test_labeling import scattered_graphs
 from test_seed_index import relabeling_tune
 
@@ -52,6 +51,13 @@ def with_stray_edges(g, count):
         a = n + 2 * i
         extra += [(a + 1,), (a,)]
     return EmbeddedGraph(g.rotation + tuple(extra))
+
+
+def until_killed(g, k):
+    """A labeling job that never replies: a forked worker's table could
+    otherwise be sent before the worker is killed."""
+    signal.pause()
+    yield
 
 
 def tables(g1, g2, k):
@@ -133,6 +139,7 @@ class TestWorkerEnds:
                 return label_nodes(g, k)
 
             monkeypatch.setattr(seed_index, "label_nodes", label_after_kill)
+            monkeypatch.setattr(labeling, "label_replies", until_killed)
             with pytest.raises(InternalError, match="exit status -9"):
                 label_pair(g1, g2, 3)
         assert started[0].returncode == -signal.SIGKILL
@@ -143,10 +150,12 @@ class TestWorkerEnds:
 
             def depths(g):
                 # Kill the worker while this process grows its own labels
-                # to k = 2.
+                # to k = 2.  The worker runs this too, with no child of its
+                # own to kill.
                 inner = labels_by_depth(g)
                 keep = yield next(inner)
-                started[0].kill()
+                for child in started:
+                    child.kill()
                 while True:
                     keep = yield inner.send(keep)
 
@@ -187,23 +196,43 @@ class TestWorkerEnds:
     def test_worker_error_is_internal(self, monkeypatch):
         # A worker that fails on its job exits 1 with a traceback: that is
         # still a dead worker, never bad input.
+        def failing(g, k):
+            raise SystemExit("no labels here")
+            yield
+
         g1, g2 = snapshot_pair(2)
+        monkeypatch.setattr(labeling, "label_replies", failing)
         with forced_worker() as started:
-            monkeypatch.setattr(worker, "_WORKER_CODE", "raise SystemExit('no labels here')")
-            with pytest.raises(InternalError, match="exit status 1.*no labels here"):
+            with pytest.raises(InternalError, match=r"(?s)exit status 1\b.*SystemExit: no labels here"):
                 label_pair(g1, g2, 3)
-        assert len(started) == 1
+        assert len(started) == 1 and started[0].returncode == 1
+
+    def test_worker_exits_without_reply(self, monkeypatch):
+        # A job that ends its process before replying: its exit status and
+        # what it wrote to stderr name it.
+        def exiting(g, k):
+            os.write(2, b"no labels either")
+            os._exit(3)
+            yield
+
+        g1, g2 = snapshot_pair(2)
+        monkeypatch.setattr(labeling, "label_replies", exiting)
+        with forced_worker() as started:
+            with pytest.raises(
+                InternalError,
+                match=r"^worker running .*exiting ended without its reply \(exit status 3\); "
+                r"stderr: no labels either$",
+            ):
+                label_pair(g1, g2, 3)
+        assert len(started) == 1 and started[0].returncode == 3
 
 
 class TestInProcess:
-    def test_popen_fails(self, monkeypatch):
-        def no_interpreter(*args, **kwargs):
-            raise OSError("cannot start an interpreter")
-
+    def test_fork_fails(self):
         g1, g2 = snapshot_pair(4)
         g1s, g2s = (with_stray_edges(g, 2) for g in (g1, g2))
-        with forced_worker():
-            monkeypatch.setattr(subprocess, "Popen", no_interpreter)
+        with forced_worker(), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "fork", no_fork)
             assert label_pair(g1, g2, 3) == tables(g1, g2, 3)
             assert auto_tune_k(g1, g2, 1, 6) == relabeling_tune(g1, g2, 1, 6)
             assert auto_tune_k(g1s, g2s, 1, 4) == relabeling_tune(g1s, g2s, 1, 4)
@@ -214,7 +243,7 @@ class TestInProcess:
 
         g1, g2 = snapshot_pair(4)
         monkeypatch.setattr(labeling, "WORKER_MIN_VERTICES", 0)
-        monkeypatch.setattr(subprocess, "Popen", unexpected)
+        monkeypatch.setattr(os, "fork", unexpected)
         if hasattr(os, "sched_getaffinity"):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
@@ -226,11 +255,30 @@ class TestInProcess:
             raise AssertionError("a worker was started below the gate")
 
         g1, g2 = snapshot_pair(4)
-        monkeypatch.setattr(subprocess, "Popen", unexpected)
+        monkeypatch.setattr(os, "fork", unexpected)
         assert label_pair(g1, g2, 3) == tables(g1, g2, 3)
         monkeypatch.setattr(labeling, "WORKER_MIN_VERTICES", 0)
         assert label_pair(g1, g2, 1) == tables(g1, g2, 1)
         assert auto_tune_k(g1, g2, 24, 1) == relabeling_tune(g1, g2, 24, 1)
+
+    def test_second_thread_running(self, snapshot_files):
+        # A fork copies only the forking thread, so with another one
+        # running nothing forks, and the results are the same.
+        g1, g2, p1, p2 = snapshot_files
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            with forced_worker() as started:
+                assert label_pair(g1, g2, 3) == tables(g1, g2, 3)
+                assert auto_tune_k(g1, g2, 1, 6) == relabeling_tune(g1, g2, 1, 6)
+                with open_pair(p1, p2) as (h1, h2, g2_job):
+                    assert (h1, h2) == (load_graph(p1), load_graph(p2))
+                    assert label_pair(h1, h2, 2, g2_job) == tables(g1, g2, 2)
+        finally:
+            release.set()
+            other.join()
+        assert started == []
 
 
 @pytest.fixture
@@ -310,7 +358,7 @@ class TestPairWorker:
         with forced_worker() as started:
             in_worker = [cli_output(capsys, argv, path) for argv, path in commands]
         assert len(started) == len(commands)
-        monkeypatch.setattr(subprocess, "Popen", no_worker)
+        monkeypatch.setattr(os, "fork", no_worker)
         in_process = [cli_output(capsys, argv, path) for argv, path in commands]
         assert in_worker == in_process
         assert all(code == 0 for code, _ in in_process)
@@ -348,14 +396,11 @@ class TestPairWorker:
         assert len(started) == 1
         assert str(in_worker.value) == str(in_process.value) == "label depth k must be >= 0, got -1"
 
-    def test_popen_fails(self, snapshot_files):
+    def test_fork_fails(self, snapshot_files):
         # The pair's job then runs in this process and still labels g2.
-        def no_interpreter(*args, **kwargs):
-            raise OSError("cannot start an interpreter")
-
         g1, g2, p1, p2 = snapshot_files
         with forced_worker(), pytest.MonkeyPatch.context() as mp:
-            mp.setattr(subprocess, "Popen", no_interpreter)
+            mp.setattr(os, "fork", no_fork)
             for k in (1, 3):
                 with open_pair(p1, p2) as (h1, h2, g2_job):
                     assert g2_job is not None
@@ -395,14 +440,11 @@ def forgetting_job():
     yield gone() is None
 
 
-def test_worker_main_holds_no_sent_reply(monkeypatch):
+def test_worker_main_holds_no_sent_reply():
     # The pair worker labels after it has dropped the graph it sent; that
     # frees the graph only if ``main`` holds no reference to it either.
-    stdin = io.BytesIO(pickle.dumps((forgetting_job, ())) + pickle.dumps(None))
     stdout = io.BytesIO()
-    monkeypatch.setattr(sys, "stdin", SimpleNamespace(buffer=stdin))
-    monkeypatch.setattr(sys, "stdout", SimpleNamespace(buffer=stdout))
-    worker.main()
+    worker.main(forgetting_job(), io.BytesIO(pickle.dumps(None)), stdout)
     stdout.seek(0)
     ok, reply = pickle.load(stdout)
     assert ok and isinstance(reply, Sent)
@@ -416,7 +458,7 @@ def pair_worker(request, monkeypatch):
         with forced_worker() as started:
             yield started
     else:
-        monkeypatch.setattr(subprocess, "Popen", no_worker)
+        monkeypatch.setattr(os, "fork", no_worker)
         yield None
 
 
@@ -516,6 +558,7 @@ def _killed(paths, tmp_path, monkeypatch, started):
         return label_nodes(g, k)
 
     monkeypatch.setattr(seed_index, "label_nodes", label_after_kill)
+    monkeypatch.setattr(labeling, "label_replies", until_killed)
 
 
 def _interrupted(module, name):
@@ -545,6 +588,7 @@ def _interrupted(module, name):
 def test_every_exit_reaps_the_worker(snapshot_files, tmp_path, capsys, monkeypatch, setup, outcome):
     _, _, p1, p2 = snapshot_files
     argv = [p1, p2]
+    frozen = gc.get_freeze_count()
     with forced_worker() as started:
         if setup is not None:
             setup(argv, tmp_path, monkeypatch, started)
@@ -557,3 +601,28 @@ def test_every_exit_reaps_the_worker(snapshot_files, tmp_path, capsys, monkeypat
     capsys.readouterr()
     assert len(started) == 1
     assert_no_children()
+    # The collector, frozen while the worker lived, is thawed again.
+    assert started[0].frozen > frozen == gc.get_freeze_count()
+
+
+def test_freeze_left_to_its_owner(snapshot_files):
+    # A caller that froze the collector itself keeps it frozen: before the
+    # worker starts, or after the pair's worker is closed by labeling and
+    # before it is closed again when the pair's block is left.  (Frozen
+    # objects that are freed leave the count, so it is only checked above 0.)
+    g1, g2, p1, p2 = snapshot_files
+    try:
+        with forced_worker() as started:
+            gc.freeze()
+            with open_pair(p1, p2) as (h1, h2, g2_job):
+                assert label_pair(h1, h2, 2, g2_job) == tables(g1, g2, 2)
+            assert gc.get_freeze_count() > 0
+            gc.unfreeze()
+            with open_pair(p1, p2) as (h1, h2, g2_job):
+                assert label_pair(h1, h2, 2, g2_job) == tables(g1, g2, 2)
+                assert gc.get_freeze_count() == 0
+                gc.freeze()
+            assert gc.get_freeze_count() > 0
+        assert len(started) == 2 and started[1].frozen > 0
+    finally:
+        gc.unfreeze()

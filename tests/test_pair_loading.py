@@ -12,7 +12,6 @@ tested in ``test_pair_labeling``.
 
 import contextlib
 import os
-import subprocess
 
 import pytest
 
@@ -22,7 +21,7 @@ from roadmatch.errors import InputError, InternalError
 from roadmatch.generator import gen_irregular_grid, perturb
 from roadmatch.ingest import emit_erg, load_graph, open_pair
 
-from conftest import forced_worker, parse_pair, segments_text
+from conftest import forced_worker, no_fork, parse_pair, segments_text
 
 pytestmark = pytest.mark.usefixtures("deadline")
 
@@ -80,7 +79,7 @@ class TestSameResults:
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_worker_off(self, pair_files, fmt, monkeypatch):
         p1, p2 = pair_files[fmt]
-        monkeypatch.setattr(subprocess, "Popen", no_worker)
+        monkeypatch.setattr(os, "fork", no_worker)
         got = parse_pair(p1, p2, fmt)
         want = (load_graph(p1, fmt), load_graph(p2, fmt))
         for g, h in zip(got, want):
@@ -209,28 +208,43 @@ class TestWorkerEnds:
         assert len(started) == 1 and started[0].returncode is not None
 
     def test_worker_error_is_internal(self, pair_files, monkeypatch):
+        def failing(*args):
+            raise SystemExit("no graph here")
+            yield
+
         p1, p2 = pair_files["erg"]
+        monkeypatch.setattr(ingest, "_snapshot_job", failing)
         with forced_worker() as started:
-            monkeypatch.setattr(worker, "_WORKER_CODE", "raise SystemExit('no graph here')")
-            with pytest.raises(InternalError, match="exit status 1.*no graph here"):
+            with pytest.raises(InternalError, match=r"(?s)exit status 1\b.*SystemExit: no graph here"):
                 parse_pair(p1, p2)
-        assert len(started) == 1
+        assert len(started) == 1 and started[0].returncode == 1
+
+    def test_worker_exits_without_reply(self, pair_files, monkeypatch):
+        def exiting(*args):
+            os.write(2, b"no graph either")
+            os._exit(3)
+            yield
+
+        p1, p2 = pair_files["erg"]
+        monkeypatch.setattr(ingest, "_snapshot_job", exiting)
+        with forced_worker() as started:
+            with pytest.raises(InternalError, match=r"\(exit status 3\); stderr: no graph either$"):
+                parse_pair(p1, p2)
+        assert len(started) == 1 and started[0].returncode == 3
 
 
 class TestInProcess:
-    def test_popen_fails(self, pair_files, monkeypatch):
-        def no_interpreter(*args, **kwargs):
-            raise OSError("cannot start an interpreter")
-
+    def test_fork_fails(self, pair_files):
         p1, p2 = pair_files["erg"]
-        with forced_worker():
-            monkeypatch.setattr(subprocess, "Popen", no_interpreter)
+        with forced_worker() as started, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "fork", no_fork)
             assert parse_pair(p1, p2) == (load_graph(p1), load_graph(p2))
+        assert started == []
 
     def test_one_cpu(self, pair_files, monkeypatch):
         p1, p2 = pair_files["erg"]
         monkeypatch.setattr(ingest, "PARSE_WORKER_MIN_BYTES", 0)
-        monkeypatch.setattr(subprocess, "Popen", no_worker)
+        monkeypatch.setattr(os, "fork", no_worker)
         if hasattr(os, "sched_getaffinity"):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
@@ -240,5 +254,5 @@ class TestInProcess:
         p1, p2 = pair_files["erg"]
         monkeypatch.setattr(worker, "usable_cpus", lambda: 2)
         monkeypatch.setattr(ingest, "PARSE_WORKER_MIN_BYTES", os.path.getsize(p2) + 1)
-        monkeypatch.setattr(subprocess, "Popen", no_worker)
+        monkeypatch.setattr(os, "fork", no_worker)
         assert parse_pair(p1, p2) == (load_graph(p1), load_graph(p2))
