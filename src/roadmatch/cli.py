@@ -16,12 +16,14 @@ import sys
 
 from .errors import ConfigurationError, InputError
 from .generator import gen_irregular_grid, perturb
-from .ingest import emit_erg, load_graph, open_pair
+from .ingest import emit_erg, load_graph, load_pair
 from .labeling import DEFAULT_K, label_nodes
 from .matcher import MatchResult, match
 from .metrics import (
     DEFAULT_THRESHOLD_MILES,
     approximation_ratio,
+    check_bucket_km,
+    check_threshold_miles,
     pair_distance_histogram,
     threshold_ratio,
 )
@@ -139,8 +141,8 @@ def _cmd_label(args) -> int:
 
 
 def _cmd_tune_k(args) -> int:
-    with open_pair(args.graph1, args.graph2, args.format, coords=False) as (g1, g2, g2_job):
-        report = auto_tune_k(g1, g2, args.max_product, args.k_max, g2_job)
+    g1, g2 = load_pair(args.graph1, args.graph2, args.format, coords=False)
+    report = auto_tune_k(g1, g2, args.max_product, args.k_max)
     for k, p in report.per_k:
         print(f"k: {k} max_product: {p}")
     print(f"chosen_k: {report.k}")
@@ -161,17 +163,16 @@ def _cmd_tune_k(args) -> int:
 
 
 def _cmd_match(args) -> int:
-    with open_pair(args.graph1, args.graph2, args.format, coords=False) as (g1, g2, g2_job):
-        result = match(
-            g1,
-            g2,
-            k=args.k,
-            max_product=args.max_product,
-            rng_seed=args.rng_seed,
-            auto_k=args.auto_k,
-            k_max=args.k_max,
-            g2_job=g2_job,
-        )
+    g1, g2 = load_pair(args.graph1, args.graph2, args.format, coords=False)
+    result = match(
+        g1,
+        g2,
+        k=args.k,
+        max_product=args.max_product,
+        rng_seed=args.rng_seed,
+        auto_k=args.auto_k,
+        k_max=args.k_max,
+    )
     _write(args.output, format_matching(result))
     # A label product of 0 means no label is shared by both graphs.
     if not result.stats.max_product:
@@ -207,13 +208,16 @@ def _check_pairs(pairs: list[tuple[int, int]], n1: int, n2: int) -> None:
 
 
 def _cmd_validate(args) -> int:
-    with open_pair(args.graph1, args.graph2, args.format) as (g1, g2, g2_job):
-        with open(args.matching, encoding="utf-8") as fh:
-            pairs, _, _, stats = parse_matching(fh.read())
-        _check_pairs(pairs, g1.vertex_count, g2.vertex_count)
-        # Score the labeling the matching was made with unless told otherwise.
-        k = args.k if args.k is not None else int(stats.get("k", DEFAULT_K))
-        mt1, mt2 = label_pair(g1, g2, k, g2_job)
+    # Flag values it would refuse win over any fault of the files, unread.
+    check_threshold_miles(args.threshold_miles)
+    check_bucket_km(args.bucket_km)
+    g1, g2 = load_pair(args.graph1, args.graph2, args.format)
+    with open(args.matching, encoding="utf-8") as fh:
+        pairs, _, _, stats = parse_matching(fh.read())
+    _check_pairs(pairs, g1.vertex_count, g2.vertex_count)
+    # Score the labeling the matching was made with unless told otherwise.
+    k = args.k if args.k is not None else int(stats.get("k", DEFAULT_K))
+    mt1, mt2 = label_pair(g1, g2, k)
     ratio = approximation_ratio(mt1, mt2, g1.vertex_count, g2.vertex_count)
     print(f"approximation_ratio: {ratio:.4f}")
     if g1.coords is not None and g2.coords is not None:
@@ -239,9 +243,7 @@ def _cmd_validate(args) -> int:
 def _cmd_oracle(args) -> int:
     # A cap it would refuse wins over any fault of the files, unread.
     check_size_cap(args.size_cap)
-    # The oracle labels nothing: its worker, if any, only parses g2.
-    with open_pair(args.graph1, args.graph2, args.format, coords=False) as (g1, g2, _):
-        pass
+    g1, g2 = load_pair(args.graph1, args.graph2, args.format, coords=False)
     card, witness = brute_force_max_conformal(g1, g2, args.size_cap)
     print(f"max_conformal_cardinality: {card}")
     for v, w in sorted(witness.items()):

@@ -15,30 +15,27 @@ a segment file's are dropped once they have given the rotations).
 ``match``, ``tune-k``, ``oracle`` and ``label`` read without them;
 ``validate`` and ``perturb`` keep them.
 
-``open_pair`` reads the two snapshots of a pair.  When that pays (two
+``load_pair`` reads the two snapshots of a pair.  When that pays (two
 usable CPUs and a second file of at least ``PARSE_WORKER_MIN_BYTES``), a
 worker forked from this process (see ``worker``) reads and parses the
-second file while this process parses the first, and sends the graph
-back as ``load_graph`` would return it, so with no coordinates unless
-they are asked for; otherwise, or when no worker can be forked, both are
-parsed here, one after the other.  The graphs and the errors are the
-same either way: the first file's error wins, and the
-second file's is raised only once the first has parsed.  The worker
-keeps its graph, less any coordinates, and waits for a labeling command,
-so the commands that label the pair (``match``, ``tune-k``, ``validate``)
-have it labeled where it was parsed, with no second worker to start and
-no graph to send back to one; ``oracle`` sends none.
+second file while this process parses the first, sends the graph back as
+``load_graph`` would return it, so with no coordinates unless they are
+asked for, and is reaped as soon as it is received; otherwise, or when
+no worker can be forked, both are parsed here, one after the other.  The
+graphs and the errors are the same either way: the first file's error
+wins, and the second file's is raised only once the first has parsed.
+Labeling is no part of it: a pair command labels the graphs it holds
+(``labeling.labeling_job``).
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from . import labeling, worker
+from . import worker
 from .errors import InputError
 from .graph import EmbeddedGraph, coords_error, lonlat_ok
 
@@ -281,56 +278,35 @@ def load_graph(path: str, fmt: str = "erg", coords: bool = True) -> EmbeddedGrap
 
 # Below this size of the second file, parsing it in a worker costs more
 # than it saves (forking it, sending the graph back).  Timed alone
-# (``open_pair``, medians of 15-21 alternating runs, ERG files of irregular
+# (``load_pair``, medians of 15-21 alternating runs, ERG files of irregular
 # grids, 2 vCPUs, Python 3.11.7), the two ways tie at 37-80 kB from a small
 # heap and at 80-125 kB from a 68 MB one; at 125 kB (3k vertices) the
 # worker saves 5-28%, at 0.31 MB (7k) 40%.
 PARSE_WORKER_MIN_BYTES = 100_000
 
 
-def _snapshot_job(path: str, fmt: str, coords: bool = True) -> Iterator:
-    """The pair worker's job: ``load_graph(path, fmt, coords)``, then the
-    labeling job (``labeling.label_replies``) of that graph under the
-    command sent back, if one is.
-
-    Once the graph is sent, the job holds only its coordinate-free copy, so
-    a worker labels without coordinates whatever it sent.  The copy is the
-    job's own: run in process, the job leaves the caller's graph as it is.
-    """
-    g = load_graph(path, fmt, coords)
-    k = yield g
-    g = g.without_coords()
-    yield from labeling.label_replies(g, k)
+def _snapshot_job(path: str, fmt: str, coords: bool) -> Iterator:
+    """The pair worker's job: one reply, ``load_graph(path, fmt, coords)``."""
+    yield load_graph(path, fmt, coords)
 
 
-@contextlib.contextmanager
-def open_pair(
+def load_pair(
     path1: str, path2: str, fmt: str = "erg", coords: bool = True
-) -> Iterator[tuple[EmbeddedGraph, EmbeddedGraph, object]]:
-    """Yield ``(g1, g2, g2_job)``: the graphs ``load_graph(path1, fmt,
-    coords)`` and ``load_graph(path2, fmt, coords)``, and the job that
-    parsed g2 and can label it.
+) -> tuple[EmbeddedGraph, EmbeddedGraph]:
+    """``(load_graph(path1, fmt, coords), load_graph(path2, fmt, coords))``.
 
     When that pays (two usable CPUs and a second file of at least
     ``PARSE_WORKER_MIN_BYTES`` bytes), a worker process reads and parses
-    the second file while this one parses the first, and keeps g2, less
-    any coordinates, after sending it back.  ``g2_job`` is then its peer
-    (see ``worker``), which ``labeling.labeling_job`` labels g2 through at
-    any k, so one worker parses and labels g2; otherwise both files are
-    parsed here, one after the other, and ``g2_job`` is None.
-
-    Errors are those of the two ``load_graph`` calls made in order: the
-    second file's ``InputError`` or ``OSError`` is raised only once the
-    first file has parsed cleanly.  The worker is killed and reaped once
-    g2 is labeled, and at the latest when the block is left.
+    the second file while this one parses the first; it is killed and
+    reaped once its graph is received.  Errors are those of the two
+    ``load_graph`` calls made in order: the second file's ``InputError``
+    or ``OSError`` is raised only once the first file has parsed cleanly.
     """
     try:
         big = os.path.getsize(path2) >= PARSE_WORKER_MIN_BYTES
     except OSError:
         big = False  # parsing it raises the error, in order
-    if not (big and worker.usable_cpus() >= 2):
-        yield load_graph(path1, fmt, coords), load_graph(path2, fmt, coords), None
-        return
-    with worker.job(_snapshot_job, path2, fmt, coords, in_worker=True) as second:
+    in_worker = big and worker.usable_cpus() >= 2
+    with worker.job(_snapshot_job, path2, fmt, coords, in_worker=in_worker) as second:
         g1 = load_graph(path1, fmt, coords)
-        yield g1, second.receive(), second
+        return g1, second.receive()

@@ -56,18 +56,15 @@ first empty level, when it covers its component, whatever k asks for.
 
 A label depends only on its own graph, so two snapshots can be labeled at
 the same time.  ``labeling_job`` labels one graph in a worker process (see
-``worker``).  When the worker that parsed the graph still holds it
-(``ingest.open_pair``), it is labeled there, at any k.  A graph in memory
-gets a worker of its own only where that can pay for itself (two usable
-CPUs, k >= 2 and at least ``WORKER_MIN_VERTICES`` vertices); otherwise,
-or when no worker can be forked, the same job runs in this process.  The
-worker is forked, so a graph in memory reaches it with nothing copied or
-pickled, and the pair worker labels the coordinate-free copy it keeps.
+``worker``) where that can pay for itself (two usable CPUs and at least
+``WORKER_MIN_VERTICES`` vertices, at any k); otherwise, or when no worker
+can be forked, the same job runs in this process.  The worker is forked,
+so the graph reaches it with nothing copied or pickled, and only its
+labels come back.
 """
 
 from __future__ import annotations
 
-import contextlib
 from array import array
 from collections import Counter
 from collections.abc import Generator, Iterable, Iterator, MutableSequence, Sequence
@@ -459,11 +456,13 @@ def counts_by_depth(g: EmbeddedGraph) -> Generator[Counter | MasterTable, tuple,
 # Below about this many vertices, a worker of its own costs more than it
 # saves (forking it, sending its labels back).  Measured with
 # ``label_pair`` on snapshot pairs of irregular grids (2 vCPUs, Python
-# 3.11.7, medians of 15-21 alternating runs), the two ways tie at 300-500
-# vertices from a small heap and, from a 68 MB one, near 500 at k = 3 and
-# at 500-1k at k = 2; at 1k the worker saves 24-30%, at 2k-7k 17-44%.  The
-# gate stays above the tie at k = 2, where the saving is clear.
-WORKER_MIN_VERTICES = 1000
+# 3.11.7, medians of 21-31 alternating runs), the two ways tie at k = 1
+# near 2k vertices from a 17 MB heap and at 2k-3k from a 34 MB one, and
+# at k = 2 below 1k from either; from a 56 MB heap the k = 1 times stay
+# within 25% of each other from 2k to 7k.  At 2k the worker saves 15-35%
+# at k = 2, at 7k 30-40%, and at 20k 26% at k = 1.  The gate is set at
+# the k = 1 tie, the larger.
+WORKER_MIN_VERTICES = 2000
 
 
 def label_replies(g: EmbeddedGraph, k: int | None) -> Iterator:
@@ -478,26 +477,17 @@ def label_replies(g: EmbeddedGraph, k: int | None) -> Iterator:
     yield from counts_by_depth(g)
 
 
-def labeling_job(g: EmbeddedGraph, k: int, by_depth: bool = False, held=None):
+def labeling_job(g: EmbeddedGraph, k: int | None):
     """Label g, in a worker process when that pays; a context yielding the
     job's peer (see ``worker``), which is closed when the block is left.
 
     Its peer's ``receive()`` returns the next reply of the job and
-    ``send(command)`` passes a command (see ``label_replies``).  At fixed
-    k (``by_depth`` false) the one reply is the master table of
-    ``label_nodes(g, k)``.  With ``by_depth`` the replies and commands are
-    those of ``counts_by_depth(g)``, and k is the deepest level that may be
-    asked for.
-
-    ``held`` is a peer whose job already holds g and waits for its
-    labeling command (``ingest.open_pair``): g is labeled there, at any k.
-    Without one, a worker runs only with two usable CPUs, k >= 2 and at
-    least ``WORKER_MIN_VERTICES`` vertices, and labels the g it inherits
-    from this process; otherwise the job runs in this process, with the
-    same results.
+    ``send(command)`` passes a command (see ``label_replies``): with k set,
+    the one reply is the master table of ``label_nodes(g, k)``; with k
+    None, the replies and commands are those of ``counts_by_depth(g)``.  A
+    worker runs only with two usable CPUs and at least
+    ``WORKER_MIN_VERTICES`` vertices; otherwise the job runs in this
+    process, with the same results.
     """
-    if held is not None:
-        held.send(None if by_depth else k)
-        return contextlib.closing(held)
-    in_worker = k >= 2 and g.vertex_count >= WORKER_MIN_VERTICES and worker.usable_cpus() >= 2
-    return worker.job(label_replies, g, None if by_depth else k, in_worker=in_worker)
+    in_worker = g.vertex_count >= WORKER_MIN_VERTICES and worker.usable_cpus() >= 2
+    return worker.job(label_replies, g, k, in_worker=in_worker)

@@ -240,10 +240,8 @@ class MatchStats:
     max_product: int
     rng_seed: int
     # Wall time of labeling both graphs, the k search included; the two are
-    # labeled at once when a worker process takes the second.  When the
-    # worker that parsed the second file labels it (``g2_job``), it is
-    # already running and this holds no start-up; a worker started for the
-    # labeling alone starts within it.
+    # labeled at once when a worker process takes the second, and that
+    # worker is forked and reaped within it.
     label_time_s: float
     seed_time_s: float  # labeling plus building the seed index
     match_time_s: float
@@ -361,18 +359,15 @@ def match(
     rng_seed: int = 0,
     auto_k: bool = False,
     k_max: int = 12,
-    g2_job=None,
 ) -> MatchResult:
     """Full pipeline: label both graphs at k, or at the k `auto_tune_k`
     picks, index their seeds and `flood_match` from the index.  The bound is
     checked by the index at a fixed k and by the tuner's report under auto_k.
-    ``g2_job`` is the peer of the worker that parsed g2, if one did
-    (``ingest.open_pair``): g2 is labeled there, and the worker is reaped
-    before the flood.
+    A worker that labels g2 is reaped before the flood.
     """
     t0 = time.perf_counter()
     if auto_k:
-        report = auto_tune_k(g1, g2, max_product, k_max, g2_job)
+        report = auto_tune_k(g1, g2, max_product, k_max)
         if report.tables is None:
             raise ConfigurationError(
                 f"no k in [1, {k_max}] meets the bound {max_product}: the smallest max label "
@@ -381,7 +376,7 @@ def match(
         k = report.k
         mt1, mt2 = report.tables
     else:
-        mt1, mt2 = label_pair(g1, g2, k, g2_job)
+        mt1, mt2 = label_pair(g1, g2, k)
     label_time = time.perf_counter() - t0
     # Raises ConfigurationError when a label's product is over the bound.
     idx = SeedIndex(mt1, mt2, g1.vertex_count, g2.vertex_count, max_product)

@@ -52,6 +52,18 @@ class ThresholdReport:
     excluded_missing_coords: int
 
 
+def check_threshold_miles(threshold_miles: float) -> None:
+    """InputError unless the threshold is finite and >= 0."""
+    if not (math.isfinite(threshold_miles) and threshold_miles >= 0):
+        raise InputError(f"threshold must be finite and >= 0 miles, got {threshold_miles}")
+
+
+def check_bucket_km(bucket_km: float) -> None:
+    """InputError unless the bucket width is finite and > 0."""
+    if not (math.isfinite(bucket_km) and bucket_km > 0):
+        raise InputError(f"bucket width must be finite and > 0 km, got {bucket_km}")
+
+
 def threshold_ratio(
     pairs,
     coords1,
@@ -61,7 +73,9 @@ def threshold_ratio(
     """Fraction of matched pairs within threshold_miles of each other.
 
     Pairs missing coordinates on either side are excluded and counted.
+    InputError unless the threshold is finite and >= 0.
     """
+    check_threshold_miles(threshold_miles)
     limit_km = threshold_miles * KM_PER_MILE
     within = total = excluded = 0
     for v, w in pairs:
@@ -88,10 +102,10 @@ def pair_distance_histogram(
     Pairs missing coordinates on either side are left out, as in
     ``threshold_ratio``, so the counts sum to its ``total``.  Returns
     (bucket lower edge in km, count) rows, suitable for CSV output.  Ideal
-    matchings put all mass in the first bucket.
+    matchings put all mass in the first bucket.  InputError unless the
+    bucket width is finite and > 0.
     """
-    if bucket_km <= 0:
-        raise InputError("bucket width must be positive")
+    check_bucket_km(bucket_km)
     counts: dict[int, int] = {}
     for v, w in pairs:
         c1, c2 = coords1[v], coords2[w]

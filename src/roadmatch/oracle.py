@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .errors import InputError
+from .errors import InputError, InternalError
 from .graph import EmbeddedGraph, verify_conformal
 
 DEFAULT_SIZE_CAP = 10
@@ -73,7 +73,8 @@ def brute_force_max_conformal(
     """Exact maximum conformal matching cardinality, with one witness map.
 
     InputError for a size cap above ``MAX_SIZE_CAP`` or a graph above the
-    size cap, before any search.
+    size cap, before any search; InternalError if the witness it finds is
+    not conformal.
     """
     check_size_cap(size_cap)
     if g1.vertex_count > size_cap or g2.vertex_count > size_cap:
@@ -113,5 +114,5 @@ def brute_force_max_conformal(
     extend(0)
     ok, why = verify_conformal(g1, g2, best["map"].items())
     if not ok:
-        raise InputError(f"oracle produced a non-conformal witness: {why}")
+        raise InternalError(f"oracle produced a non-conformal witness: {why}")
     return best["card"], best["map"]

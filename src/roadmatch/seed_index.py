@@ -15,10 +15,7 @@ tuner's report does (``TuneReport.bounded``).
 
 ``label_pair`` labels both snapshots at a fixed k, the second in a worker
 process while this one labels the first, when that pays
-(``labeling.labeling_job``), and returns their master tables.  Both it
-and the tuner take the peer of the worker that parsed the second
-snapshot, when the pair commands started one (``ingest.open_pair``), and
-label it there.
+(``labeling.labeling_job``), and returns their master tables.
 ``auto_tune_k`` picks the label depth k: it grows both graphs' labels one
 level per k in a single pass (``labeling.counts_by_depth``), the second in
 lockstep in the worker, and counts them at each k, rather than labeling
@@ -162,17 +159,15 @@ def _label_map(n: int, members: list[set[int]]) -> list[int]:
 
 
 def label_pair(
-    g1: EmbeddedGraph, g2: EmbeddedGraph, k: int, g2_job=None
+    g1: EmbeddedGraph, g2: EmbeddedGraph, k: int
 ) -> tuple[MasterTable, MasterTable]:
     """The master tables of ``label_nodes(g1, k)`` and ``label_nodes(g2, k)``,
     computed at once.
 
     g2 is labeled in a worker process while this one labels g1, when that
-    pays: in the worker that parsed it, if ``g2_job`` is its peer
-    (``ingest.open_pair``), and otherwise as ``labeling.labeling_job``
-    decides.  The results are the same either way.
+    pays (``labeling.labeling_job``).  The results are the same either way.
     """
-    with labeling_job(g2, k, held=g2_job) as second:
+    with labeling_job(g2, k) as second:
         first = label_nodes(g1, k)[0]
         return first, second.receive()
 
@@ -236,7 +231,6 @@ def auto_tune_k(
     g2: EmbeddedGraph,
     max_product: int = DEFAULT_MAX_PRODUCT,
     k_max: int = 12,
-    g2_job=None,
 ) -> TuneReport:
     """Smallest k in [1, k_max] whose max cross product p is within the bound.
 
@@ -264,16 +258,15 @@ def auto_tune_k(
     (``labeling.counts_by_depth``) and counts them for each k's max
     product, so tuning walks each ball at most once rather than once per
     k tried.  g2's pass runs in lockstep in a worker process when that
-    pays, or in the worker that parsed g2 when ``g2_job`` is its peer (see
-    ``label_pair``): at each k it sends its label counts and waits for its
-    keep-set with "next", or for "stop" with the labels of both graphs, and
-    then sends its table of those.  Its results equal labeling both graphs
+    pays (``labeling.labeling_job``): at each k it sends its label counts
+    and waits for its keep-set with "next", or for "stop" with the labels
+    of both graphs, and then sends its table of those.  Its results equal labeling both graphs
     from scratch at every k.
     """
     if max_product < 1 or k_max < 1:
         raise InputError("max_product and k_max must be >= 1")
     per_k = []
-    with labeling_job(g2, k_max, by_depth=True, held=g2_job) as second:
+    with labeling_job(g2, None) as second:
         first = counts_by_depth(g1)
         counts1 = next(first)
         for k in range(1, k_max + 1):

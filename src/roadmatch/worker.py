@@ -2,9 +2,10 @@
 
 A job is a generator function and its arguments: its first reply is
 ``next(job(*args))``, and every later one answers a command sent into it.
-The pair commands' worker parses the second snapshot, then labels it
-(``ingest.open_pair``, ``labeling.labeling_job``); ``main`` keeps no
-reply once it is sent, so what the job drops is freed.
+A pair command runs at most two such jobs on the second snapshot, one
+after the other, each in a worker of its own: one parses it
+(``ingest.load_pair``) and one labels it (``labeling.labeling_job``).
+``main`` keeps no reply once it is sent, so what the job drops is freed.
 
 The worker is a child forked from this process, so the job and its
 arguments are already in its memory; only commands and replies cross
@@ -136,10 +137,9 @@ class _Worker:
         self._replies.close()
         self._release()
 
-    def _release(self) -> None:  # may run twice: a held peer is closed twice
+    def _release(self) -> None:
         self._stderr.close()
         if self._froze:
-            self._froze = False
             gc.unfreeze()
 
 

@@ -45,13 +45,15 @@ def assert_no_children():
 
 class Forked:
     """A child forked by this process, with ``Popen``'s ``returncode``
-    (None until the child is reaped) and ``kill``, and the collector's
-    freeze count just after the fork."""
+    (None until the child is reaped) and ``kill``, the collector's freeze
+    count just after the fork, and how many children forked before it were
+    still unreaped then."""
 
-    def __init__(self, pid):
+    def __init__(self, pid, alive):
         self.pid = pid
         self.returncode = None
         self.frozen = gc.get_freeze_count()
+        self.alive = alive
 
     def kill(self):
         os.kill(self.pid, signal.SIGKILL)
@@ -67,7 +69,7 @@ def forced_worker():
     def fork():
         pid = real_fork()
         if pid:
-            started.append(Forked(pid))
+            started.append(Forked(pid, sum(child.returncode is None for child in started)))
         return pid
 
     def waitpid(pid, options):
@@ -89,13 +91,6 @@ def forced_worker():
 def no_fork():
     """``os.fork`` on a system that cannot fork now."""
     raise OSError("cannot fork")
-
-
-def parse_pair(path1, path2, fmt="erg"):
-    """The two graphs ``ingest.open_pair`` yields; its worker, if any, is
-    reaped before this returns."""
-    with ingest.open_pair(path1, path2, fmt) as (g1, g2, _):
-        return g1, g2
 
 
 def segments_text(g) -> str:

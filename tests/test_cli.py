@@ -271,6 +271,33 @@ class TestErrors:
         assert message in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--bucket-km", "nan", "bucket width must be finite and > 0 km, got nan"),
+            ("--bucket-km", "inf", "bucket width must be finite and > 0 km, got inf"),
+            ("--bucket-km", "0", "bucket width must be finite and > 0 km, got 0.0"),
+            ("--threshold-miles", "-1", "threshold must be finite and >= 0 miles, got -1.0"),
+            ("--threshold-miles", "nan", "threshold must be finite and >= 0 miles, got nan"),
+            ("--threshold-miles", "inf", "threshold must be finite and >= 0 miles, got inf"),
+        ],
+    )
+    def test_validate_rejects_flag_values(self, tmp_path, capsys, flag, value, message):
+        # Refused before anything is read or printed, on a 12 x 12 pair
+        # with coordinates, so every metric would otherwise run.
+        g1, g2, m = tmp_path / "g1.erg", tmp_path / "g2.erg", tmp_path / "m.txt"
+        g = gen_irregular_grid(12, 12, 0.2, 5)
+        g1.write_text(emit_erg(g))
+        g2.write_text(emit_erg(perturb(g, 0.04, 0.0, 0.0, 6)[0]))
+        assert dispatch(["match", str(g1), str(g2), "--k", "4", "--max-product", "10000",
+                         "-o", str(m)]) == 0
+        capsys.readouterr()
+        hist = tmp_path / "hist.csv"
+        code, out, err = run(capsys, "validate", str(m), str(g1), str(g2),
+                             "--hist", str(hist), flag, value)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not hist.exists()
+
     def test_zero_k_labels_degrees(self, tmp_path, capsys):
         g = tmp_path / "g.erg"
         g.write_text(emit_erg(path_graph(3)))
@@ -341,7 +368,7 @@ class TestLabelTuneOracle:
         def unread(*args, **kwargs):
             raise AssertionError("oracle opened its files")
 
-        monkeypatch.setattr(cli, "open_pair", unread)
+        monkeypatch.setattr(cli, "load_pair", unread)
         missing = str(tmp_path / "missing.erg")
         code, out, err = run(capsys, "oracle", missing, missing, "--size-cap", str(MAX_SIZE_CAP + 1))
         assert (code, out) == (1, "")

@@ -18,6 +18,7 @@ from roadmatch.ingest import (
     collapse_polylines,
     emit_erg,
     load_graph,
+    load_pair,
     parse_erg,
     parse_segments,
 )
@@ -27,7 +28,6 @@ from conftest import (
     edge_count,
     embedded_graphs,
     forced_worker,
-    parse_pair,
     segments_text,
 )
 
@@ -357,7 +357,7 @@ class TestMalformedInput:
             with open(good, "wb") as fh:
                 fh.write(emit_erg(g).encode() if fmt == "erg" else segments_text(g).encode())
             with forced_worker() as started:
-                loads_or_input_error(parse_pair, good, path, fmt)
+                loads_or_input_error(load_pair, good, path, fmt)
             assert len(started) == 1
         assert_no_children()
 

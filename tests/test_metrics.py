@@ -107,6 +107,16 @@ class TestThresholdRatio:
         assert report.total == 0
 
 
+    def test_bad_threshold(self):
+        for miles in (-1.0, math.nan, math.inf):
+            with pytest.raises(InputError, match="threshold must be finite and >= 0 miles"):
+                threshold_ratio([], [], [], miles)
+
+    def test_zero_threshold(self):
+        coords = [(0.0, 0.0), (1.0, 1.0)]
+        assert threshold_ratio([(0, 0), (0, 1)], coords, coords, 0.0).within == 1
+
+
 class TestPairDistanceHistogram:
     def test_counts_each_pair_once(self):
         coords1 = [(0.0, 0.0), (0.0, 0.02)]
@@ -134,5 +144,6 @@ class TestPairDistanceHistogram:
         assert threshold_ratio(pairs, coords1, coords2).total == 1
 
     def test_bad_bucket_width(self):
-        with pytest.raises(InputError):
-            pair_distance_histogram([], [], [], bucket_km=0.0)
+        for width in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(InputError, match="bucket width must be finite and > 0 km"):
+                pair_distance_histogram([], [], [], bucket_km=width)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadmatch.errors import InputError
+from roadmatch.errors import InputError, InternalError
 from roadmatch.generator import gen_irregular_grid
 from roadmatch.graph import EmbeddedGraph, verify_conformal
 from roadmatch.matcher import MatchState, match, run_trial
@@ -71,6 +71,16 @@ class TestBruteForce:
             brute_force_max_conformal(g, g, size_cap=MAX_SIZE_CAP + 1)
         with pytest.raises(AssertionError, match="the search ran"):
             brute_force_max_conformal(g, g, size_cap=MAX_SIZE_CAP)
+
+    def test_non_conformal_witness_is_internal(self, monkeypatch):
+        # Every pair accepted: the two edges 0-1 and 2-3 are mapped to the
+        # identity, but in g2 the edges are 0-2 and 1-3.  That witness is
+        # the oracle's fault, not its input's.
+        monkeypatch.setattr(oracle, "_locally_conformal", lambda g1, g2, f, v: True)
+        g1 = EmbeddedGraph(((1,), (0,), (3,), (2,)))
+        g2 = EmbeddedGraph(((2,), (3,), (0,), (1,)))
+        with pytest.raises(InternalError, match="oracle produced a non-conformal witness"):
+            brute_force_max_conformal(g1, g2)
 
     @given(embedded_graphs(min_vertices=1), embedded_graphs(min_vertices=1))
     @settings(max_examples=60, deadline=None)

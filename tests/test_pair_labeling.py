@@ -1,18 +1,17 @@
 """Labeling the second snapshot in a worker process (``labeling_job``).
 
-Two workers can label it: the one the pair commands start to parse the
-second file (``ingest.open_pair``), which then labels what it parsed at
-any k, and, for graphs in memory, a worker started for the labeling
-alone.  Graphs here are far below both size gates, so the tests that need
-a worker lower ``WORKER_MIN_VERTICES`` and ``PARSE_WORKER_MIN_BYTES`` to 0
-(and report two usable CPUs) and record every worker started
+The pair commands first read the pair (``ingest.load_pair``), whose
+worker, if any, only parses the second file and is reaped once its graph
+is in; a worker of its own then labels the second snapshot.  Graphs here
+are far below both size gates, so the tests that need a worker lower
+``WORKER_MIN_VERTICES`` and ``PARSE_WORKER_MIN_BYTES`` to 0 (and report
+two usable CPUs) and record every worker started
 (``conftest.forced_worker``).  Every test
 runs under an alarm, so a worker that never answers fails the test instead
 of hanging it, and ends by checking that this process has no child left,
 reaped or not (``conftest.deadline``).
 """
 
-import contextlib
 import gc
 import io
 import os
@@ -31,7 +30,7 @@ from roadmatch.cli import dispatch
 from roadmatch.errors import ConfigurationError, InputError, InternalError
 from roadmatch.generator import gen_irregular_grid, perturb
 from roadmatch.graph import EmbeddedGraph
-from roadmatch.ingest import emit_erg, load_graph, open_pair
+from roadmatch.ingest import emit_erg, load_graph, load_pair
 from roadmatch.labeling import label_nodes, labels_by_depth
 from roadmatch.matcher import match
 from roadmatch.seed_index import auto_tune_k, label_pair
@@ -251,15 +250,23 @@ class TestInProcess:
         assert auto_tune_k(g1, g2, 1, 6) == relabeling_tune(g1, g2, 1, 6)
 
     def test_small_graphs_and_shallow_k(self, monkeypatch):
+        # The gate is the vertex count alone: a graph below it is labeled
+        # in process at any k, and one above it in a worker at any k,
+        # shallow ones included.
         def unexpected(*args, **kwargs):
             raise AssertionError("a worker was started below the gate")
 
         g1, g2 = snapshot_pair(4)
-        monkeypatch.setattr(os, "fork", unexpected)
-        assert label_pair(g1, g2, 3) == tables(g1, g2, 3)
-        monkeypatch.setattr(labeling, "WORKER_MIN_VERTICES", 0)
-        assert label_pair(g1, g2, 1) == tables(g1, g2, 1)
-        assert auto_tune_k(g1, g2, 24, 1) == relabeling_tune(g1, g2, 24, 1)
+        with monkeypatch.context() as mp:
+            mp.setattr(os, "fork", unexpected)
+            for k in (0, 1, 3):
+                assert label_pair(g1, g2, k) == tables(g1, g2, k)
+            assert auto_tune_k(g1, g2, 24, 1) == relabeling_tune(g1, g2, 24, 1)
+        with forced_worker() as started:
+            for k in (0, 1):
+                assert label_pair(g1, g2, k) == tables(g1, g2, k)
+            assert auto_tune_k(g1, g2, 24, 1) == relabeling_tune(g1, g2, 24, 1)
+        assert len(started) == 3
 
     def test_second_thread_running(self, snapshot_files):
         # A fork copies only the forking thread, so with another one
@@ -272,9 +279,9 @@ class TestInProcess:
             with forced_worker() as started:
                 assert label_pair(g1, g2, 3) == tables(g1, g2, 3)
                 assert auto_tune_k(g1, g2, 1, 6) == relabeling_tune(g1, g2, 1, 6)
-                with open_pair(p1, p2) as (h1, h2, g2_job):
-                    assert (h1, h2) == (load_graph(p1), load_graph(p2))
-                    assert label_pair(h1, h2, 2, g2_job) == tables(g1, g2, 2)
+                h1, h2 = load_pair(p1, p2)
+                assert (h1, h2) == (load_graph(p1), load_graph(p2))
+                assert label_pair(h1, h2, 2) == tables(g1, g2, 2)
         finally:
             release.set()
             other.join()
@@ -304,32 +311,39 @@ def cli_output(capsys, argv, out=None):
     return code, re.sub(r"(?m)^.*_time_s: .*\n", "", text)
 
 
+def assert_one_at_a_time(started, count):
+    """``count`` workers were forked, each once every earlier one was
+    reaped, and all of them are reaped."""
+    assert len(started) == count
+    assert [child.alive for child in started] == [0] * count
+    assert None not in [child.returncode for child in started]
+
+
 class TestPairWorker:
-    """The worker that parsed g2 labels it too (``ingest.open_pair``)."""
+    """A pair read by ``ingest.load_pair`` and then labeled: the parse
+    worker is reaped before the labeling worker is forked."""
 
     @pytest.mark.parametrize("k", [0, 1, 2, 4])
     def test_label_pair_equals_label_nodes(self, snapshot_files, k):
         g1, g2, p1, p2 = snapshot_files
         with forced_worker() as started:
-            with open_pair(p1, p2) as (h1, h2, g2_job):
-                assert g2_job is not None
-                got = label_pair(h1, h2, k, g2_job)
-                # Reaped as soon as g2's table is in, before the block ends.
-                assert started[0].returncode is not None
-        assert len(started) == 1
+            h1, h2 = load_pair(p1, p2)
+            assert_one_at_a_time(started, 1)
+            got = label_pair(h1, h2, k)
+        assert_one_at_a_time(started, 2)
         assert got == tables(g1, g2, k)
 
     @pytest.mark.parametrize("bound, k_max", [(1, 6), (24, 4), (10**6, 1)])
     def test_tune_equals_relabeling(self, snapshot_files, bound, k_max):
         g1, g2, p1, p2 = snapshot_files
         with forced_worker() as started:
-            with open_pair(p1, p2) as (h1, h2, g2_job):
-                report = auto_tune_k(h1, h2, bound, k_max, g2_job)
-                assert started[0].returncode is not None
-        assert len(started) == 1
+            report = auto_tune_k(*load_pair(p1, p2), bound, k_max)
+        assert_one_at_a_time(started, 2)
         assert report == relabeling_tune(g1, g2, bound, k_max)
 
-    def test_one_worker_per_command(self, snapshot_files, tmp_path, capsys):
+    def test_one_worker_at_a_time(self, snapshot_files, tmp_path, capsys):
+        # Each command that labels forks the parse worker, then the
+        # labeling worker; the oracle labels nothing.
         _, _, p1, p2 = snapshot_files
         out = str(tmp_path / "m.txt")
         for argv in (
@@ -342,7 +356,7 @@ class TestPairWorker:
             with forced_worker() as started:
                 # The oracle refuses graphs this large, after parsing them.
                 assert dispatch(argv) == (1 if argv[0] == "oracle" else 0), argv
-            assert len(started) == 1, argv
+            assert_one_at_a_time(started, 1 if argv[0] == "oracle" else 2)
             assert_no_children()
         capsys.readouterr()
 
@@ -357,7 +371,7 @@ class TestPairWorker:
         )
         with forced_worker() as started:
             in_worker = [cli_output(capsys, argv, path) for argv, path in commands]
-        assert len(started) == len(commands)
+        assert_one_at_a_time(started, 2 * len(commands))
         monkeypatch.setattr(os, "fork", no_worker)
         in_process = [cli_output(capsys, argv, path) for argv, path in commands]
         assert in_worker == in_process
@@ -375,9 +389,8 @@ class TestPairWorker:
 
         monkeypatch.setattr(matcher, "flood_match", flood)
         with forced_worker() as started:
-            with open_pair(p1, p2) as (h1, h2, g2_job):
-                got = match(h1, h2, k=3, max_product=10**5, auto_k=auto_k, g2_job=g2_job)
-        assert len(floods) == 1 and None not in floods[0] and len(floods[0]) == 1
+            got = match(*load_pair(p1, p2), k=3, max_product=10**5, auto_k=auto_k)
+        assert len(floods) == 1 and None not in floods[0] and len(floods[0]) == 2
         want = match(g1, g2, k=3, max_product=10**5, auto_k=auto_k)
         assert (got.pairs, got.stats.k) == (want.pairs, want.stats.k)
 
@@ -390,37 +403,53 @@ class TestPairWorker:
         with pytest.raises(InputError) as in_process:
             label_pair(g1, g2, -1)
         with forced_worker() as started:
-            with open_pair(p1, p2) as (h1, h2, g2_job):
-                with pytest.raises(InputError) as in_worker:
-                    label_pair(h1, h2, -1, g2_job)
-        assert len(started) == 1
+            h1, h2 = load_pair(p1, p2)
+            with pytest.raises(InputError) as in_worker:
+                label_pair(h1, h2, -1)
+        assert_one_at_a_time(started, 2)
         assert str(in_worker.value) == str(in_process.value) == "label depth k must be >= 0, got -1"
 
     def test_fork_fails(self, snapshot_files):
-        # The pair's job then runs in this process and still labels g2.
+        # Both jobs then run in this process, with the same results.
         g1, g2, p1, p2 = snapshot_files
-        with forced_worker(), pytest.MonkeyPatch.context() as mp:
+        with forced_worker() as started, pytest.MonkeyPatch.context() as mp:
             mp.setattr(os, "fork", no_fork)
             for k in (1, 3):
-                with open_pair(p1, p2) as (h1, h2, g2_job):
-                    assert g2_job is not None
-                    assert label_pair(h1, h2, k, g2_job) == tables(g1, g2, k)
-            with open_pair(p1, p2) as (h1, h2, g2_job):
-                report = auto_tune_k(h1, h2, 1, 6, g2_job)
+                assert label_pair(*load_pair(p1, p2), k) == tables(g1, g2, k)
+            report = auto_tune_k(*load_pair(p1, p2), 1, 6)
+        assert started == []
         assert report == relabeling_tune(g1, g2, 1, 6)
 
     @pytest.mark.parametrize("tune", [False, True], ids=["label_pair", "tune"])
-    def test_killed(self, snapshot_files, tune):
+    def test_killed(self, snapshot_files, monkeypatch, tune):
+        # The labeling worker, forked once the parse worker is reaped, is
+        # killed while this process labels g1; it never replies.
         _, _, p1, p2 = snapshot_files
         with forced_worker() as started:
-            with open_pair(p1, p2) as (h1, h2, g2_job):
-                started[0].kill()
-                with pytest.raises(InternalError, match="exit status -9"):
-                    if tune:
-                        auto_tune_k(h1, h2, 1, 6, g2_job)
-                    else:
-                        label_pair(h1, h2, 3, g2_job)
-        assert started[0].returncode == -signal.SIGKILL
+            h1, h2 = load_pair(p1, p2)
+            monkeypatch.setattr(labeling, "label_replies", until_killed)
+            if tune:
+                real = seed_index.counts_by_depth
+
+                def counts_after_kill(g):
+                    started[-1].kill()
+                    yield from real(g)
+
+                monkeypatch.setattr(seed_index, "counts_by_depth", counts_after_kill)
+            else:
+
+                def label_after_kill(g, k):
+                    started[-1].kill()
+                    return label_nodes(g, k)
+
+                monkeypatch.setattr(seed_index, "label_nodes", label_after_kill)
+            with pytest.raises(InternalError, match="exit status -9"):
+                if tune:
+                    auto_tune_k(h1, h2, 1, 6)
+                else:
+                    label_pair(h1, h2, 3)
+        assert_one_at_a_time(started, 2)
+        assert started[1].returncode == -signal.SIGKILL
 
 
 def no_worker(*args, **kwargs):
@@ -441,8 +470,9 @@ def forgetting_job():
 
 
 def test_worker_main_holds_no_sent_reply():
-    # The pair worker labels after it has dropped the graph it sent; that
-    # frees the graph only if ``main`` holds no reference to it either.
+    # A tuning worker drops each label count it sent while it grows the
+    # next depth; that frees the count only if ``main`` holds no reference
+    # to it either.
     stdout = io.BytesIO()
     worker.main(forgetting_job(), io.BytesIO(pickle.dumps(None)), stdout)
     stdout.seek(0)
@@ -484,22 +514,23 @@ class TestCoordinates:
     def test_only_validate_gets_coords(self, snapshot_files, tmp_path, capsys, monkeypatch,
                                        pair_worker):
         seen = []
-        real = cli.open_pair
+        real = cli.load_pair
 
-        @contextlib.contextmanager
         def recorded(*args, **kwargs):
-            with real(*args, **kwargs) as (g1, g2, g2_job):
-                seen.append((g1.coords is not None, g2.coords is not None))
-                yield g1, g2, g2_job
+            g1, g2 = real(*args, **kwargs)
+            seen.append((g1.coords is not None, g2.coords is not None))
+            return g1, g2
 
-        monkeypatch.setattr(cli, "open_pair", recorded)
+        monkeypatch.setattr(cli, "load_pair", recorded)
         commands = self.commands(snapshot_files, tmp_path)[:-1]
         for argv, _ in commands:
             assert dispatch(argv) == 0, argv
         # g2 came from the worker when there was one.
         assert seen == [(False, False)] * len(commands)
         if pair_worker is not None:
-            assert len(pair_worker) == len(commands)
+            # A parse worker per command and a labeling worker for each
+            # but the oracle.
+            assert_one_at_a_time(pair_worker, 2 * len(commands) - 1)
         _, _, p1, p2 = snapshot_files
         code, out = cli_output(capsys, ["validate", str(tmp_path / "m.txt"), p1, p2])
         assert code == 0
@@ -510,31 +541,11 @@ class TestCoordinates:
                                     pair_worker):
         commands = self.commands(snapshot_files, tmp_path)
         without = [cli_output(capsys, argv, path) for argv, path in commands]
-        monkeypatch.setattr(cli, "open_pair", lambda *args, coords: open_pair(*args))
+        monkeypatch.setattr(cli, "load_pair", lambda *args, coords: load_pair(*args))
         monkeypatch.setattr(cli, "load_graph", lambda *args, coords: load_graph(*args))
         kept = [cli_output(capsys, argv, path) for argv, path in commands]
         assert without == kept
         assert all(code == 0 for code, _ in kept)
-
-    def test_job_labels_a_copy_without_coords(self, snapshot_files, monkeypatch):
-        # Run in process, the job hands the caller its graph and must leave
-        # it whole, while what it labels has no coordinates.
-        _, g2, _, p2 = snapshot_files
-        labeled = []
-        real = labeling.label_replies
-
-        def recorded(g, k):
-            labeled.append(g)
-            yield from real(g, k)
-
-        monkeypatch.setattr(labeling, "label_replies", recorded)
-        job = ingest._snapshot_job(p2, "erg")
-        g = next(job)
-        table = job.send(2)
-        job.close()
-        assert g == load_graph(p2) and g.coords is not None
-        assert labeled == [g.without_coords()] and labeled[0].rotation is g.rotation
-        assert table == label_nodes(g2, 2)[0]
 
 
 def _malformed(side):
@@ -554,7 +565,7 @@ def _bad_k(paths, tmp_path, monkeypatch, started):
 
 def _killed(paths, tmp_path, monkeypatch, started):
     def label_after_kill(g, k):
-        started[0].kill()
+        started[-1].kill()  # the labeling worker
         return label_nodes(g, k)
 
     monkeypatch.setattr(seed_index, "label_nodes", label_after_kill)
@@ -572,20 +583,23 @@ def _interrupted(module, name):
 
 
 @pytest.mark.parametrize(
-    "setup, outcome",
+    "setup, outcome, workers",
     [
-        (None, 0),
-        (_malformed(0), 1),
-        (_malformed(1), 1),
-        (_bad_k, 1),
-        (_killed, InternalError),
-        (_interrupted(ingest, "load_graph"), KeyboardInterrupt),
-        (_interrupted(seed_index, "label_nodes"), KeyboardInterrupt),
+        (None, 0, 2),
+        (_malformed(0), 1, 1),
+        (_malformed(1), 1, 1),
+        (_bad_k, 1, 2),
+        (_killed, InternalError, 2),
+        (_interrupted(ingest, "load_graph"), KeyboardInterrupt, 1),
+        (_interrupted(seed_index, "label_nodes"), KeyboardInterrupt, 2),
     ],
     ids=["normal", "first-malformed", "second-malformed", "second-labeling-error",
          "killed", "interrupt-first-parse", "interrupt-first-labeling"],
 )
-def test_every_exit_reaps_the_worker(snapshot_files, tmp_path, capsys, monkeypatch, setup, outcome):
+def test_every_exit_reaps_the_worker(
+    snapshot_files, tmp_path, capsys, monkeypatch, setup, outcome, workers
+):
+    # A parse error ends the command before anything is labeled.
     _, _, p1, p2 = snapshot_files
     argv = [p1, p2]
     frozen = gc.get_freeze_count()
@@ -599,30 +613,29 @@ def test_every_exit_reaps_the_worker(snapshot_files, tmp_path, capsys, monkeypat
             with pytest.raises(outcome):
                 dispatch(argv)
     capsys.readouterr()
-    assert len(started) == 1
+    assert_one_at_a_time(started, workers)
     assert_no_children()
-    # The collector, frozen while the worker lived, is thawed again.
-    assert started[0].frozen > frozen == gc.get_freeze_count()
+    # The collector, frozen while each worker lived, is thawed again.
+    assert min(child.frozen for child in started) > frozen == gc.get_freeze_count()
 
 
 def test_freeze_left_to_its_owner(snapshot_files):
     # A caller that froze the collector itself keeps it frozen: before the
-    # worker starts, or after the pair's worker is closed by labeling and
-    # before it is closed again when the pair's block is left.  (Frozen
+    # parse worker starts, or between it and the labeling worker.  (Frozen
     # objects that are freed leave the count, so it is only checked above 0.)
     g1, g2, p1, p2 = snapshot_files
     try:
         with forced_worker() as started:
             gc.freeze()
-            with open_pair(p1, p2) as (h1, h2, g2_job):
-                assert label_pair(h1, h2, 2, g2_job) == tables(g1, g2, 2)
+            assert label_pair(*load_pair(p1, p2), 2) == tables(g1, g2, 2)
             assert gc.get_freeze_count() > 0
             gc.unfreeze()
-            with open_pair(p1, p2) as (h1, h2, g2_job):
-                assert label_pair(h1, h2, 2, g2_job) == tables(g1, g2, 2)
-                assert gc.get_freeze_count() == 0
-                gc.freeze()
+            h1, h2 = load_pair(p1, p2)
+            assert gc.get_freeze_count() == 0
+            gc.freeze()
+            assert label_pair(h1, h2, 2) == tables(g1, g2, 2)
             assert gc.get_freeze_count() > 0
-        assert len(started) == 2 and started[1].frozen > 0
+        assert_one_at_a_time(started, 4)
+        assert started[3].frozen > 0
     finally:
         gc.unfreeze()

@@ -1,17 +1,17 @@
-"""Parsing the second snapshot's file in a worker process (``ingest.open_pair``).
+"""Parsing the second snapshot's file in a worker process (``ingest.load_pair``).
 
 Files here are far below the worker's size gate, so the tests that need
 the worker lower ``PARSE_WORKER_MIN_BYTES`` to 0 (and report two usable
 CPUs) and record every worker started (``conftest.forced_worker``).
-``conftest.parse_pair`` reads the two graphs through ``open_pair`` and
-leaves its block.  Every test runs under an alarm and ends by checking
-that this process has no child left, reaped or not
-(``conftest.deadline``).  The same worker labeling what it parsed is
-tested in ``test_pair_labeling``.
+Every test runs under an alarm and ends by checking that this process has
+no child left, reaped or not (``conftest.deadline``).  Labeling the
+second snapshot in a worker of its own is tested in
+``test_pair_labeling``.
 """
 
 import contextlib
 import os
+import signal
 
 import pytest
 
@@ -19,9 +19,9 @@ from roadmatch import cli, ingest, worker
 from roadmatch.cli import dispatch
 from roadmatch.errors import InputError, InternalError
 from roadmatch.generator import gen_irregular_grid, perturb
-from roadmatch.ingest import emit_erg, load_graph, open_pair
+from roadmatch.ingest import emit_erg, load_graph, load_pair
 
-from conftest import forced_worker, no_fork, parse_pair, segments_text
+from conftest import forced_worker, no_fork, segments_text
 
 pytestmark = pytest.mark.usefixtures("deadline")
 
@@ -67,7 +67,7 @@ class TestSameResults:
     def test_worker_on(self, pair_files, fmt):
         p1, p2 = pair_files[fmt]
         with forced_worker() as started:
-            got = parse_pair(p1, p2, fmt)
+            got = load_pair(p1, p2, fmt)
         assert len(started) == 1 and started[0].returncode is not None
         want = (load_graph(p1, fmt), load_graph(p2, fmt))
         for g, h in zip(got, want):
@@ -80,7 +80,7 @@ class TestSameResults:
     def test_worker_off(self, pair_files, fmt, monkeypatch):
         p1, p2 = pair_files[fmt]
         monkeypatch.setattr(os, "fork", no_worker)
-        got = parse_pair(p1, p2, fmt)
+        got = load_pair(p1, p2, fmt)
         want = (load_graph(p1, fmt), load_graph(p2, fmt))
         for g, h in zip(got, want):
             assert g.rotation == h.rotation
@@ -93,9 +93,9 @@ class TestSameResults:
 
         def recorded(*args, **kwargs):
             calls.append((args, kwargs))
-            return open_pair(*args, **kwargs)
+            return load_pair(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "open_pair", recorded)
+        monkeypatch.setattr(cli, "load_pair", recorded)
         p1, p2 = pair_files["erg"]
         out = str(tmp_path / "m.txt")
         small1 = write(tmp_path, "s1.erg", "ERG 1\nn 2\na 0 1\na 1 0\n")
@@ -121,7 +121,7 @@ class TestErrors:
         bad = write(tmp_path, "bad.erg", "ERG 1\nn 2\na 0 1\n")
         want = error_of(load_graph, bad)
         with forced_worker() if forced else contextlib.nullcontext([]) as started:
-            assert error_of(parse_pair, p1, bad) == want
+            assert error_of(load_pair, p1, bad) == want
             assert dispatch(["match", p1, bad]) == 1
         assert capsys.readouterr().err == f"error: {want[1]}\n"
         assert len(started) == (2 if forced else 0)
@@ -132,7 +132,7 @@ class TestErrors:
         want = error_of(load_graph, bad1)
         assert want != error_of(load_graph, bad2)
         with forced_worker() as started:
-            assert error_of(parse_pair, bad1, bad2) == want
+            assert error_of(load_pair, bad1, bad2) == want
             assert dispatch(["tune-k", bad1, bad2]) == 1
         assert capsys.readouterr().err == f"error: {want[1]}\n"
         assert len(started) == 2
@@ -155,7 +155,7 @@ class TestErrors:
         with forced_worker() if forced else contextlib.nullcontext([]) as started:
             monkeypatch.setattr(ingest, "load_graph", recorded)
             with pytest.raises(InputError, match="asymmetric"):
-                parse_pair(p1, bad)
+                load_pair(p1, bad)
         assert parsed == [p1]
         assert len(started) == (1 if forced else 0)
 
@@ -165,7 +165,7 @@ class TestErrors:
         want = error_of(load_graph, missing)
         assert want[0] is FileNotFoundError
         with forced_worker():
-            assert error_of(parse_pair, p1, missing) == want
+            assert error_of(load_pair, p1, missing) == want
             assert dispatch(["match", p1, missing]) == 1
         assert capsys.readouterr().err == f"error: {want[1]}\n"
 
@@ -174,7 +174,7 @@ class TestErrors:
         p1, _ = pair_files["erg"]
         want = error_of(load_graph, str(tmp_path))
         with forced_worker() as started:
-            assert error_of(parse_pair, p1, str(tmp_path)) == want
+            assert error_of(load_pair, p1, str(tmp_path)) == want
             assert dispatch(["oracle", p1, str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: {want[1]}\n"
         assert len(started) == 2
@@ -188,7 +188,7 @@ class TestErrors:
         assert error_of(load_graph, bad, fmt) == (InputError, message)
         with forced_worker() if forced else contextlib.nullcontext():
             for pair in ((bad, good), (good, bad), (bad, bad)):
-                assert error_of(parse_pair, *pair, fmt) == (InputError, message)
+                assert error_of(load_pair, *pair, fmt) == (InputError, message)
                 assert dispatch(["match", *pair, "--format", fmt]) == 1
                 assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -204,7 +204,7 @@ class TestWorkerEnds:
         with forced_worker() as started:
             monkeypatch.setattr(ingest, "load_graph", fail)
             with pytest.raises(error):
-                parse_pair(p1, p2)
+                load_pair(p1, p2)
         assert len(started) == 1 and started[0].returncode is not None
 
     def test_worker_error_is_internal(self, pair_files, monkeypatch):
@@ -216,7 +216,7 @@ class TestWorkerEnds:
         monkeypatch.setattr(ingest, "_snapshot_job", failing)
         with forced_worker() as started:
             with pytest.raises(InternalError, match=r"(?s)exit status 1\b.*SystemExit: no graph here"):
-                parse_pair(p1, p2)
+                load_pair(p1, p2)
         assert len(started) == 1 and started[0].returncode == 1
 
     def test_worker_exits_without_reply(self, pair_files, monkeypatch):
@@ -229,8 +229,30 @@ class TestWorkerEnds:
         monkeypatch.setattr(ingest, "_snapshot_job", exiting)
         with forced_worker() as started:
             with pytest.raises(InternalError, match=r"\(exit status 3\); stderr: no graph either$"):
-                parse_pair(p1, p2)
+                load_pair(p1, p2)
         assert len(started) == 1 and started[0].returncode == 3
+
+    def test_killed(self, pair_files, monkeypatch):
+        # Killed while this process parses the first file, before it sends
+        # the second graph.
+        p1, p2 = pair_files["erg"]
+        real = ingest.load_graph
+
+        def parse_after_kill(path, fmt="erg", coords=True):
+            started[0].kill()
+            return real(path, fmt, coords)
+
+        def snapshot_until_killed(path, fmt, coords):
+            signal.pause()
+            yield
+
+        with forced_worker() as started:
+            monkeypatch.setattr(ingest, "_snapshot_job", snapshot_until_killed)
+            monkeypatch.setattr(ingest, "load_graph", parse_after_kill)
+            with pytest.raises(InternalError, match="exit status -9"):
+                load_pair(p1, p2)
+        assert len(started) == 1
+        assert started[0].returncode == -signal.SIGKILL
 
 
 class TestInProcess:
@@ -238,7 +260,7 @@ class TestInProcess:
         p1, p2 = pair_files["erg"]
         with forced_worker() as started, pytest.MonkeyPatch.context() as mp:
             mp.setattr(os, "fork", no_fork)
-            assert parse_pair(p1, p2) == (load_graph(p1), load_graph(p2))
+            assert load_pair(p1, p2) == (load_graph(p1), load_graph(p2))
         assert started == []
 
     def test_one_cpu(self, pair_files, monkeypatch):
@@ -248,11 +270,11 @@ class TestInProcess:
         if hasattr(os, "sched_getaffinity"):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert parse_pair(p1, p2) == (load_graph(p1), load_graph(p2))
+        assert load_pair(p1, p2) == (load_graph(p1), load_graph(p2))
 
     def test_file_under_the_gate(self, pair_files, monkeypatch):
         p1, p2 = pair_files["erg"]
         monkeypatch.setattr(worker, "usable_cpus", lambda: 2)
         monkeypatch.setattr(ingest, "PARSE_WORKER_MIN_BYTES", os.path.getsize(p2) + 1)
         monkeypatch.setattr(os, "fork", no_worker)
-        assert parse_pair(p1, p2) == (load_graph(p1), load_graph(p2))
+        assert load_pair(p1, p2) == (load_graph(p1), load_graph(p2))
