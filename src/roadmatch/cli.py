@@ -212,6 +212,9 @@ def _cmd_validate(args) -> int:
     check_threshold_miles(args.threshold_miles)
     check_bucket_km(args.bucket_km)
     g1, g2 = load_pair(args.graph1, args.graph2, args.format)
+    # Before anything is labeled or printed.
+    if args.hist and (g1.coords is None or g2.coords is None):
+        raise InputError("histogram requires coordinates on both graphs")
     with open(args.matching, encoding="utf-8") as fh:
         pairs, _, _, stats = parse_matching(fh.read())
     _check_pairs(pairs, g1.vertex_count, g2.vertex_count)
@@ -232,8 +235,6 @@ def _cmd_validate(args) -> int:
         if key in stats:
             print(f"{key}: {stats[key]:.6f}")
     if args.hist:
-        if g1.coords is None or g2.coords is None:
-            raise InputError("histogram requires coordinates on both graphs")
         rows = pair_distance_histogram(pairs, g1.coords, g2.coords, args.bucket_km)
         csv = "bucket_km,count\n" + "".join(f"{b},{c}\n" for b, c in rows)
         _write(args.hist, csv)
@@ -243,7 +244,9 @@ def _cmd_validate(args) -> int:
 def _cmd_oracle(args) -> int:
     # A cap it would refuse wins over any fault of the files, unread.
     check_size_cap(args.size_cap)
-    g1, g2 = load_pair(args.graph1, args.graph2, args.format, coords=False)
+    # It accepts graphs of at most MAX_SIZE_CAP vertices: no worker could pay.
+    g1 = load_graph(args.graph1, args.format, coords=False)
+    g2 = load_graph(args.graph2, args.format, coords=False)
     card, witness = brute_force_max_conformal(g1, g2, args.size_cap)
     print(f"max_conformal_cardinality: {card}")
     for v, w in sorted(witness.items()):

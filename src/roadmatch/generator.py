@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .graph import EmbeddedGraph
-from .ingest import rotation_from_coords
+from .ingest import MAX_VERTICES, rotation_from_coords
 
 GRID_SPACING_DEG = 0.01
 MAX_ROAD_DEGREE = 8
@@ -53,6 +53,11 @@ def gen_irregular_grid(
     """
     if rows < 2 or cols < 2:
         raise InputError("rows and cols must be >= 2")
+    if rows * cols > MAX_VERTICES:
+        # No command could read such a graph back (``parse_erg``).
+        raise InputError(
+            f"rows x cols = {rows * cols} is above the limit of {MAX_VERTICES} vertices"
+        )
     if not 0.0 <= irregularity <= 1.0:
         raise InputError("irregularity must be in [0, 1]")
     rng = random.Random(rng_seed)

@@ -15,13 +15,13 @@ a segment file's are dropped once they have given the rotations).
 ``match``, ``tune-k``, ``oracle`` and ``label`` read without them;
 ``validate`` and ``perturb`` keep them.
 
-``load_pair`` reads the two snapshots of a pair.  When that pays (two
-usable CPUs and a second file of at least ``PARSE_WORKER_MIN_BYTES``), a
-worker forked from this process (see ``worker``) reads and parses the
-second file while this process parses the first, sends the graph back as
-``load_graph`` would return it, so with no coordinates unless they are
-asked for, and is reaped as soon as it is received; otherwise, or when
-no worker can be forked, both are parsed here, one after the other.  The
+``load_pair`` reads the two snapshots of a pair.  When the second file
+holds at least ``PARSE_WORKER_MIN_BYTES`` and ``worker.job`` can fork (two
+usable CPUs among its conditions), a worker forked from this process
+reads and parses the second file while this process parses the first,
+sends the graph back as ``load_graph`` would return it, so with no
+coordinates unless they are asked for, and is reaped as soon as it is
+received; otherwise both are parsed here, one after the other.  The
 graphs and the errors are the same either way: the first file's error
 wins, and the second file's is raised only once the first has parsed.
 Labeling is no part of it: a pair command labels the graphs it holds
@@ -222,31 +222,21 @@ def rotation_from_coords(coords, neighbor_lists) -> tuple[tuple[int, ...], ...]:
     return tuple(rotation)
 
 
-def build_graph_from_segments(s: SegmentSet, snap_epsilon: float = 0.0) -> EmbeddedGraph:
-    """One vertex per distinct endpoint, one edge per segment.
-
-    Endpoints are identified exactly by default; a positive snap_epsilon
-    quantizes coordinates to that grid first.
-    """
+def build_graph_from_segments(s: SegmentSet) -> EmbeddedGraph:
+    """One vertex per distinct endpoint, one edge per segment; endpoints
+    are identified exactly."""
     collapsed = collapse_polylines(s)
-
-    def key(p):
-        if snap_epsilon > 0:
-            return (round(p[0] / snap_epsilon), round(p[1] / snap_epsilon))
-        return p
-
-    vertex_of: dict = {}
+    vertex_of: dict[tuple[float, float], int] = {}
     coords: list[tuple[float, float]] = []
     edges = []
     for i, (a, b) in enumerate(collapsed.polylines):
-        ka, kb = key(a), key(b)
-        if ka == kb:
+        if a == b:
             raise InputError(f"segment {i} has identical endpoints {a}")
-        for k, p in ((ka, a), (kb, b)):
-            if k not in vertex_of:
-                vertex_of[k] = len(coords)
+        for p in (a, b):
+            if p not in vertex_of:
+                vertex_of[p] = len(coords)
                 coords.append(p)
-        edges.append((vertex_of[ka], vertex_of[kb]))
+        edges.append((vertex_of[a], vertex_of[b]))
 
     nbrs: list[set[int]] = [set() for _ in coords]
     for i, (u, v) in enumerate(edges):
@@ -295,8 +285,8 @@ def load_pair(
 ) -> tuple[EmbeddedGraph, EmbeddedGraph]:
     """``(load_graph(path1, fmt, coords), load_graph(path2, fmt, coords))``.
 
-    When that pays (two usable CPUs and a second file of at least
-    ``PARSE_WORKER_MIN_BYTES`` bytes), a worker process reads and parses
+    When the second file holds at least ``PARSE_WORKER_MIN_BYTES`` bytes,
+    a worker process (when ``worker.job`` can fork one) reads and parses
     the second file while this one parses the first; it is killed and
     reaped once its graph is received.  Errors are those of the two
     ``load_graph`` calls made in order: the second file's ``InputError``
@@ -306,7 +296,6 @@ def load_pair(
         big = os.path.getsize(path2) >= PARSE_WORKER_MIN_BYTES
     except OSError:
         big = False  # parsing it raises the error, in order
-    in_worker = big and worker.usable_cpus() >= 2
-    with worker.job(_snapshot_job, path2, fmt, coords, in_worker=in_worker) as second:
+    with worker.job(_snapshot_job, path2, fmt, coords, in_worker=big) as second:
         g1 = load_graph(path1, fmt, coords)
         return g1, second.receive()

@@ -55,12 +55,12 @@ master table of the labels it is asked for.  A ball stops growing at its
 first empty level, when it covers its component, whatever k asks for.
 
 A label depends only on its own graph, so two snapshots can be labeled at
-the same time.  ``labeling_job`` labels one graph in a worker process (see
-``worker``) where that can pay for itself (two usable CPUs and at least
-``WORKER_MIN_VERTICES`` vertices, at any k); otherwise, or when no worker
-can be forked, the same job runs in this process.  The worker is forked,
-so the graph reaches it with nothing copied or pickled, and only its
-labels come back.
+the same time.  ``labeling_job`` labels one graph in a worker process
+where that can pay for itself (at least ``WORKER_MIN_VERTICES`` vertices,
+at any k) and ``worker.job`` can fork one (two usable CPUs among its
+conditions); otherwise the same job runs in this process.  The worker is
+forked, so the graph reaches it with nothing copied or pickled, and only
+its labels come back.
 """
 
 from __future__ import annotations
@@ -485,9 +485,8 @@ def labeling_job(g: EmbeddedGraph, k: int | None):
     ``send(command)`` passes a command (see ``label_replies``): with k set,
     the one reply is the master table of ``label_nodes(g, k)``; with k
     None, the replies and commands are those of ``counts_by_depth(g)``.  A
-    worker runs only with two usable CPUs and at least
-    ``WORKER_MIN_VERTICES`` vertices; otherwise the job runs in this
-    process, with the same results.
+    worker is asked for at ``WORKER_MIN_VERTICES`` vertices or more, and
+    ``worker.job`` forks it where it can (two usable CPUs among its
+    conditions); otherwise the job runs here, with the same results.
     """
-    in_worker = g.vertex_count >= WORKER_MIN_VERTICES and worker.usable_cpus() >= 2
-    return worker.job(label_replies, g, k, in_worker=in_worker)
+    return worker.job(label_replies, g, k, in_worker=g.vertex_count >= WORKER_MIN_VERTICES)

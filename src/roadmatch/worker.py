@@ -9,15 +9,18 @@ after the other, each in a worker of its own: one parses it
 
 The worker is a child forked from this process, so the job and its
 arguments are already in its memory; only commands and replies cross
-its two pipes, as pickles.  Each caller decides whether a worker pays
-(two usable CPUs at least, and its own size gate).  A child is forked
-only where ``os.fork`` exists and this process runs no other thread,
-whose locks the child could inherit held; otherwise, or when the fork
-fails, the job runs in this process, a reply at a time, as its replies
-are received.  The child runs only the job and leaves through
-``os._exit``: no exit handler, no flush of inherited buffers.  While it
-lives this process's collector is frozen (``gc.freeze``), since a
-collection writes to every object it scans, copying shared pages.
+its two pipes, as pickles.  A child is forked only when all of these
+hold, and otherwise, or when the fork fails, the job runs in this
+process, a reply at a time, as its replies are received:
+
+- the caller asks for it (``in_worker``, its own size gate);
+- this process has two usable CPUs at least;
+- ``os.fork`` exists;
+- this process runs no other thread, whose locks the child could
+  inherit held.
+
+The child runs only the job, with its collector off, and leaves through
+``os._exit``: no exit handler, no flush of inherited buffers.
 
 A ``RoadmatchError`` or ``OSError`` that the job raises in the worker is
 sent in place of its reply and raised again by ``receive``, as it would
@@ -77,18 +80,15 @@ class _Worker:
         self._name = f"{func.__module__}.{func.__qualname__}"
         self._status = None  # the exit status, once reaped
         self._stderr = tempfile.TemporaryFile()
-        self._froze = gc.get_freeze_count() == 0
         fds: list[int] = []
         try:
             fds += os.pipe()  # commands: the child reads, this process writes
             fds += os.pipe()  # replies: this process reads, the child writes
-            if self._froze:
-                gc.freeze()
             self._pid = os.fork()
         except BaseException:
             for fd in fds:
                 os.close(fd)
-            self._release()
+            self._stderr.close()
             raise
         if self._pid == 0:
             _serve(func, args, fds, self._stderr.fileno())
@@ -135,12 +135,7 @@ class _Worker:
         with contextlib.suppress(BrokenPipeError):
             self._commands.close()  # flushes whatever a failed send left
         self._replies.close()
-        self._release()
-
-    def _release(self) -> None:
         self._stderr.close()
-        if self._froze:
-            gc.unfreeze()
 
 
 def _serve(func, args, fds: list[int], stderr: int):
@@ -187,7 +182,8 @@ def main(replies: Iterator, commands: BinaryIO, out: BinaryIO) -> None:
 
 @contextlib.contextmanager
 def job(func: Callable[..., Iterator], *args, in_worker: bool):
-    """Run ``func(*args)``, in a worker process if ``in_worker``; yields its peer.
+    """Run ``func(*args)``, in a worker process when ``in_worker`` and the
+    other conditions above hold; yields its peer.
 
     ``peer.receive()`` returns the job's next reply and ``peer.send(command)``
     passes the command the job gets back from its next ``yield``.  Start the
@@ -196,7 +192,8 @@ def job(func: Callable[..., Iterator], *args, in_worker: bool):
     this process as its replies are received, with the same results.
     """
     peer = None
-    if in_worker and hasattr(os, "fork") and threading.active_count() == 1:
+    forkable = hasattr(os, "fork") and threading.active_count() == 1
+    if in_worker and usable_cpus() >= 2 and forkable:
         try:
             peer = _Worker(func, args)
         except OSError:

@@ -1,5 +1,4 @@
 import contextlib
-import gc
 import os
 import random
 import signal
@@ -45,14 +44,12 @@ def assert_no_children():
 
 class Forked:
     """A child forked by this process, with ``Popen``'s ``returncode``
-    (None until the child is reaped) and ``kill``, the collector's freeze
-    count just after the fork, and how many children forked before it were
-    still unreaped then."""
+    (None until the child is reaped) and ``kill``, and how many children
+    forked before it were still unreaped then."""
 
     def __init__(self, pid, alive):
         self.pid = pid
         self.returncode = None
-        self.frozen = gc.get_freeze_count()
         self.alive = alive
 
     def kill(self):
@@ -91,6 +88,11 @@ def forced_worker():
 def no_fork():
     """``os.fork`` on a system that cannot fork now."""
     raise OSError("cannot fork")
+
+
+def no_worker(*args, **kwargs):
+    """``os.fork`` where no worker may be started."""
+    raise AssertionError("a worker was started")
 
 
 def segments_text(g) -> str:

@@ -1,11 +1,13 @@
+import tracemalloc
+
 import pytest
 
-from roadmatch import cli
+from roadmatch import cli, generator
 from roadmatch.cli import dispatch, format_matching, parse_matching
 from roadmatch.errors import InputError
 from roadmatch.generator import gen_irregular_grid, perturb
 from roadmatch.graph import verify_conformal
-from roadmatch.ingest import emit_erg, parse_erg
+from roadmatch.ingest import MAX_VERTICES, emit_erg, parse_erg
 from roadmatch.matcher import match
 from roadmatch.oracle import MAX_SIZE_CAP
 
@@ -38,6 +40,24 @@ class TestGen:
         code, _, err = run(capsys, "gen", "grid", "--rows", "1", "--cols", "5")
         assert code == 1
         assert "error" in err
+
+    def test_vertex_count_above_limit_exit_one(self, tmp_path, capsys, monkeypatch):
+        # 10,004,569 vertices: refused before the grid is built, and no
+        # file is written.  A grid built past the check fails at once for
+        # want of a random source, instead of taking gigabytes.
+        monkeypatch.setattr(generator, "random", None)
+        out = tmp_path / "g.erg"
+        tracemalloc.start()
+        try:
+            code, stdout, err = run(capsys, "gen", "grid", "--rows", "3163", "--cols", "3163",
+                                    "-o", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        limit = f"above the limit of {MAX_VERTICES} vertices"
+        assert (code, stdout, err) == (1, "", f"error: rows x cols = 10004569 is {limit}\n")
+        assert not out.exists()
+        assert peak < 1 << 20
 
 
 class TestPipeline:
@@ -296,6 +316,21 @@ class TestErrors:
         code, out, err = run(capsys, "validate", str(m), str(g1), str(g2),
                              "--hist", str(hist), flag, value)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not hist.exists()
+
+    def test_validate_hist_needs_coordinates(self, tmp_path, capsys):
+        # ERG files without 'v' lines: refused once the pair is loaded,
+        # before anything is labeled or printed.
+        g1, g2, m = tmp_path / "g1.erg", tmp_path / "g2.erg", tmp_path / "m.txt"
+        g = gen_irregular_grid(12, 12, 0.2, 5)
+        g1.write_text(emit_erg(g.without_coords()))
+        g2.write_text(emit_erg(perturb(g, 0.04, 0.0, 0.0, 6)[0].without_coords()))
+        assert dispatch(["match", str(g1), str(g2), "--k", "4", "--max-product", "10000",
+                         "-o", str(m)]) == 0
+        capsys.readouterr()
+        hist = tmp_path / "hist.csv"
+        code, out, err = run(capsys, "validate", str(m), str(g1), str(g2), "--hist", str(hist))
+        assert (code, out, err) == (1, "", "error: histogram requires coordinates on both graphs\n")
         assert not hist.exists()
 
     def test_zero_k_labels_degrees(self, tmp_path, capsys):

@@ -1,7 +1,9 @@
+import tracemalloc
 from collections import deque
 
 import pytest
 
+from roadmatch import generator
 from roadmatch.errors import InputError
 from roadmatch.generator import (
     GRID_SPACING_DEG,
@@ -10,7 +12,7 @@ from roadmatch.generator import (
     perturb,
     score_against_ground_truth,
 )
-from roadmatch.ingest import emit_erg
+from roadmatch.ingest import MAX_VERTICES, emit_erg
 from roadmatch.labeling import label_nodes
 
 from conftest import edge_count
@@ -83,6 +85,24 @@ class TestGenIrregularGrid:
             gen_irregular_grid(1, 5, 0.0, 0)
         with pytest.raises(InputError):
             gen_irregular_grid(5, 5, 1.5, 0)
+
+    @pytest.mark.parametrize("rows, cols", [(3163, 3163), (2, MAX_VERTICES // 2 + 1)])
+    def test_vertex_count_above_limit(self, rows, cols, monkeypatch):
+        # Refused before anything is allocated: parse_erg could not read
+        # such a graph back.  Without the check the grid would be built,
+        # gigabytes of it; with no random source that fails at once.
+        monkeypatch.setattr(generator, "random", None)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError) as info:
+                gen_irregular_grid(rows, cols, 0.15, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (
+            f"rows x cols = {rows * cols} is above the limit of {MAX_VERTICES} vertices"
+        )
+        assert peak < 1 << 20
 
 
 class TestPerturb:

@@ -2,13 +2,16 @@
 and holds no code that only tests reach."""
 
 import ast
+import importlib.util
 import sys
 from pathlib import Path
 
 import roadmatch
+import roadmatch.cli
 
 PACKAGE = Path(roadmatch.__file__).resolve().parent
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+PERFBENCH = SCRIPTS.parent / "perfbench"
 
 
 def imported_packages(path: Path):
@@ -86,6 +89,35 @@ def test_benchmark_names_exported():
     # The names perfbench/ reads from the package as ``rm.<name>``.
     read = {"EmbeddedGraph", "emit_erg", "gen_irregular_grid", "perturb", "verify_conformal"}
     assert read <= set(roadmatch.__all__)
+
+
+def test_benchmark_workloads_run_at_toy_size(tmp_path, monkeypatch):
+    # What perfbench/ relies on beyond those names: make_pair builds
+    # EmbeddedGraph(rotation, coords, d_max=...) and reads perturb's
+    # truth.mapping; run.py matches through cli.dispatch and reads the
+    # file back with cli.parse_matching.
+    name = "perfbench_workloads"
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, workloads)  # for its dataclass
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # nothing written there
+    spec.loader.exec_module(workloads)
+    assert workloads.WORKLOADS
+    for wl in workloads.WORKLOADS.values():
+        g1, g2, truth = workloads.make_pair(
+            roadmatch, wl, workloads.DEFAULT_SEED, workloads.TOY_ROWS, workloads.TOY_COLS
+        )
+        assert truth
+        paths = [tmp_path / "g1.erg", tmp_path / "g2.erg"]
+        for path, g in zip(paths, (g1, g2)):
+            path.write_text(roadmatch.emit_erg(g), encoding="utf-8")
+        out = tmp_path / "match.txt"
+        argv = ["match", *map(str, paths), *wl.match_flags, "-o", str(out)]
+        assert roadmatch.cli.dispatch(argv) == 0, wl.name
+        pairs, u1, u2, stats = roadmatch.cli.parse_matching(out.read_text(encoding="utf-8"))
+        assert pairs and "k" in stats, wl.name
+        assert len(pairs) + len(u1) == g1.vertex_count, wl.name
+        assert roadmatch.verify_conformal(g1, g2, pairs)[0], wl.name
 
 
 def test_readme_library_example_runs():

@@ -1,31 +1,30 @@
 """Labeling the second snapshot in a worker process (``labeling_job``).
 
-The pair commands first read the pair (``ingest.load_pair``), whose
-worker, if any, only parses the second file and is reaped once its graph
-is in; a worker of its own then labels the second snapshot.  Graphs here
-are far below both size gates, so the tests that need a worker lower
-``WORKER_MIN_VERTICES`` and ``PARSE_WORKER_MIN_BYTES`` to 0 (and report
-two usable CPUs) and record every worker started
-(``conftest.forced_worker``).  Every test
-runs under an alarm, so a worker that never answers fails the test instead
-of hanging it, and ends by checking that this process has no child left,
+Only what ``labeling_job`` adds to the worker is tested here: results
+equal with the worker on and off, its vertex gate and the tuner's
+lockstep with it, and, at the level of the pair commands, one worker at a
+time, each reaped.  The worker's own contract is tested in
+``test_worker``.  The pair commands first read the pair
+(``ingest.load_pair``), whose worker, if any, only parses the second file
+and is reaped once its graph is in; a worker of its own then labels the
+second snapshot.  Graphs here are far below both size gates, so the tests
+that need a worker lower ``WORKER_MIN_VERTICES`` and
+``PARSE_WORKER_MIN_BYTES`` to 0 (and report two usable CPUs) and record
+every worker started (``conftest.forced_worker``).  Every test runs under
+an alarm, so a worker that never answers fails the test instead of
+hanging it, and ends by checking that this process has no child left,
 reaped or not (``conftest.deadline``).
 """
 
-import gc
-import io
 import os
-import pickle
 import re
 import signal
-import threading
-import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadmatch import cli, ingest, labeling, matcher, seed_index, worker
+from roadmatch import cli, ingest, labeling, matcher, seed_index
 from roadmatch.cli import dispatch
 from roadmatch.errors import ConfigurationError, InputError, InternalError
 from roadmatch.generator import gen_irregular_grid, perturb
@@ -35,7 +34,7 @@ from roadmatch.labeling import label_nodes, labels_by_depth
 from roadmatch.matcher import match
 from roadmatch.seed_index import auto_tune_k, label_pair
 
-from conftest import assert_no_children, forced_worker, no_fork
+from conftest import assert_no_children, forced_worker, no_fork, no_worker
 from test_labeling import scattered_graphs
 from test_seed_index import relabeling_tune
 
@@ -129,20 +128,6 @@ class TestSameResults:
 
 
 class TestWorkerEnds:
-    def test_killed_at_fixed_k(self, monkeypatch):
-        g1, g2 = snapshot_pair(1)
-        with forced_worker() as started:
-
-            def label_after_kill(g, k):
-                started[0].kill()
-                return label_nodes(g, k)
-
-            monkeypatch.setattr(seed_index, "label_nodes", label_after_kill)
-            monkeypatch.setattr(labeling, "label_replies", until_killed)
-            with pytest.raises(InternalError, match="exit status -9"):
-                label_pair(g1, g2, 3)
-        assert started[0].returncode == -signal.SIGKILL
-
     def test_killed_while_tuning(self, monkeypatch):
         g1, g2 = (with_stray_edges(g, 2) for g in snapshot_pair(0))
         with forced_worker() as started:
@@ -163,102 +148,15 @@ class TestWorkerEnds:
                 auto_tune_k(g1, g2, 1, 4)
         assert len(started) == 1
 
-    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-    def test_parent_side_exception(self, monkeypatch, error):
-        def fail(g, k):
-            raise error("labeling the first graph failed")
-
-        g1, g2 = snapshot_pair(2)
-        with forced_worker() as started:
-            monkeypatch.setattr(seed_index, "label_nodes", fail)
-            with pytest.raises(error):
-                label_pair(g1, g2, 3)
-        assert len(started) == 1 and started[0].returncode is not None
-
-    @pytest.mark.parametrize(
-        "call", [lambda g1, g2: label_pair(g1, g2, 2), auto_tune_k], ids=["label_pair", "tune"]
-    )
-    def test_job_input_error_raised_as_in_process(self, call):
-        # g2's degree-300 vertex is beyond what labels hold: the job's own
-        # InputError reaches the caller as it is, worker or not.
-        g1 = snapshot_pair(2)[0]
-        g2 = EmbeddedGraph((tuple(range(1, 301)),) + ((0,),) * 300, d_max=400)
-        message = "vertex 0 has degree 300; labels hold degrees up to 255"
-        with pytest.raises(InputError) as in_process:
-            call(g1, g2)
-        with forced_worker() as started:
-            with pytest.raises(InputError) as in_worker:
-                call(g1, g2)
-        assert len(started) == 1
-        assert str(in_worker.value) == str(in_process.value) == message
-
-    def test_worker_error_is_internal(self, monkeypatch):
-        # A worker that fails on its job exits 1 with a traceback: that is
-        # still a dead worker, never bad input.
-        def failing(g, k):
-            raise SystemExit("no labels here")
-            yield
-
-        g1, g2 = snapshot_pair(2)
-        monkeypatch.setattr(labeling, "label_replies", failing)
-        with forced_worker() as started:
-            with pytest.raises(InternalError, match=r"(?s)exit status 1\b.*SystemExit: no labels here"):
-                label_pair(g1, g2, 3)
-        assert len(started) == 1 and started[0].returncode == 1
-
-    def test_worker_exits_without_reply(self, monkeypatch):
-        # A job that ends its process before replying: its exit status and
-        # what it wrote to stderr name it.
-        def exiting(g, k):
-            os.write(2, b"no labels either")
-            os._exit(3)
-            yield
-
-        g1, g2 = snapshot_pair(2)
-        monkeypatch.setattr(labeling, "label_replies", exiting)
-        with forced_worker() as started:
-            with pytest.raises(
-                InternalError,
-                match=r"^worker running .*exiting ended without its reply \(exit status 3\); "
-                r"stderr: no labels either$",
-            ):
-                label_pair(g1, g2, 3)
-        assert len(started) == 1 and started[0].returncode == 3
-
 
 class TestInProcess:
-    def test_fork_fails(self):
-        g1, g2 = snapshot_pair(4)
-        g1s, g2s = (with_stray_edges(g, 2) for g in (g1, g2))
-        with forced_worker(), pytest.MonkeyPatch.context() as mp:
-            mp.setattr(os, "fork", no_fork)
-            assert label_pair(g1, g2, 3) == tables(g1, g2, 3)
-            assert auto_tune_k(g1, g2, 1, 6) == relabeling_tune(g1, g2, 1, 6)
-            assert auto_tune_k(g1s, g2s, 1, 4) == relabeling_tune(g1s, g2s, 1, 4)
-
-    def test_one_cpu(self, monkeypatch):
-        def unexpected(*args, **kwargs):
-            raise AssertionError("a worker was started with one usable CPU")
-
-        g1, g2 = snapshot_pair(4)
-        monkeypatch.setattr(labeling, "WORKER_MIN_VERTICES", 0)
-        monkeypatch.setattr(os, "fork", unexpected)
-        if hasattr(os, "sched_getaffinity"):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert label_pair(g1, g2, 3) == tables(g1, g2, 3)
-        assert auto_tune_k(g1, g2, 1, 6) == relabeling_tune(g1, g2, 1, 6)
-
     def test_small_graphs_and_shallow_k(self, monkeypatch):
         # The gate is the vertex count alone: a graph below it is labeled
         # in process at any k, and one above it in a worker at any k,
         # shallow ones included.
-        def unexpected(*args, **kwargs):
-            raise AssertionError("a worker was started below the gate")
-
         g1, g2 = snapshot_pair(4)
         with monkeypatch.context() as mp:
-            mp.setattr(os, "fork", unexpected)
+            mp.setattr(os, "fork", no_worker)
             for k in (0, 1, 3):
                 assert label_pair(g1, g2, k) == tables(g1, g2, k)
             assert auto_tune_k(g1, g2, 24, 1) == relabeling_tune(g1, g2, 24, 1)
@@ -267,26 +165,6 @@ class TestInProcess:
                 assert label_pair(g1, g2, k) == tables(g1, g2, k)
             assert auto_tune_k(g1, g2, 24, 1) == relabeling_tune(g1, g2, 24, 1)
         assert len(started) == 3
-
-    def test_second_thread_running(self, snapshot_files):
-        # A fork copies only the forking thread, so with another one
-        # running nothing forks, and the results are the same.
-        g1, g2, p1, p2 = snapshot_files
-        release = threading.Event()
-        other = threading.Thread(target=release.wait)
-        other.start()
-        try:
-            with forced_worker() as started:
-                assert label_pair(g1, g2, 3) == tables(g1, g2, 3)
-                assert auto_tune_k(g1, g2, 1, 6) == relabeling_tune(g1, g2, 1, 6)
-                h1, h2 = load_pair(p1, p2)
-                assert (h1, h2) == (load_graph(p1), load_graph(p2))
-                assert label_pair(h1, h2, 2) == tables(g1, g2, 2)
-        finally:
-            release.set()
-            other.join()
-        assert started == []
-
 
 @pytest.fixture
 def snapshot_files(tmp_path):
@@ -343,7 +221,7 @@ class TestPairWorker:
 
     def test_one_worker_at_a_time(self, snapshot_files, tmp_path, capsys):
         # Each command that labels forks the parse worker, then the
-        # labeling worker; the oracle labels nothing.
+        # labeling worker; the oracle forks none.
         _, _, p1, p2 = snapshot_files
         out = str(tmp_path / "m.txt")
         for argv in (
@@ -356,7 +234,7 @@ class TestPairWorker:
             with forced_worker() as started:
                 # The oracle refuses graphs this large, after parsing them.
                 assert dispatch(argv) == (1 if argv[0] == "oracle" else 0), argv
-            assert_one_at_a_time(started, 1 if argv[0] == "oracle" else 2)
+            assert_one_at_a_time(started, 0 if argv[0] == "oracle" else 2)
             assert_no_children()
         capsys.readouterr()
 
@@ -452,35 +330,6 @@ class TestPairWorker:
         assert started[1].returncode == -signal.SIGKILL
 
 
-def no_worker(*args, **kwargs):
-    raise AssertionError("a worker was started")
-
-
-class Sent:
-    """A reply that can tell whether anything still holds it."""
-
-
-def forgetting_job():
-    """Replies with a ``Sent``, drops it, then replies whether it is gone."""
-    sent = Sent()
-    gone = weakref.ref(sent)
-    yield sent
-    del sent
-    yield gone() is None
-
-
-def test_worker_main_holds_no_sent_reply():
-    # A tuning worker drops each label count it sent while it grows the
-    # next depth; that frees the count only if ``main`` holds no reference
-    # to it either.
-    stdout = io.BytesIO()
-    worker.main(forgetting_job(), io.BytesIO(pickle.dumps(None)), stdout)
-    stdout.seek(0)
-    ok, reply = pickle.load(stdout)
-    assert ok and isinstance(reply, Sent)
-    assert pickle.load(stdout) == (True, True)
-
-
 @pytest.fixture(params=[True, False], ids=["worker", "no-worker"])
 def pair_worker(request, monkeypatch):
     """The pair worker forced on (the list of workers started) or off."""
@@ -513,28 +362,33 @@ class TestCoordinates:
 
     def test_only_validate_gets_coords(self, snapshot_files, tmp_path, capsys, monkeypatch,
                                        pair_worker):
-        seen = []
-        real = cli.load_pair
+        seen = []  # whether each graph loaded has coordinates
+        real_pair, real_graph = cli.load_pair, cli.load_graph
 
-        def recorded(*args, **kwargs):
-            g1, g2 = real(*args, **kwargs)
-            seen.append((g1.coords is not None, g2.coords is not None))
-            return g1, g2
+        def pair(*args, **kwargs):
+            graphs = real_pair(*args, **kwargs)
+            seen.extend(g.coords is not None for g in graphs)
+            return graphs
 
-        monkeypatch.setattr(cli, "load_pair", recorded)
+        def graph(*args, **kwargs):
+            g = real_graph(*args, **kwargs)
+            seen.append(g.coords is not None)
+            return g
+
+        monkeypatch.setattr(cli, "load_pair", pair)
+        monkeypatch.setattr(cli, "load_graph", graph)
         commands = self.commands(snapshot_files, tmp_path)[:-1]
         for argv, _ in commands:
             assert dispatch(argv) == 0, argv
         # g2 came from the worker when there was one.
-        assert seen == [(False, False)] * len(commands)
+        assert seen == [False] * 2 * len(commands)
         if pair_worker is not None:
-            # A parse worker per command and a labeling worker for each
-            # but the oracle.
-            assert_one_at_a_time(pair_worker, 2 * len(commands) - 1)
+            # A parse worker and a labeling worker for each but the oracle.
+            assert_one_at_a_time(pair_worker, 2 * len(commands) - 2)
         _, _, p1, p2 = snapshot_files
         code, out = cli_output(capsys, ["validate", str(tmp_path / "m.txt"), p1, p2])
         assert code == 0
-        assert seen[-1] == (True, True)
+        assert seen[-2:] == [True, True]
         assert re.search(r"(?m)^threshold_ratio: \d\.\d{4}$", out)
 
     def test_outputs_as_with_coords(self, snapshot_files, tmp_path, capsys, monkeypatch,
@@ -602,7 +456,6 @@ def test_every_exit_reaps_the_worker(
     # A parse error ends the command before anything is labeled.
     _, _, p1, p2 = snapshot_files
     argv = [p1, p2]
-    frozen = gc.get_freeze_count()
     with forced_worker() as started:
         if setup is not None:
             setup(argv, tmp_path, monkeypatch, started)
@@ -615,27 +468,3 @@ def test_every_exit_reaps_the_worker(
     capsys.readouterr()
     assert_one_at_a_time(started, workers)
     assert_no_children()
-    # The collector, frozen while each worker lived, is thawed again.
-    assert min(child.frozen for child in started) > frozen == gc.get_freeze_count()
-
-
-def test_freeze_left_to_its_owner(snapshot_files):
-    # A caller that froze the collector itself keeps it frozen: before the
-    # parse worker starts, or between it and the labeling worker.  (Frozen
-    # objects that are freed leave the count, so it is only checked above 0.)
-    g1, g2, p1, p2 = snapshot_files
-    try:
-        with forced_worker() as started:
-            gc.freeze()
-            assert label_pair(*load_pair(p1, p2), 2) == tables(g1, g2, 2)
-            assert gc.get_freeze_count() > 0
-            gc.unfreeze()
-            h1, h2 = load_pair(p1, p2)
-            assert gc.get_freeze_count() == 0
-            gc.freeze()
-            assert label_pair(h1, h2, 2) == tables(g1, g2, 2)
-            assert gc.get_freeze_count() > 0
-        assert_one_at_a_time(started, 4)
-        assert started[3].frozen > 0
-    finally:
-        gc.unfreeze()

@@ -1,27 +1,29 @@
 """Parsing the second snapshot's file in a worker process (``ingest.load_pair``).
 
-Files here are far below the worker's size gate, so the tests that need
-the worker lower ``PARSE_WORKER_MIN_BYTES`` to 0 (and report two usable
-CPUs) and record every worker started (``conftest.forced_worker``).
-Every test runs under an alarm and ends by checking that this process has
-no child left, reaped or not (``conftest.deadline``).  Labeling the
-second snapshot in a worker of its own is tested in
-``test_pair_labeling``.
+Only what ``load_pair`` adds to the worker is tested here: its results
+with the worker on and off, its size gate and its error order.  The
+worker's own contract (when it forks, how it fails, that it is always
+reaped) is tested in ``test_worker``, and labeling the second snapshot in
+a worker of its own in ``test_pair_labeling``.  Files here are far below
+the size gate, so the tests that need the worker lower
+``PARSE_WORKER_MIN_BYTES`` to 0 (and report two usable CPUs) and record
+every worker started (``conftest.forced_worker``).  Every test runs under
+an alarm and ends by checking that this process has no child left, reaped
+or not (``conftest.deadline``).
 """
 
 import contextlib
 import os
-import signal
 
 import pytest
 
 from roadmatch import cli, ingest, worker
 from roadmatch.cli import dispatch
-from roadmatch.errors import InputError, InternalError
+from roadmatch.errors import InputError
 from roadmatch.generator import gen_irregular_grid, perturb
 from roadmatch.ingest import emit_erg, load_graph, load_pair
 
-from conftest import forced_worker, no_fork, segments_text
+from conftest import forced_worker, no_worker, segments_text
 
 pytestmark = pytest.mark.usefixtures("deadline")
 
@@ -56,10 +58,6 @@ def error_of(call, *args):
     with pytest.raises((InputError, OSError)) as info:
         call(*args)
     return type(info.value), str(info.value)
-
-
-def no_worker(*args, **kwargs):
-    raise AssertionError("a worker was started")
 
 
 class TestSameResults:
@@ -107,11 +105,20 @@ class TestSameResults:
         ):
             assert dispatch(argv) == 0, argv
         capsys.readouterr()
-        # Only validate reads coordinates.
+        # Only validate reads coordinates; the oracle reads in process.
         without = {"coords": False}
-        assert calls == [((p1, p2, "erg"), without)] * 2 + [((p1, p2, "erg"), {})] + [
-            ((small1, small1, "erg"), without)
-        ]
+        assert calls == [((p1, p2, "erg"), without)] * 2 + [((p1, p2, "erg"), {})]
+
+    def test_oracle_forks_no_worker(self, pair_files, tmp_path, capsys):
+        # Both gates are at 0, so the other pair commands would fork.  The
+        # oracle refuses graphs above its size cap once they are read.
+        p1, p2 = pair_files["erg"]
+        small = write(tmp_path, "small.erg", "ERG 1\nn 2\na 0 1\na 1 0\n")
+        with forced_worker() as started:
+            assert dispatch(["oracle", p1, p2]) == 1
+            assert "exceed size cap 10 (42, " in capsys.readouterr().err
+            assert dispatch(["oracle", small, small]) == 0
+        assert started == []
 
 
 class TestErrors:
@@ -134,7 +141,8 @@ class TestErrors:
         with forced_worker() as started:
             assert error_of(load_pair, bad1, bad2) == want
             assert dispatch(["tune-k", bad1, bad2]) == 1
-        assert capsys.readouterr().err == f"error: {want[1]}\n"
+            assert dispatch(["oracle", bad1, bad2]) == 1
+        assert capsys.readouterr().err == f"error: {want[1]}\n" * 2
         assert len(started) == 2
 
     @pytest.mark.parametrize("forced", [True, False])
@@ -175,7 +183,7 @@ class TestErrors:
         want = error_of(load_graph, str(tmp_path))
         with forced_worker() as started:
             assert error_of(load_pair, p1, str(tmp_path)) == want
-            assert dispatch(["oracle", p1, str(tmp_path)]) == 1
+            assert dispatch(["tune-k", p1, str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: {want[1]}\n"
         assert len(started) == 2
 
@@ -193,85 +201,7 @@ class TestErrors:
                 assert capsys.readouterr().err == f"error: {message}\n"
 
 
-class TestWorkerEnds:
-    @pytest.mark.parametrize("error", [InputError, KeyboardInterrupt])
-    def test_first_parse_raises(self, pair_files, monkeypatch, error):
-        p1, p2 = pair_files["erg"]
-
-        def fail(*args):
-            raise error("parsing the first file failed")
-
-        with forced_worker() as started:
-            monkeypatch.setattr(ingest, "load_graph", fail)
-            with pytest.raises(error):
-                load_pair(p1, p2)
-        assert len(started) == 1 and started[0].returncode is not None
-
-    def test_worker_error_is_internal(self, pair_files, monkeypatch):
-        def failing(*args):
-            raise SystemExit("no graph here")
-            yield
-
-        p1, p2 = pair_files["erg"]
-        monkeypatch.setattr(ingest, "_snapshot_job", failing)
-        with forced_worker() as started:
-            with pytest.raises(InternalError, match=r"(?s)exit status 1\b.*SystemExit: no graph here"):
-                load_pair(p1, p2)
-        assert len(started) == 1 and started[0].returncode == 1
-
-    def test_worker_exits_without_reply(self, pair_files, monkeypatch):
-        def exiting(*args):
-            os.write(2, b"no graph either")
-            os._exit(3)
-            yield
-
-        p1, p2 = pair_files["erg"]
-        monkeypatch.setattr(ingest, "_snapshot_job", exiting)
-        with forced_worker() as started:
-            with pytest.raises(InternalError, match=r"\(exit status 3\); stderr: no graph either$"):
-                load_pair(p1, p2)
-        assert len(started) == 1 and started[0].returncode == 3
-
-    def test_killed(self, pair_files, monkeypatch):
-        # Killed while this process parses the first file, before it sends
-        # the second graph.
-        p1, p2 = pair_files["erg"]
-        real = ingest.load_graph
-
-        def parse_after_kill(path, fmt="erg", coords=True):
-            started[0].kill()
-            return real(path, fmt, coords)
-
-        def snapshot_until_killed(path, fmt, coords):
-            signal.pause()
-            yield
-
-        with forced_worker() as started:
-            monkeypatch.setattr(ingest, "_snapshot_job", snapshot_until_killed)
-            monkeypatch.setattr(ingest, "load_graph", parse_after_kill)
-            with pytest.raises(InternalError, match="exit status -9"):
-                load_pair(p1, p2)
-        assert len(started) == 1
-        assert started[0].returncode == -signal.SIGKILL
-
-
 class TestInProcess:
-    def test_fork_fails(self, pair_files):
-        p1, p2 = pair_files["erg"]
-        with forced_worker() as started, pytest.MonkeyPatch.context() as mp:
-            mp.setattr(os, "fork", no_fork)
-            assert load_pair(p1, p2) == (load_graph(p1), load_graph(p2))
-        assert started == []
-
-    def test_one_cpu(self, pair_files, monkeypatch):
-        p1, p2 = pair_files["erg"]
-        monkeypatch.setattr(ingest, "PARSE_WORKER_MIN_BYTES", 0)
-        monkeypatch.setattr(os, "fork", no_worker)
-        if hasattr(os, "sched_getaffinity"):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert load_pair(p1, p2) == (load_graph(p1), load_graph(p2))
-
     def test_file_under_the_gate(self, pair_files, monkeypatch):
         p1, p2 = pair_files["erg"]
         monkeypatch.setattr(worker, "usable_cpus", lambda: 2)
