@@ -15,11 +15,12 @@ import argparse
 import sys
 
 from .errors import ConfigurationError, InputError
-from .generator import gen_irregular_grid, perturb
+from .generator import check_fractions, gen_irregular_grid, perturb
 from .ingest import emit_erg, load_graph, load_pair
-from .labeling import DEFAULT_K, label_nodes
-from .matcher import MatchResult, match
+from .labeling import DEFAULT_K, check_k, label_nodes
+from .matcher import MatchResult, check_match_args, match
 from .metrics import (
+    DEFAULT_BUCKET_KM,
     DEFAULT_THRESHOLD_MILES,
     approximation_ratio,
     check_bucket_km,
@@ -28,7 +29,13 @@ from .metrics import (
     threshold_ratio,
 )
 from .oracle import DEFAULT_SIZE_CAP, MAX_SIZE_CAP, brute_force_max_conformal, check_size_cap
-from .seed_index import DEFAULT_MAX_PRODUCT, auto_tune_k, label_pair
+from .seed_index import (
+    DEFAULT_K_MAX,
+    DEFAULT_MAX_PRODUCT,
+    auto_tune_k,
+    check_tune_args,
+    label_pair,
+)
 
 
 def _add_format(p):
@@ -103,6 +110,28 @@ def parse_matching(text: str):
         else:
             raise InputError(f"line {lineno}: malformed matching record: {line!r}")
     return pairs, u1, u2, stats
+
+
+def _check_flags(args) -> None:
+    """Refuse the flag values a command would refuse, before it reads any
+    file, so that a bad flag wins over every fault of the files.  Each
+    check is the library's own, with its message."""
+    command = args.command
+    if command == "perturb":
+        check_fractions(args.remove_vertices, args.remove_edges, args.add_edges)
+    elif command == "label":
+        check_k(args.k)
+    elif command == "tune-k":
+        check_tune_args(args.max_product, args.k_max)
+    elif command == "match":
+        check_match_args(args.k, args.max_product, args.auto_k, args.k_max)
+    elif command == "validate":
+        check_threshold_miles(args.threshold_miles)
+        check_bucket_km(args.bucket_km)
+        if args.k is not None:
+            check_k(args.k)
+    elif command == "oracle":
+        check_size_cap(args.size_cap)
 
 
 def _cmd_gen(args) -> int:
@@ -208,9 +237,6 @@ def _check_pairs(pairs: list[tuple[int, int]], n1: int, n2: int) -> None:
 
 
 def _cmd_validate(args) -> int:
-    # Flag values it would refuse win over any fault of the files, unread.
-    check_threshold_miles(args.threshold_miles)
-    check_bucket_km(args.bucket_km)
     g1, g2 = load_pair(args.graph1, args.graph2, args.format)
     # Before anything is labeled or printed.
     if args.hist and (g1.coords is None or g2.coords is None):
@@ -242,8 +268,6 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    # A cap it would refuse wins over any fault of the files, unread.
-    check_size_cap(args.size_cap)
     # It accepts graphs of at most MAX_SIZE_CAP vertices: no worker could pay.
     g1 = load_graph(args.graph1, args.format, coords=False)
     g2 = load_graph(args.graph2, args.format, coords=False)
@@ -293,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("graph1")
     p_tune.add_argument("graph2")
     p_tune.add_argument("--max-product", type=int, default=DEFAULT_MAX_PRODUCT)
-    p_tune.add_argument("--k-max", type=int, default=12)
+    p_tune.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
     _add_format(p_tune)
     p_tune.set_defaults(func=_cmd_tune_k)
 
@@ -302,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_match.add_argument("graph2")
     p_match.add_argument("--k", type=int, default=DEFAULT_K)
     p_match.add_argument("--auto-k", action="store_true")
-    p_match.add_argument("--k-max", type=int, default=12)
+    p_match.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
     p_match.add_argument("--max-product", type=int, default=DEFAULT_MAX_PRODUCT)
     p_match.add_argument("--rng-seed", type=int, default=0)
     p_match.add_argument("-o", "--output", default="-")
@@ -318,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--threshold-miles", type=float, default=DEFAULT_THRESHOLD_MILES)
     p_val.add_argument("--hist", default=None,
                        help="write a CSV histogram of the matched pairs' distances")
-    p_val.add_argument("--bucket-km", type=float, default=0.5)
+    p_val.add_argument("--bucket-km", type=float, default=DEFAULT_BUCKET_KM)
     _add_format(p_val)
     p_val.set_defaults(func=_cmd_validate)
 
@@ -344,6 +368,7 @@ def dispatch(argv) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
+        _check_flags(args)
         return args.func(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -115,6 +115,12 @@ class GroundTruth:
         return len(self.mapping)
 
 
+def check_fractions(*fracs: float) -> None:
+    """InputError unless every perturbation fraction is in [0, 0.5]."""
+    if not all(0.0 <= frac <= 0.5 for frac in fracs):
+        raise InputError("perturbation fractions must be in [0, 0.5]")
+
+
 def perturb(
     g: EmbeddedGraph,
     remove_vertex_frac: float,
@@ -128,9 +134,7 @@ def perturb(
     keep their coordinates and are renumbered densely in ascending original
     id; the returned ground truth records the correspondence.
     """
-    for frac in (remove_vertex_frac, remove_edge_frac, add_edge_frac):
-        if not 0.0 <= frac <= 0.5:
-            raise InputError("perturbation fractions must be in [0, 0.5]")
+    check_fractions(remove_vertex_frac, remove_edge_frac, add_edge_frac)
     if g.coords is None or any(c is None for c in g.coords):
         raise InputError("perturb requires coordinates on every vertex")
     rng = random.Random(rng_seed)

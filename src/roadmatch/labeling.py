@@ -39,20 +39,19 @@ that expands levels.  A vertex with a single start grows all its levels
 into one flat edge list after one stamp pass.  Tied starts share one
 stamp pass per level, each start marking what it finds with a mark of
 its own, and after each level only the starts with the smallest degrees
-go on; their tails are compared as bytes.
+go on, their tails compared as bytes: the depth-k order from a start is
+a prefix of its depth-(k+1) order, so a start that loses once loses for
+good.
 
-The ball within distance k holds the same vertices whatever the start
-rotation, and the depth-k order from a start is a prefix of its
-depth-(k+1) order.  So a start whose label loses at depth k loses at every
-greater depth, and ``labels_by_depth`` can grow every ball by one level per
-k, with the same walk, carrying only the starts still tied, instead of
-walking it again.  It grows only the live vertices: after each k its
-caller names the labels to keep, and a vertex whose label is not among
-them is never grown again.  The tuner keeps just the labels that can still
-be shared by the other graph (``seed_index.auto_tune_k``) and speaks to it
-through ``counts_by_depth``, which sends label counts and, at the end, a
-master table of the labels it is asked for.  A ball stops growing at its
-first empty level, when it covers its component, whatever k asks for.
+``labels_by_depth`` serves the tuner: at each k = 1, 2, ... it labels
+the live vertices afresh, through the same kernel call as ``label_nodes``.
+After each k its caller names the labels to keep, and a vertex whose label
+is not among them is never labeled again.  The tuner keeps just the labels
+that can still be shared by the other graph (``seed_index.auto_tune_k``)
+and speaks to it through ``counts_by_depth``, which sends label counts
+and, at the end, a master table of the labels it is asked for.  A ball
+stops growing at its first empty level, when it covers its component,
+whatever k asks for.
 
 A label depends only on its own graph, so two snapshots can be labeled at
 the same time.  ``labeling_job`` labels one graph in a worker process
@@ -217,21 +216,24 @@ class _BallKernel:
         out = self.edge_ids[a:b]
         return label, [out[i:] + out[:i] if i else out for i in offsets]
 
-    def walk(
-        self, x: int, prev: Sequence[int], levels: list[MutableSequence[int]], steps: int
-    ) -> tuple[Label, list[MutableSequence[int]]]:
-        """Grow the canonical BFS of local vertex x by up to ``steps`` levels.
+    def label(self, x: int, k: int, memo: StartMemo) -> Label:
+        """The depth-k label of local vertex x, k >= 1: its ``starts``, walked."""
+        label, levels = self.starts(x, memo)
+        return label + self.walk(x, levels, k - 1)[0]
 
-        ``levels`` holds the edges of the deepest level so far under each
-        start rotation still tied, in discovery order; ``prev`` the edges of
-        the level before it (empty at depth 1, where that level is x
-        alone).  A level holds the same vertices under every start, only in
-        another order, so one ``prev`` serves them all, and only the
-        neighbours of the last level can be new.  Returns the degrees of
-        the levels grown under the start that gives the smallest label and,
-        for each start still tied with it, that start first, a list that
-        ends with its deepest level.  The first empty level ends the walk:
-        the ball covers its component, under every start.
+    def walk(
+        self, x: int, levels: list[MutableSequence[int]], steps: int
+    ) -> tuple[Label, list[MutableSequence[int]]]:
+        """Walk the canonical BFS of local vertex x up to ``steps`` levels
+        past depth 1, from its depth-1 level under each tied start
+        (``levels``, as ``starts`` gives them).
+
+        Returns the degrees of the levels walked under the start that gives
+        the smallest label and, for each start still tied with it, that
+        start first, a list that ends with its deepest level.  A level
+        holds the same vertices under every start, only in another order,
+        and the first empty level ends the walk: the ball covers its
+        component, under every start.
 
         The stamp array is shared with every other walk, so each walk first
         marks x and the last two levels with a mark above every earlier
@@ -245,10 +247,9 @@ class _BallKernel:
         """
         head, head_deg, stamp, succ = self.head, self.head_deg, self.stamp, self.succ
         tail = b""
+        prev: Sequence[int] = ()  # the level before depth 1 is x alone
         mark = 0  # no stamp pass yet
-        while len(levels) > 1:
-            if not steps:
-                return tail, levels
+        while len(levels) > 1 and steps:
             steps -= 1
             base = self.mark + 1
             self.mark = top = base + len(levels)
@@ -275,13 +276,9 @@ class _BallKernel:
             tail += best
             prev = levels[0]
             levels = [nxt for nxt, t in zip(grown, tails) if t == best]
-        if not steps:
-            return tail, levels
-        if not mark:
+        if not mark:  # no tied pass ran: mark x and its out-edges
             self.mark = mark = self.mark + 1
             stamp[x] = mark
-            for e in prev:
-                stamp[head[e]] = mark
             for e in levels[0]:
                 stamp[head[e]] = mark
         # Stamps at or above mark are x and the last two levels (the tied
@@ -300,8 +297,6 @@ class _BallKernel:
             if len(ball) == hi:
                 break  # the ball covers its component
             lo, hi = hi, len(ball)
-        if not lo:
-            return tail, levels
         return tail + _degrees(head_deg, ball[start:]), levels
 
 
@@ -312,6 +307,12 @@ def _degrees(head_deg: bytes, edges: Sequence[int]) -> bytes:
         # come back bare rather than in a tuple.
         return bytes(itemgetter(*edges)(head_deg))
     return bytes(map(head_deg.__getitem__, edges))
+
+
+def check_k(k: int) -> None:
+    """InputError for a negative label depth."""
+    if k < 0:
+        raise InputError(f"label depth k must be >= 0, got {k}")
 
 
 def master_table(labels: Iterable[tuple[int, Label]]) -> MasterTable:
@@ -331,8 +332,7 @@ def label_nodes(g: EmbeddedGraph, k: int) -> tuple[MasterTable, list[Label]]:
     At k <= 1 a label is its vertex's ``depth_one``; only deeper labels
     build the kernel, which walks levels 2..k from the tied starts.
     """
-    if k < 0:
-        raise InputError(f"label depth k must be >= 0, got {k}")
+    check_k(k)
     rotation, memo = g.rotation, {}
     if k <= 1:
         labels = [depth_one_at(rotation, v, memo)[1] for v in range(len(rotation))]
@@ -342,8 +342,7 @@ def label_nodes(g: EmbeddedGraph, k: int) -> tuple[MasterTable, list[Label]]:
     kernel = _BallKernel(g)
     labels = [b""] * len(rotation)
     for x, v in enumerate(kernel.old):
-        label, levels = kernel.starts(x, memo)
-        labels[v] = label + kernel.walk(x, (), levels, k - 1)[0]
+        labels[v] = kernel.label(x, k, memo)
     # The kernel's tables (``succ`` above all) outweigh the master table;
     # free them before it is built, so the two never peak together.
     del kernel
@@ -359,76 +358,36 @@ def labels_by_depth(
     other vertex; it is the same list object every time, updated in place
     before the next yield.  The value sent back is the set of labels to
     keep: every vertex whose label is not in it leaves the live set for
-    good and is never grown again.  Sending None (``next``) keeps them
+    good and is never labeled again.  Sending None (``next``) keeps them
     all, and then the k-th list equals ``label_nodes(g, k)[1]``.
 
-    Depth 1 is each vertex's ``depth_one``; the kernel is built only when
-    depth 2 is asked for, and the first growth reads each vertex's tied
-    starts from it (``_BallKernel.starts``).  Each depth is one level of
-    ``_BallKernel.walk`` per live vertex.  Between depths, each live vertex
-    carries only its last two levels of edges in flat arrays: the last
-    level under every start still tied, back to back, the level before it
-    once, and per local id where each sits and how long it is; a small
-    dict counts the starts of the vertices that still have more than one.
-    A ball that covers its component is grown no further, since its label
-    no longer changes.
+    Depth 1 is each vertex's ``depth_one``; deeper, the kernel labels each
+    live vertex afresh (``_BallKernel.label``), and a vertex whose label
+    stopped growing, its ball covering its component, is labeled no further.
     """
     rotation, memo = g.rotation, {}
     labels: list[Label | None] = [depth_one_at(rotation, v, memo)[1] for v in range(len(rotation))]
     keep = yield labels
     kernel = _BallKernel(g)
-    old, first = kernel.old, kernel.first
-    n = len(old)
-    # Where each local id's last two levels sit in ``prev`` and ``level``.
-    prev_at, prev_n = array("i", [0]) * n, array("i", [0]) * n
-    level_at, level_n = array("i", [0]) * n, array("i", [0]) * n
-    prev = level = array("i")
-    tied: dict[int, int] = {}
-    growing: Sequence[int] = range(n)  # local ids, ascending
+    old = kernel.old
+    growing: Sequence[int] = range(len(old))  # local ids, ascending
     for depth in count(2):
         if keep is not None:
             for v, label in enumerate(labels):
                 if label not in keep:
                     labels[v] = None
-        grown, still = array("i"), array("i")
+        still = array("i")
         for x in growing:
             v = old[x]
             label = labels[v]
             if label is None:
                 continue  # dropped
-            if depth == 2:
-                levels = kernel.starts(x, memo)[1]
-                before = ()
-            else:
-                a, q = level_at[x], level_n[x]
-                w = q // tied.get(x, 1)
-                # Lists, which grow faster than arrays.
-                levels = [level[i : i + w].tolist() for i in range(a, a + q, w)]
-                before = prev[prev_at[x] : prev_at[x] + prev_n[x]]
-            tail, levels = kernel.walk(x, before, levels, 1)
-            if not tail:
+            grown = kernel.label(x, depth, memo)
+            if len(grown) == len(label):
                 continue  # the ball covers its component
-            labels[v] = label + tail
+            labels[v] = grown
             still.append(x)
-            # The level just grown from, once: every start holds the same
-            # edges.  At depth 2 that is x's out-edges, which ``edge_ids``
-            # lists in place.
-            if depth == 2:
-                prev_at[x], prev_n[x] = first[x], first[x + 1] - first[x]
-            else:
-                prev_at[x], prev_n[x] = a, w
-            # The level just grown, under each start: a byte of the tail
-            # per edge.
-            width = len(tail)
-            level_at[x], level_n[x] = len(grown), len(levels) * width
-            for ends in levels:
-                grown.extend(ends[len(ends) - width :])
-            if len(levels) > 1:
-                tied[x] = len(levels)
-            else:
-                tied.pop(x, None)
-        prev = kernel.edge_ids if depth == 2 else level
-        level, growing = grown, still
+        growing = still
         keep = yield labels
 
 
@@ -436,10 +395,10 @@ def counts_by_depth(g: EmbeddedGraph) -> Generator[Counter | MasterTable, tuple,
     """The tuner's side of ``labels_by_depth(g)``, as replies to commands.
 
     Each reply at k = 1, 2, ... is the ``Counter`` of the live vertices'
-    labels.  The command sent back is ("next", keep), which goes one level
-    deeper keeping the labels in ``keep``, or ("stop", shared), whose reply
+    labels.  The command sent back is ("next", keep), which goes on to the
+    next k keeping the labels in ``keep``, or ("stop", shared), whose reply
     is the master table at k of the live vertices whose labels are in
-    ``shared``.  The growth state is freed before that table is built.
+    ``shared``.  The kernel is freed before that table is built.
     """
     depths = labels_by_depth(g)
     labels = next(depths)

@@ -37,8 +37,16 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError, InternalError
 from .graph import EmbeddedGraph
-from .labeling import DEFAULT_K, StartMemo, depth_one_at
-from .seed_index import DEFAULT_MAX_PRODUCT, SeedIndex, auto_tune_k, label_pair
+from .labeling import DEFAULT_K, StartMemo, check_k, depth_one_at
+from .seed_index import (
+    DEFAULT_K_MAX,
+    DEFAULT_MAX_PRODUCT,
+    SeedIndex,
+    auto_tune_k,
+    check_max_product,
+    check_tune_args,
+    label_pair,
+)
 
 
 class MatchState:
@@ -351,6 +359,17 @@ def flood_match(
     return state
 
 
+def check_match_args(k: int, max_product: int, auto_k: bool, k_max: int) -> None:
+    """InputError for the arguments ``match`` refuses, as it refuses them:
+    the tuner's under auto_k, where k is unused, and otherwise k's, then
+    the product bound's."""
+    if auto_k:
+        check_tune_args(max_product, k_max)
+    else:
+        check_k(k)
+        check_max_product(max_product)
+
+
 def match(
     g1: EmbeddedGraph,
     g2: EmbeddedGraph,
@@ -358,13 +377,15 @@ def match(
     max_product: int = DEFAULT_MAX_PRODUCT,
     rng_seed: int = 0,
     auto_k: bool = False,
-    k_max: int = 12,
+    k_max: int = DEFAULT_K_MAX,
 ) -> MatchResult:
     """Full pipeline: label both graphs at k, or at the k `auto_tune_k`
     picks, index their seeds and `flood_match` from the index.  The bound is
     checked by the index at a fixed k and by the tuner's report under auto_k.
-    A worker that labels g2 is reaped before the flood.
+    A worker that labels g2 is reaped before the flood.  Arguments it
+    would refuse are refused before anything is labeled (``check_match_args``).
     """
+    check_match_args(k, max_product, auto_k, k_max)
     t0 = time.perf_counter()
     if auto_k:
         report = auto_tune_k(g1, g2, max_product, k_max)

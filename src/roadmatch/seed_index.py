@@ -16,15 +16,15 @@ tuner's report does (``TuneReport.bounded``).
 ``label_pair`` labels both snapshots at a fixed k, the second in a worker
 process while this one labels the first, when that pays
 (``labeling.labeling_job``), and returns their master tables.
-``auto_tune_k`` picks the label depth k: it grows both graphs' labels one
-level per k in a single pass (``labeling.counts_by_depth``), the second in
-lockstep in the worker, and counts them at each k, rather than labeling
-both graphs from scratch at every k.  After each k it keeps growing only
-the vertices whose labels can still be shared, found by one sorted scan
-over both graphs' counts (``_compatible``).  The worker's per-k counts are
-``Counter``s keyed by the label bytes, so they pickle small, and its last
-reply holds only the labels present in both graphs.  The index takes the
-two graphs' vertex counts, so tables cut down to those labels do.
+``auto_tune_k`` picks the label depth k: it labels both graphs at k = 1,
+2, ... in a single pass (``labeling.counts_by_depth``), the second in
+lockstep in the worker, and counts their labels at each k.  After each k
+it goes on labeling only the vertices whose labels can still be shared,
+found by one sorted scan over both graphs' counts (``_compatible``).  The
+worker's per-k counts are ``Counter``s keyed by the label bytes, so they
+pickle small, and its last reply holds only the labels present in both
+graphs.  The index takes the two graphs' vertex counts, so tables cut
+down to those labels do.
 """
 
 from __future__ import annotations
@@ -39,10 +39,23 @@ from .graph import EmbeddedGraph
 from .labeling import Label, MasterTable, counts_by_depth, label_nodes, labeling_job
 
 DEFAULT_MAX_PRODUCT = 24
+DEFAULT_K_MAX = 12
 
 # Entries of SeedIndex.label_of besides label ids.
 UNINDEXED = -1  # the vertex's label is not cross-present
 REMOVED = -2  # removed, or not a vertex of the graph
+
+
+def check_max_product(max_product: int) -> None:
+    """InputError for a product bound below 1."""
+    if max_product < 1:
+        raise InputError(f"max_product must be >= 1, got {max_product}")
+
+
+def check_tune_args(max_product: int, k_max: int) -> None:
+    """InputError unless the tuner's product bound and deepest k are >= 1."""
+    if max_product < 1 or k_max < 1:
+        raise InputError("max_product and k_max must be >= 1")
 
 
 class SeedIndex:
@@ -51,8 +64,7 @@ class SeedIndex:
     ):
         """Index the labels of mt1 and mt2, tables over graphs of n1 and n2
         vertices; a table may leave out any label the other lacks."""
-        if max_product < 1:
-            raise InputError(f"max_product must be >= 1, got {max_product}")
+        check_max_product(max_product)
         self.max_product = max_product
         # Only a label with vertices on both sides can seed, and counts only
         # fall, so no other label can ever become cross-present.  Ids follow
@@ -230,7 +242,7 @@ def auto_tune_k(
     g1: EmbeddedGraph,
     g2: EmbeddedGraph,
     max_product: int = DEFAULT_MAX_PRODUCT,
-    k_max: int = 12,
+    k_max: int = DEFAULT_K_MAX,
 ) -> TuneReport:
     """Smallest k in [1, k_max] whose max cross product p is within the bound.
 
@@ -249,22 +261,21 @@ def auto_tune_k(
     prefix of, or extends the other's.  After each k, a vertex whose label
     is compatible in that way with no label of the other graph
     (``_compatible``) leaves its graph's live set: it can never share a
-    label again, so it is neither grown nor counted any more.  The counts
+    label again, so it is neither labeled nor counted any more.  The counts
     of the labels present in both graphs, and so p, are those of all the
     vertices.  The scan stops when no vertex is live, and ``per_k`` ends
     there.
 
-    One pass grows both graphs' live labels a level per k
-    (``labeling.counts_by_depth``) and counts them for each k's max
-    product, so tuning walks each ball at most once rather than once per
-    k tried.  g2's pass runs in lockstep in a worker process when that
-    pays (``labeling.labeling_job``): at each k it sends its label counts
-    and waits for its keep-set with "next", or for "stop" with the labels
-    of both graphs, and then sends its table of those.  Its results equal labeling both graphs
-    from scratch at every k.
+    One pass labels both graphs' live vertices at each k
+    (``labeling.counts_by_depth``), walking their balls afresh, and counts
+    the labels for that k's max product; only the live vertices are
+    walked again at the next k.  g2's pass runs in lockstep in a worker
+    process when that pays (``labeling.labeling_job``): at each k it sends
+    its label counts and waits for its keep-set with "next", or for "stop"
+    with the labels of both graphs, and then sends its table of those.
+    Its results equal labeling both graphs from scratch at every k.
     """
-    if max_product < 1 or k_max < 1:
-        raise InputError("max_product and k_max must be >= 1")
+    check_tune_args(max_product, k_max)
     per_k = []
     with labeling_job(g2, None) as second:
         first = counts_by_depth(g1)
@@ -286,6 +297,6 @@ def auto_tune_k(
                 break  # no deeper k can share a label, or none may be tried
             second.send(("next", keep2))
             counts1 = first.send(("next", keep1))
-        first.close()  # frees the growth state
+        first.close()  # frees the kernel
     p, k = min(((p, k) for k, p in per_k if p), default=(0, 1))
     return TuneReport(k, p, False, per_k, None if p else ({}, {}))

@@ -247,6 +247,50 @@ class TestErrors:
         assert "k must be >= 0, got -2" in err
         assert "# k:" not in out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["label", "{missing}", "--k", "-1"], "label depth k must be >= 0, got -1"),
+            (["perturb", "{missing}", "--add-edges", "0.6"],
+             "perturbation fractions must be in [0, 0.5]"),
+            (["tune-k", "{g}", "{missing}", "--max-product", "0"],
+             "max_product and k_max must be >= 1"),
+            (["tune-k", "{g}", "{missing}", "--k-max", "0"], "max_product and k_max must be >= 1"),
+            (["match", "{g}", "{missing}", "--max-product", "0"],
+             "max_product must be >= 1, got 0"),
+            (["match", "{g}", "{missing}", "--k", "-1", "--max-product", "0"],
+             "label depth k must be >= 0, got -1"),
+            (["match", "{g}", "{missing}", "--auto-k", "--k", "-1", "--max-product", "0"],
+             "max_product and k_max must be >= 1"),
+            (["validate", "{m}", "{g}", "{missing}", "--k", "-1"],
+             "label depth k must be >= 0, got -1"),
+        ],
+        ids=["label-k", "perturb-fraction", "tune-k-product", "tune-k-k-max", "match-product",
+             "match-k-first", "match-auto-k", "validate-k"],
+    )
+    def test_flag_refused_before_any_file_is_read(self, tmp_path, capsys, monkeypatch, argv,
+                                                  message):
+        g, m = tmp_path / "g.erg", tmp_path / "m.txt"
+        g.write_text(emit_erg(path_graph(3)))
+        m.write_text("m 0 0\n")
+        paths = {"g": g, "m": m, "missing": tmp_path / "missing.erg"}
+
+        def unread(*args, **kwargs):
+            raise AssertionError("a file was read before the flags were checked")
+
+        monkeypatch.setattr(cli, "load_graph", unread)
+        monkeypatch.setattr(cli, "load_pair", unread)
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_auto_k_leaves_k_unchecked(self, tmp_path, capsys):
+        # k is unused under --auto-k, so a negative one is no error there.
+        g = tmp_path / "g.erg"
+        g.write_text(emit_erg(gen_irregular_grid(6, 6, 0.2, 3)))
+        code, out, _ = run(capsys, "match", str(g), str(g), "--auto-k", "--k", "-1")
+        assert code == 0
+        assert "# k: " in out
+
     @pytest.mark.parametrize("bad_side", [0, 1])
     @pytest.mark.parametrize("command", ["match", "tune-k", "validate", "oracle"])
     def test_vertex_count_above_limit_exit_one(self, tmp_path, capsys, command, bad_side):
@@ -403,7 +447,7 @@ class TestLabelTuneOracle:
         def unread(*args, **kwargs):
             raise AssertionError("oracle opened its files")
 
-        monkeypatch.setattr(cli, "load_pair", unread)
+        monkeypatch.setattr(cli, "load_graph", unread)
         missing = str(tmp_path / "missing.erg")
         code, out, err = run(capsys, "oracle", missing, missing, "--size-cap", str(MAX_SIZE_CAP + 1))
         assert (code, out) == (1, "")

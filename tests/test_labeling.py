@@ -323,7 +323,7 @@ def tied_walk(g, v, k):
     kernel = _BallKernel(g)
     x = kernel.old.index(v)
     label, levels = kernel.starts(x, {})
-    tail, levels = kernel.walk(x, (), levels, k - 1)
+    tail, levels = kernel.walk(x, levels, k - 1)
     return tuple(label + tail), len(levels)
 
 

@@ -411,10 +411,14 @@ def _malformed(side):
     return setup
 
 
-def _bad_k(paths, tmp_path, monkeypatch, started):
-    # Only g2's labeling fails: see test_labeling_input_error_as_in_process.
-    monkeypatch.setattr(seed_index, "label_nodes", lambda g, k: ({}, []))
-    paths.extend(["--k", "-1"])
+def _second_labeling_error(paths, tmp_path, monkeypatch, started):
+    # Only g2's labeling fails, in the worker, which calls labeling's own
+    # label_nodes; g1's goes through seed_index's.  (A bad --k is refused
+    # before any file is read, so it cannot reach the worker.)
+    def refuse(g, k):
+        raise InputError("g2 cannot be labeled")
+
+    monkeypatch.setattr(labeling, "label_nodes", refuse)
 
 
 def _killed(paths, tmp_path, monkeypatch, started):
@@ -442,7 +446,7 @@ def _interrupted(module, name):
         (None, 0, 2),
         (_malformed(0), 1, 1),
         (_malformed(1), 1, 1),
-        (_bad_k, 1, 2),
+        (_second_labeling_error, 1, 2),
         (_killed, InternalError, 2),
         (_interrupted(ingest, "load_graph"), KeyboardInterrupt, 1),
         (_interrupted(seed_index, "label_nodes"), KeyboardInterrupt, 2),
