@@ -24,49 +24,50 @@ k <= 1 that is the whole label, read from the caller's rotations by
 ``depth_one_at``, which also enforces the degree cap, and no BFS runs;
 the matcher looks its seeds' start offsets up the same way.
 
-Past depth 1, one kernel computes the canonical BFS for both
-``label_nodes`` and ``labels_by_depth``.  It first renumbers the graph in
-breadth-first order over every component, so the vertices of one ball sit
-close together in memory, and everything after that runs on these local
-ids: a vertex's depth-1 label and tied starts come from its slice of the
-kernel's head-degree bytes, through the same memo (the build enforces the
-cap), and each label is written straight to its caller id.  Labels are
-degree sequences, so the renumbering cannot change them.  The BFS is
-level-synchronous: each level is a list of directed edges, a table gives
-the clockwise successor edges of every directed edge, and a stamp array
-marks the vertices already listed.  ``_BallKernel.walk`` is the one place
-that expands levels.  A vertex with a single start grows all its levels
-into one flat edge list after one stamp pass.  Tied starts share one
-stamp pass per level, each start marking what it finds with a mark of
-its own, and after each level only the starts with the smallest degrees
-go on, their tails compared as bytes: the depth-k order from a start is
-a prefix of its depth-(k+1) order, so a start that loses once loses for
-good.
+``labels_by_depth`` is the one labeling driver.  It yields per-vertex
+labels at a start depth k and then at k + 1, k + 2, ...; ``label_nodes``
+is its first yield, and the tuner (``seed_index.auto_tune_k``) walks it
+deeper.  After each depth its caller may send the labels to keep, and a
+vertex whose label is not among them is never labeled again.  From k = 0
+it starts with the degrees and from k = 1 with ``depth_one``; from k >= 2
+it labels every vertex at k directly, with no depth-1 pass.  A ball stops
+growing at its first empty level, when it covers its component, whatever
+k asks for.
 
-``labels_by_depth`` serves the tuner: at each k = 1, 2, ... it labels
-the live vertices afresh, through the same kernel call as ``label_nodes``.
-After each k its caller names the labels to keep, and a vertex whose label
-is not among them is never labeled again.  The tuner keeps just the labels
-that can still be shared by the other graph (``seed_index.auto_tune_k``)
-and speaks to it through ``counts_by_depth``, which sends label counts
-and, at the end, a master table of the labels it is asked for.  A ball
-stops growing at its first empty level, when it covers its component,
-whatever k asks for.
+Past depth 1 the driver builds one kernel, which computes the canonical
+BFS of every vertex afresh at each depth.  It first renumbers the graph
+in breadth-first order over every component, so the vertices of one ball
+sit close together in memory, and everything after that runs on these
+local ids: a vertex's depth-1 label and tied starts come from its slice
+of the kernel's head-degree bytes, through the same memo (the build
+enforces the cap), and each label is written straight to its caller id.
+Labels are degree sequences, so the renumbering cannot change them.  The
+BFS is level-synchronous: each level is a list of directed edges, a table
+gives the clockwise successor edges of every directed edge, and a stamp
+array marks the vertices already listed.  ``_BallKernel.walk`` is the one
+place that expands levels.  A vertex with a single start grows all its
+levels into one flat edge list after one stamp pass.  Tied starts share
+one stamp pass per level, each start marking what it finds with a mark
+of its own, and after each level only the starts with the smallest
+degrees go on, their tails compared as bytes: the depth-k order from a
+start is a prefix of its depth-(k+1) order, so a start that loses once
+loses for good.  The kernel's tables outweigh the labels, so the driver
+frees them before it yields the deepest depth its caller will ask for.
 
 A label depends only on its own graph, so two snapshots can be labeled at
-the same time.  ``labeling_job`` labels one graph in a worker process
-where that can pay for itself (at least ``WORKER_MIN_VERTICES`` vertices,
-at any k) and ``worker.job`` can fork one (two usable CPUs among its
-conditions); otherwise the same job runs in this process.  The worker is
-forked, so the graph reaches it with nothing copied or pickled, and only
-its labels come back.
+the same time.  ``labeling_job`` runs the same driver on one graph in a
+worker process where that can pay for itself (at least
+``WORKER_MIN_VERTICES`` vertices, at any k) and ``worker.job`` can fork
+one (two usable CPUs among its conditions); otherwise it runs in this
+process.  The worker is forked, so the graph reaches it with nothing
+copied or pickled.  Each of its replies is a label list, and each command
+a keep-set.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import Counter
-from collections.abc import Generator, Iterable, Iterator, MutableSequence, Sequence
+from collections.abc import Generator, Iterable, MutableSequence, Sequence
 from itertools import accumulate, count, islice
 from operator import itemgetter
 
@@ -327,51 +328,55 @@ def master_table(labels: Iterable[tuple[int, Label]]) -> MasterTable:
 def label_nodes(g: EmbeddedGraph, k: int) -> tuple[MasterTable, list[Label]]:
     """Label every vertex and group vertices by identical label.
 
-    Returns (master table, per-vertex label array).  Master-table entry
-    lists are in ascending vertex id.  k = 0 gives degree-only labels.
-    At k <= 1 a label is its vertex's ``depth_one``; only deeper labels
-    build the kernel, which walks levels 2..k from the tied starts.
+    Returns (master table, per-vertex label array): the first yield of
+    ``labels_by_depth(g, k, last=k)``, which frees its kernel before it
+    yields, so the kernel and the master table never peak together.
+    Master-table entry lists are in ascending vertex id.  k = 0 gives
+    degree-only labels.
     """
-    check_k(k)
-    rotation, memo = g.rotation, {}
-    if k <= 1:
-        labels = [depth_one_at(rotation, v, memo)[1] for v in range(len(rotation))]
-        if not k:
-            labels = [lab[:1] for lab in labels]  # the degrees alone
-        return master_table(enumerate(labels)), labels
-    kernel = _BallKernel(g)
-    labels = [b""] * len(rotation)
-    for x, v in enumerate(kernel.old):
-        labels[v] = kernel.label(x, k, memo)
-    # The kernel's tables (``succ`` above all) outweigh the master table;
-    # free them before it is built, so the two never peak together.
-    del kernel
+    labels = next(labels_by_depth(g, k, last=k))
     return master_table(enumerate(labels)), labels
 
 
 def labels_by_depth(
-    g: EmbeddedGraph,
+    g: EmbeddedGraph, k: int = 1, last: int | None = None
 ) -> Generator[list[Label | None], set[Label] | None, None]:
-    """Yield the labels of the live vertices at k = 1, 2, 3, ...
+    """Yield the labels of the live vertices at depth k, k + 1, ..., last.
 
-    The k-th list holds each live vertex's label at k and None for every
-    other vertex; it is the same list object every time, updated in place
-    before the next yield.  The value sent back is the set of labels to
-    keep: every vertex whose label is not in it leaves the live set for
-    good and is never labeled again.  Sending None (``next``) keeps them
-    all, and then the k-th list equals ``label_nodes(g, k)[1]``.
+    Each list holds each live vertex's label at that depth and None for
+    every other vertex; it stays valid until the next send, which may
+    update it in place.  The value sent back is the set of labels to keep:
+    every vertex whose label is not in it leaves the live set for good and
+    is never labeled again.  Sending None (``next``) keeps them all, and
+    then the list at depth d equals ``label_nodes(g, d)[1]``.  ``last``,
+    if set, is the deepest depth the caller will ask for: the kernel is
+    freed before that depth's labels are yielded.
 
-    Depth 1 is each vertex's ``depth_one``; deeper, the kernel labels each
-    live vertex afresh (``_BallKernel.label``), and a vertex whose label
-    stopped growing, its ball covering its component, is labeled no further.
+    From k = 0 the first list holds the degrees and the next each vertex's
+    ``depth_one``, the first list from k = 1; the kernel is built only for
+    the depths past 1.  From k >= 2 every vertex is labeled at k directly.
+    Past depth 1 the kernel labels each live vertex afresh at each depth
+    (``_BallKernel.label``), and a vertex whose label stopped growing, its
+    ball covering its component, is labeled no further.
     """
+    check_k(k)
     rotation, memo = g.rotation, {}
-    labels: list[Label | None] = [depth_one_at(rotation, v, memo)[1] for v in range(len(rotation))]
-    keep = yield labels
+    labels: list[Label | None]
+    if k <= 1:
+        labels = [depth_one_at(rotation, v, memo)[1] for v in range(len(rotation))]
+        if not k:
+            keep = yield [lab[:1] for lab in labels]  # the degrees alone
+            if keep is not None:
+                labels = [lab if lab[:1] in keep else None for lab in labels]
+        keep = yield labels
+        k = 2
+    else:
+        labels = [b""] * len(rotation)  # shorter than any label: all grow
+        keep = None
     kernel = _BallKernel(g)
     old = kernel.old
     growing: Sequence[int] = range(len(old))  # local ids, ascending
-    for depth in count(2):
+    for depth in count(k):
         if keep is not None:
             for v, label in enumerate(labels):
                 if label not in keep:
@@ -388,28 +393,13 @@ def labels_by_depth(
             labels[v] = grown
             still.append(x)
         growing = still
+        if depth == last:
+            break
         keep = yield labels
-
-
-def counts_by_depth(g: EmbeddedGraph) -> Generator[Counter | MasterTable, tuple, None]:
-    """The tuner's side of ``labels_by_depth(g)``, as replies to commands.
-
-    Each reply at k = 1, 2, ... is the ``Counter`` of the live vertices'
-    labels.  The command sent back is ("next", keep), which goes on to the
-    next k keeping the labels in ``keep``, or ("stop", shared), whose reply
-    is the master table at k of the live vertices whose labels are in
-    ``shared``.  The kernel is freed before that table is built.
-    """
-    depths = labels_by_depth(g)
-    labels = next(depths)
-    while True:
-        # No label is empty, so filter(None, ...) drops just the Nones.
-        command, chosen = yield Counter(filter(None, labels))
-        if command == "stop":
-            depths.close()
-            yield master_table((v, lab) for v, lab in enumerate(labels) if lab in chosen)
-            return
-        labels = depths.send(chosen)
+    # The kernel's tables (``succ`` above all) outweigh the labels; free
+    # them before the last labels are yielded (and, in a worker, sent).
+    del kernel, old
+    yield labels
 
 
 # Below about this many vertices, a worker of its own costs more than it
@@ -424,28 +414,15 @@ def counts_by_depth(g: EmbeddedGraph) -> Generator[Counter | MasterTable, tuple,
 WORKER_MIN_VERTICES = 2000
 
 
-def label_replies(g: EmbeddedGraph, k: int | None) -> Iterator:
-    """The labeling job, as the replies the worker sends for it.
+def labeling_job(g: EmbeddedGraph, k: int, last: int | None = None):
+    """Run ``labels_by_depth(g, k, last)``, in a worker process when that
+    pays; a context yielding the job's peer (see ``worker``), which is
+    closed when the block is left.
 
-    With k set, one reply: the master table ``label_nodes(g, k)[0]``.
-    With k None, the replies and commands of ``counts_by_depth(g)``.
-    """
-    if k is not None:
-        yield label_nodes(g, k)[0]
-        return
-    yield from counts_by_depth(g)
-
-
-def labeling_job(g: EmbeddedGraph, k: int | None):
-    """Label g, in a worker process when that pays; a context yielding the
-    job's peer (see ``worker``), which is closed when the block is left.
-
-    Its peer's ``receive()`` returns the next reply of the job and
-    ``send(command)`` passes a command (see ``label_replies``): with k set,
-    the one reply is the master table of ``label_nodes(g, k)``; with k
-    None, the replies and commands are those of ``counts_by_depth(g)``.  A
+    Its peer's ``receive()`` returns the next label list and
+    ``send(keep)`` passes the keep-set that the next list answers.  A
     worker is asked for at ``WORKER_MIN_VERTICES`` vertices or more, and
     ``worker.job`` forks it where it can (two usable CPUs among its
     conditions); otherwise the job runs here, with the same results.
     """
-    return worker.job(label_replies, g, k, in_worker=g.vertex_count >= WORKER_MIN_VERTICES)
+    return worker.job(labels_by_depth, g, k, last, in_worker=g.vertex_count >= WORKER_MIN_VERTICES)

@@ -15,15 +15,16 @@ tuner's report does (``TuneReport.bounded``).
 
 ``label_pair`` labels both snapshots at a fixed k, the second in a worker
 process while this one labels the first, when that pays
-(``labeling.labeling_job``), and returns their master tables.
-``auto_tune_k`` picks the label depth k: it labels both graphs at k = 1,
-2, ... in a single pass (``labeling.counts_by_depth``), the second in
-lockstep in the worker, and counts their labels at each k.  After each k
-it goes on labeling only the vertices whose labels can still be shared,
-found by one sorted scan over both graphs' counts (``_compatible``).  The
-worker's per-k counts are ``Counter``s keyed by the label bytes, so they
-pickle small, and its last reply holds only the labels present in both
-graphs.  The index takes the two graphs' vertex counts, so tables cut
+(``labeling.labeling_job``), and returns their master tables; the
+worker sends its label list, and G2's table is built from it here.
+``auto_tune_k`` picks the label depth k: it walks both graphs' labels at
+k = 1, 2, ... through one driver each (``labeling.labels_by_depth``), the
+second in lockstep in the worker, and counts each side's labels itself at
+each k.  After each k both drivers go on labeling only the vertices whose
+labels can still be shared, found by one sorted scan over both graphs'
+counts (``_compatible``) and sent back as keep-sets.  At the chosen k the
+tables are cut from the two last label lists, to the labels present in
+both graphs.  The index takes the two graphs' vertex counts, so tables cut
 down to those labels do.
 """
 
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError, InputError, InternalError
 from .graph import EmbeddedGraph
-from .labeling import Label, MasterTable, counts_by_depth, label_nodes, labeling_job
+from .labeling import Label, MasterTable, label_nodes, labeling_job, labels_by_depth, master_table
 
 DEFAULT_MAX_PRODUCT = 24
 DEFAULT_K_MAX = 12
@@ -95,7 +96,6 @@ class SeedIndex:
         self.bucket: dict[int, set[int]] = {}
         for lid, p in self.product.items():
             self.bucket.setdefault(p, set()).add(lid)
-        self.retired: set[int] = set()
 
     def _unindex_label(self, lid: int) -> None:
         p = self.product.pop(lid)
@@ -105,10 +105,11 @@ class SeedIndex:
             del self.bucket[p]
 
     def _reindex(self, lid: int) -> None:
-        if lid in self.product:
-            self._unindex_label(lid)
-        if lid in self.retired:
+        # A label out of ``product`` was retired or has no vertex left on a
+        # side; counts only fall, so it can never seed again.
+        if lid not in self.product:
             return
+        self._unindex_label(lid)
         p = len(self.members[0][lid]) * len(self.members[1][lid])
         if p:
             self.product[lid] = p
@@ -118,11 +119,9 @@ class SeedIndex:
         """Permanently stop offering this label as a seed source.
 
         Its vertices stay tracked and can still be matched through floods
-        seeded elsewhere.
+        seeded elsewhere.  The label must still be indexed (in ``product``).
         """
-        self.retired.add(lid)
-        if lid in self.product:
-            self._unindex_label(lid)
+        self._unindex_label(lid)
 
     def pop_min_label(self, rng: random.Random) -> int | None:
         """Label id with minimal product, ties broken uniformly by rng.
@@ -179,9 +178,9 @@ def label_pair(
     g2 is labeled in a worker process while this one labels g1, when that
     pays (``labeling.labeling_job``).  The results are the same either way.
     """
-    with labeling_job(g2, k) as second:
+    with labeling_job(g2, k, last=k) as second:
         first = label_nodes(g1, k)[0]
-        return first, second.receive()
+        return first, master_table(enumerate(second.receive()))
 
 
 def _compatible(counts1: Counter, counts2: Counter) -> tuple[set[Label], set[Label]]:
@@ -266,37 +265,42 @@ def auto_tune_k(
     vertices.  The scan stops when no vertex is live, and ``per_k`` ends
     there.
 
-    One pass labels both graphs' live vertices at each k
-    (``labeling.counts_by_depth``), walking their balls afresh, and counts
-    the labels for that k's max product; only the live vertices are
-    walked again at the next k.  g2's pass runs in lockstep in a worker
+    One driver per graph (``labeling.labels_by_depth``) labels its live
+    vertices at each k, walking their balls afresh; only the live vertices
+    are walked again at the next k.  Both sides' labels are counted here
+    for that k's max product.  g2's driver runs in lockstep in a worker
     process when that pays (``labeling.labeling_job``): at each k it sends
-    its label counts and waits for its keep-set with "next", or for "stop"
-    with the labels of both graphs, and then sends its table of those.
-    Its results equal labeling both graphs from scratch at every k.
+    its label list and waits for its keep-set.  At the chosen k, both
+    tables are cut from the last label lists, and the job is left without
+    a further command.  The results equal labeling both graphs from
+    scratch at every k.
     """
     check_tune_args(max_product, k_max)
     per_k = []
-    with labeling_job(g2, None) as second:
-        first = counts_by_depth(g1)
-        counts1 = next(first)
+    with labeling_job(g2, 1, last=k_max) as second:
+        first = labels_by_depth(g1, 1, last=k_max)
+        labels1 = next(first)
         for k in range(1, k_max + 1):
-            counts2 = second.receive()
+            labels2 = second.receive()
+            # No label is empty, so filter(None, ...) drops just the Nones.
+            counts1, counts2 = Counter(filter(None, labels1)), Counter(filter(None, labels2))
             shared = counts1.keys() & counts2.keys()
             p = max((counts1[lab] * counts2[lab] for lab in shared), default=0)
             per_k.append((k, p))
             if 0 < p <= max_product:
-                second.send(("stop", shared))
                 del counts1, counts2
-                table1 = first.send(("stop", shared))
-                return TuneReport(k, p, True, per_k, (table1, second.receive()))
+                tables = tuple(
+                    master_table((v, lab) for v, lab in enumerate(labels) if lab in shared)
+                    for labels in (labels1, labels2)
+                )
+                return TuneReport(k, p, True, per_k, tables)
             keep1, keep2 = _compatible(counts1, counts2)
-            # Freed before the next counts arrive.
-            del counts1, counts2, shared
+            # Freed before the next labels arrive.
+            del counts1, counts2, shared, labels2
             if not keep1 or k == k_max:
                 break  # no deeper k can share a label, or none may be tried
-            second.send(("next", keep2))
-            counts1 = first.send(("next", keep1))
+            second.send(keep2)
+            labels1 = first.send(keep1)
         first.close()  # frees the kernel
     p, k = min(((p, k) for k, p in per_k if p), default=(0, 1))
     return TuneReport(k, p, False, per_k, None if p else ({}, {}))

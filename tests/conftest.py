@@ -152,20 +152,33 @@ def index_state(idx: SeedIndex):
     index was built from, so indexes over different tables compare by
     label.  Covers the labels that still have vertices on both sides: their
     vertex sets, product (None once retired) and retirement, and the labels
-    holding each product.
+    holding each product.  Such a label is retired exactly when it is out
+    of ``product`` (``retired_labels``).
     """
+    retired = retired_labels(idx)
     labels = {
         lab: (
             sorted(idx.members[0][lid]),
             sorted(idx.members[1][lid]),
             idx.product.get(lid),
-            lid in idx.retired,
+            lab in retired,
         )
         for lid, lab in enumerate(idx.labels)
         if idx.members[0][lid] and idx.members[1][lid]
     }
     buckets = {p: sorted(idx.labels[lid] for lid in lids) for p, lids in idx.bucket.items()}
     return labels, buckets
+
+
+def retired_labels(idx: SeedIndex) -> set:
+    """The labels idx has retired: those that still have vertices on both
+    sides but no product.  A label leaves ``product`` only when it is
+    retired or loses its last vertex on a side."""
+    return {
+        idx.labels[lid]
+        for lid, (a, b) in enumerate(zip(*idx.members))
+        if a and b and lid not in idx.product
+    }
 
 
 def conformal_at(g1: EmbeddedGraph, g2: EmbeddedGraph, matched1, x: int) -> bool:

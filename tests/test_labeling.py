@@ -289,17 +289,14 @@ class TestLabelNodes:
 
     def test_degree_above_255_is_input_error(self):
         # Leaves first, so the centre's id (256) is not its kernel-local id.
-        # Depths 0 and 1 build no kernel; the check must hold there too.
+        # Depths 0 and 1 build no kernel; the check must hold there too,
+        # and at every depth labeling can start from.
         rotation = [(256,)] * 256 + [tuple(range(256))]
         g = EmbeddedGraph(tuple(rotation), d_max=300)
-        for label in (
-            lambda: label_nodes(g, 0),
-            lambda: label_nodes(g, 1),
-            lambda: label_nodes(g, 2),
-            lambda: next(labels_by_depth(g)),
-        ):
-            with pytest.raises(InputError, match="vertex 256 has degree 256"):
-                label()
+        for k in range(4):
+            for label in (lambda: label_nodes(g, k), lambda: next(labels_by_depth(g, k))):
+                with pytest.raises(InputError, match="vertex 256 has degree 256"):
+                    label()
 
 
 def labels_grown_to(g, k):
@@ -444,3 +441,55 @@ class TestDepthOne:
         firsts = [depth_one_at(g.rotation, v, memo) for v in range(3)]
         assert memo == {bytes((2,)): firsts[0], bytes((1, 1)): firsts[1]}
         assert firsts[0] is firsts[2]
+
+
+class TestStartDepth:
+    """``labels_by_depth(g, k)`` starts where ``labels_by_depth(g)`` gets to
+    by k, whether k is below, at or past depth 1."""
+
+    GRAPHS = st.one_of(scattered_graphs(), tied_and_single_graphs())
+
+    @given(GRAPHS, st.integers(0, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_first_yield(self, g, k):
+        want = [reference_label(g, v, k) for v in range(g.vertex_count)]
+        assert tuples(next(labels_by_depth(g, k))) == want
+        if k:
+            assert labels_grown_to(g, k) == want
+
+    @given(GRAPHS, st.integers(0, 6), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_same_sends_give_the_same_lists(self, g, k, rnd):
+        # From k >= 2 directly, and from depth 1 moved on to k with next,
+        # the same random keep-sets give the same lists; from k = 0 and 1
+        # the lists are those of label_nodes, cut to the live vertices.
+        started = labels_by_depth(g, k)
+        got = next(started)
+        grown = None
+        if k >= 2:
+            grown = labels_by_depth(g)
+            for _ in range(k):
+                want = next(grown)
+            assert got == want
+        alive = set(range(g.vertex_count))
+        for depth in range(k, k + 4):
+            labels = label_nodes(g, depth)[1]
+            assert got == [lab if v in alive else None for v, lab in enumerate(labels)]
+            keep = {lab for lab in sorted(set(filter(None, got))) if rnd.random() < 0.7}
+            alive = {v for v in alive if labels[v] in keep}
+            got = started.send(keep)
+            if grown is not None:
+                assert got == grown.send(keep)
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_last_depth_holds_no_kernel(self, k):
+        # At ``last`` the kernel, if one was built, is freed before the
+        # labels are yielded, and past it the labels end.
+        g = grid(5, 5)
+        depths = labels_by_depth(g, k, last=k + 1)
+        assert next(depths) == label_nodes(g, k)[1]
+        assert depths.send(None) == label_nodes(g, k + 1)[1]
+        assert "kernel" not in depths.gi_frame.f_locals
+        if k + 1 >= 2:
+            with pytest.raises(StopIteration):
+                depths.send(None)

@@ -34,6 +34,7 @@ from conftest import (
     random_graph,
     rebuilt_index,
     reference_admissible,
+    retired_labels,
 )
 
 
@@ -709,9 +710,8 @@ def rebuilt_state_index(idx, state, k):
     mt1, _ = label_nodes(state.g1, k)
     mt2, _ = label_nodes(state.g2, k)
     matched = (state.matched1, state.matched2)
-    retired = {idx.labels[lid] for lid in idx.retired}
     return rebuilt_index(
-        mt1, mt2, lambda side, v: matched[side][v] is None, retired, idx.max_product
+        mt1, mt2, lambda side, v: matched[side][v] is None, retired_labels(idx), idx.max_product
     )
 
 

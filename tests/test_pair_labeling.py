@@ -51,11 +51,22 @@ def with_stray_edges(g, count):
     return EmbeddedGraph(g.rotation + tuple(extra))
 
 
-def until_killed(g, k):
-    """A labeling job that never replies: a forked worker's table could
+def until_killed(*args):
+    """A labeling job that never replies: a forked worker's labels could
     otherwise be sent before the worker is killed."""
     signal.pause()
     yield
+
+
+def in_worker(monkeypatch, job):
+    """Have a labeling worker run the generator function ``job`` in place
+    of ``labels_by_depth``; this process still runs the real one."""
+    real, parent = labeling.labels_by_depth, os.getpid()
+
+    def depths(*args, **kwargs):
+        return (real if os.getpid() == parent else job)(*args, **kwargs)
+
+    monkeypatch.setattr(labeling, "labels_by_depth", depths)
 
 
 def tables(g1, g2, k):
@@ -132,18 +143,17 @@ class TestWorkerEnds:
         g1, g2 = (with_stray_edges(g, 2) for g in snapshot_pair(0))
         with forced_worker() as started:
 
-            def depths(g):
+            def depths(*args, **kwargs):
                 # Kill the worker while this process grows its own labels
-                # to k = 2.  The worker runs this too, with no child of its
-                # own to kill.
-                inner = labels_by_depth(g)
+                # to k = 2.
+                inner = labels_by_depth(*args, **kwargs)
                 keep = yield next(inner)
                 for child in started:
                     child.kill()
                 while True:
                     keep = yield inner.send(keep)
 
-            monkeypatch.setattr(labeling, "labels_by_depth", depths)
+            monkeypatch.setattr(seed_index, "labels_by_depth", depths)
             with pytest.raises(InternalError, match="exit status -9"):
                 auto_tune_k(g1, g2, 1, 4)
         assert len(started) == 1
@@ -305,15 +315,15 @@ class TestPairWorker:
         _, _, p1, p2 = snapshot_files
         with forced_worker() as started:
             h1, h2 = load_pair(p1, p2)
-            monkeypatch.setattr(labeling, "label_replies", until_killed)
+            in_worker(monkeypatch, until_killed)
             if tune:
-                real = seed_index.counts_by_depth
+                real = seed_index.labels_by_depth
 
-                def counts_after_kill(g):
+                def labels_after_kill(*args, **kwargs):
                     started[-1].kill()
-                    yield from real(g)
+                    yield from real(*args, **kwargs)
 
-                monkeypatch.setattr(seed_index, "counts_by_depth", counts_after_kill)
+                monkeypatch.setattr(seed_index, "labels_by_depth", labels_after_kill)
             else:
 
                 def label_after_kill(g, k):
@@ -412,13 +422,15 @@ def _malformed(side):
 
 
 def _second_labeling_error(paths, tmp_path, monkeypatch, started):
-    # Only g2's labeling fails, in the worker, which calls labeling's own
-    # label_nodes; g1's goes through seed_index's.  (A bad --k is refused
+    # Only g2's labeling fails, in the worker.  (A bad --k is refused
     # before any file is read, so it cannot reach the worker.)
-    def refuse(g, k):
+    def refuse(*args):
+        # A generator, so the error comes at its first reply, as it would
+        # from the real job.
         raise InputError("g2 cannot be labeled")
+        yield
 
-    monkeypatch.setattr(labeling, "label_nodes", refuse)
+    in_worker(monkeypatch, refuse)
 
 
 def _killed(paths, tmp_path, monkeypatch, started):
@@ -427,7 +439,7 @@ def _killed(paths, tmp_path, monkeypatch, started):
         return label_nodes(g, k)
 
     monkeypatch.setattr(seed_index, "label_nodes", label_after_kill)
-    monkeypatch.setattr(labeling, "label_replies", until_killed)
+    in_worker(monkeypatch, until_killed)
 
 
 def _interrupted(module, name):
