@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from collections import deque
 
@@ -103,6 +104,57 @@ class TestGenIrregularGrid:
             f"rows x cols = {rows * cols} is above the limit of {MAX_VERTICES} vertices"
         )
         assert peak < 1 << 20
+
+
+# sha256 of emit_erg(g1), of emit_erg(g2) and of the sorted truth mapping,
+# recorded before the generator's internals were rewritten for speed: any
+# change to a draw, a rotation or the ERG text shows here.  The last set is
+# the ``irregular-k4-40k`` benchmark recipe.
+PINNED_OUTPUT = [
+    (
+        (20, 20, 0.0, 3), (0.05, 0.05, 0.05, 4),
+        "c7e375370d217cadbf412c2927c2e26236895b6a2b40c2c344686b799ffbe478",
+        "1d629d66fcf39bc928766d1e351ad0e7011c9b79e99e05ca1a4a1ac0efc0ae56",
+        "7e29e96f04f0ac4c66b9d5f47e30ed8bdebb8d0f7648a72ca8711b118578a96a",
+    ),
+    (
+        (30, 30, 0.03, 5), (0.02, 0.0, 0.01, 6),
+        "4c3b45a5d618a7dd4d2941f71b086b4b39897d4288cada5cd55a0b07df562ae1",
+        "1e958c9e0a7a637215126db686af5a5d24617ffb3a607e4255e4f0cbc6b2bb0c",
+        "3e0d698280af53493098481969f37b9bf0616d63987c1d3bb87fd35e5dcbb75e",
+    ),
+    (
+        (17, 41, 0.15, 7), (0.1, 0.1, 0.1, 8),
+        "0eb183f65dcb8f256ced88d72b0ba6766a373d1246d1ad40f5470e51b8c03f21",
+        "de0c42119e599958ba9db33af598041aba95d8f27c7b705bc5a236278c2a88bc",
+        "ee133fce13bed3f73d039bf7285b20f316b69afca781d87f056eea00769f67b4",
+    ),
+    (
+        (25, 25, 1.0, 11), (0.5, 0.5, 0.5, 12),
+        "3294774234cf045118a839a5b7e7f81b02b30d3a6889d6eabe6920dab296c5e3",
+        "21c542ef7acf462635f86d89e35b73f18c41ce7d51834c39db788b9949c2e84d",
+        "3c41d6ca53e293a1e6de09a752ed05d0bce6731c5f3f0d0711141a7d58c4a0a2",
+    ),
+    (
+        (200, 200, 0.15, 9), (0.02, 0.0, 0.01, 10),
+        "096e8f2ef08bfa6e549bae16a5661d0c52f8cf0d5098206629a4f5b60af35f9c",
+        "3c59fe410794d9d984ada6892d434a14641a6f2cf9f3bc70556635bd581ce085",
+        "c5ed04a2a460fcb134d0beef6254ddf5fde9a6a6c59ac5557a960f55ecd89ea5",
+    ),
+]
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("gen_args, perturb_args, g1_sha, g2_sha, truth_sha", PINNED_OUTPUT)
+def test_pinned_output(gen_args, perturb_args, g1_sha, g2_sha, truth_sha):
+    g1 = gen_irregular_grid(*gen_args)
+    g2, gt = perturb(g1, *perturb_args)
+    assert sha256(emit_erg(g1)) == g1_sha
+    assert sha256(emit_erg(g2)) == g2_sha
+    assert sha256(repr(sorted(gt.mapping.items()))) == truth_sha
 
 
 class TestPerturb:
