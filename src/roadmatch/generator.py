@@ -6,6 +6,15 @@ irregularity breaks the lattice symmetry so depth-k labels become nearly
 unique, which is the regime the matching pipeline assumes.  Perturbation
 produces an evolved snapshot together with the surviving-vertex
 correspondence, so matching quality can be scored without geometry.
+
+Rotations: every edge of a generated grid is one of the eight lattice
+steps, so ``gen_irregular_grid`` lists each vertex's steps in compass
+order (``COMPASS_STEPS``), which is the clockwise bearing order that
+``ingest.rotation_from_coords`` would give.  ``perturb`` derives every
+rotation from the coordinates with ``rotation_from_coords``, since a
+parent read from a file may store rotations that do not follow them.
+Both keep their adjacency in flat integer structures (a byte of step
+bits per vertex, a list per survivor), not a set or tuple per edge.
 """
 
 from __future__ import annotations
@@ -20,24 +29,12 @@ from .ingest import MAX_VERTICES, rotation_from_coords
 GRID_SPACING_DEG = 0.01
 MAX_ROAD_DEGREE = 8
 
-
-def _spanning_tree_edges(n: int, adj: list[set[int]], rng: random.Random) -> set[frozenset]:
-    tree: set[frozenset] = set()
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        nbrs = sorted(adj[v])
-        rng.shuffle(nbrs)
-        for u in nbrs:
-            if not seen[u]:
-                seen[u] = True
-                tree.add(frozenset((v, u)))
-                stack.append(u)
-    if not all(seen):
-        raise InputError("base grid unexpectedly disconnected")
-    return tree
+# The eight lattice steps as (row, column) deltas in compass order, clockwise
+# from north: N, NE, E, SE, S, SW, W, NW.  Latitude grows with the row and
+# longitude with the column, so this is also the order of their bearings
+# (0, about 45, 90, ..., about 315 degrees).  Step d's reverse is d ^ 4.
+COMPASS_STEPS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
+_N, _NE, _E, _SE, _S, _SW, _W, _NW = (1 << d for d in range(8))
 
 
 def gen_irregular_grid(
@@ -48,8 +45,8 @@ def gen_irregular_grid(
     ``irregularity`` is the fraction of cells receiving a diagonal and
     (halved) the fraction of base edges removed.  Removal candidates are
     restricted to non-spanning-tree edges, so the result is connected by
-    construction.  Rotations are derived from lattice coordinates, so
-    maximum degree stays at most 8.
+    construction.  Every edge is a lattice step, so maximum degree stays at
+    most 8 and each rotation lists the steps in compass order.
     """
     if rows < 2 or cols < 2:
         raise InputError("rows and cols must be >= 2")
@@ -63,46 +60,93 @@ def gen_irregular_grid(
     rng = random.Random(rng_seed)
     n = rows * cols
 
-    def vid(r, c):
-        return r * cols + c
+    # Vertex r * cols + c sits at (c, r) grid spacings.  Its edges are a
+    # byte of step bits: bit d is set when the step COMPASS_STEPS[d] leads
+    # to a neighbour.  Step d adds offsets[d] to the vertex id.
+    offsets = [dr * cols + dc for dr, dc in COMPASS_STEPS]
+    lons = [c * GRID_SPACING_DEG for c in range(cols)]
+    lats = [r * GRID_SPACING_DEG for r in range(rows)]
+    coords = [(lon, lat) for lat in lats for lon in lons]
+    # The base lattice: each vertex's N, E, S and W neighbours, where the
+    # grid has them.
+    inner = _N | _E | _S | _W
+    steps = bytearray([inner]) * n
+    steps[:cols] = bytes([inner & ~_S]) * cols
+    steps[-cols:] = bytes([inner & ~_N]) * cols
+    steps[::cols] = bytes(b & ~_W for b in steps[::cols])
+    steps[cols - 1 :: cols] = bytes(b & ~_E for b in steps[cols - 1 :: cols])
 
-    coords = [
-        (c * GRID_SPACING_DEG, r * GRID_SPACING_DEG)
-        for r in range(rows)
-        for c in range(cols)
-    ]
-    base_edges = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                base_edges.append((vid(r, c), vid(r, c + 1)))
-            if r + 1 < rows:
-                base_edges.append((vid(r, c), vid(r + 1, c)))
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in base_edges:
-        adj[u].add(v)
-        adj[v].add(u)
-
-    cells = [(r, c) for r in range(rows - 1) for c in range(cols - 1)]
-    n_diag = round(irregularity * len(cells))
-    for r, c in rng.sample(cells, n_diag):
+    # A diagonal per sampled cell, NE from its south-west corner or NW from
+    # its south-east one.  A vertex has at most eight lattice neighbours, so
+    # no diagonal can exceed MAX_ROAD_DEGREE.
+    n_cells = (rows - 1) * (cols - 1)
+    for cell in rng.sample(range(n_cells), round(irregularity * n_cells)):
+        r, c = divmod(cell, cols - 1)
+        v = r * cols + c
         if rng.random() < 0.5:
-            u, v = vid(r, c), vid(r + 1, c + 1)
+            steps[v] |= _NE
+            steps[v + cols + 1] |= _SW
         else:
-            u, v = vid(r, c + 1), vid(r + 1, c)
-        if len(adj[u]) < MAX_ROAD_DEGREE and len(adj[v]) < MAX_ROAD_DEGREE:
-            adj[u].add(v)
-            adj[v].add(u)
+            steps[v + 1] |= _NW
+            steps[v + cols] |= _SE
 
-    tree = _spanning_tree_edges(n, adj, rng)
-    removable = [e for e in base_edges if frozenset(e) not in tree]
-    n_remove = min(round(irregularity * len(base_edges) / 2), len(removable))
-    for u, v in rng.sample(removable, n_remove):
-        adj[u].discard(v)
-        adj[v].discard(u)
+    tree = _spanning_tree(steps, offsets, rng)
 
-    rotation = rotation_from_coords(coords, adj)
+    # Base edges are keyed 2v (east of v) and 2v + 1 (north of v), so the
+    # keys ascend in the order the lattice lists them.
+    n_base = rows * (cols - 1) + (rows - 1) * cols
+    removable = [
+        key
+        for v, bits in enumerate(steps)
+        for key, bit in ((2 * v, _E), (2 * v + 1, _N))
+        if bits & bit and not tree[v] & bit
+    ]
+    n_remove = min(round(irregularity * n_base / 2), len(removable))
+    for key in rng.sample(removable, n_remove):
+        v, north = divmod(key, 2)
+        if north:
+            steps[v] &= ~_N
+            steps[v + cols] &= ~_S
+        else:
+            steps[v] &= ~_E
+            steps[v + 1] &= ~_W
+
+    in_compass = [
+        tuple(offsets[d] for d in range(8) if bits >> d & 1) for bits in range(256)
+    ]
+    ids = list(range(n))  # one int object per id, shared by every rotation
+    rotation = [tuple([ids[v + o] for o in in_compass[bits]]) for v, bits in enumerate(steps)]
     return EmbeddedGraph(rotation, tuple(coords))
+
+
+def _spanning_tree(steps: bytearray, offsets: list[int], rng: random.Random) -> bytearray:
+    """Step bits of a random depth-first spanning tree from vertex 0.
+
+    Each vertex's neighbours are listed in ascending id order and shuffled.
+    A shuffle's draws depend on the list's length only, so shuffling the
+    (offset, step) pairs draws what shuffling the ids would.
+    """
+    by_id = [
+        sorted((offsets[d], d) for d in range(8) if bits >> d & 1) for bits in range(256)
+    ]
+    tree = bytearray(len(steps))
+    seen = bytearray(len(steps))
+    seen[0] = 1
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        nbrs = by_id[steps[v]][:]
+        rng.shuffle(nbrs)
+        for off, d in nbrs:
+            u = v + off
+            if not seen[u]:
+                seen[u] = 1
+                tree[v] |= 1 << d
+                tree[u] |= 1 << (d ^ 4)
+                stack.append(u)
+    if 0 in seen:
+        raise InputError("base grid unexpectedly disconnected")
+    return tree
 
 
 @dataclass
@@ -139,22 +183,32 @@ def perturb(
         raise InputError("perturb requires coordinates on every vertex")
     rng = random.Random(rng_seed)
     n = g.vertex_count
-    edges = sorted({tuple(sorted((u, v))) for u in range(n) for v in g.rotation[u]})
-    m = len(edges)
+    m = sum(map(len, g.rotation)) // 2
 
     removed_vertices = set(rng.sample(range(n), int(remove_vertex_frac * n)))
     survivors = [v for v in range(n) if v not in removed_vertices]
-    new_id = {v: i for i, v in enumerate(survivors)}
+    new_id = [-1] * n
+    for i, v in enumerate(survivors):
+        new_id[v] = i
 
-    surviving = [e for e in edges if e[0] not in removed_vertices and e[1] not in removed_vertices]
-    n_rm = min(int(remove_edge_frac * m), len(surviving))
-    dropped = set(rng.sample(range(len(surviving)), n_rm))
-    kept = [e for i, e in enumerate(surviving) if i not in dropped]
-
-    adj: list[set[int]] = [set() for _ in survivors]
-    for u, v in kept:
-        adj[new_id[u]].add(new_id[v])
-        adj[new_id[v]].add(new_id[u])
+    # Edges whose ends both survive are numbered in ascending (u, v) order,
+    # u < v, and the sampled numbers are dropped.  The others are counted
+    # from a removed end, the lower one when both ends go.
+    n_lost = sum(1 for r in removed_vertices for u in g.rotation[r] if new_id[u] >= 0 or r < u)
+    n_surviving = m - n_lost
+    n_rm = min(int(remove_edge_frac * m), n_surviving)
+    dropped = set(rng.sample(range(n_surviving), n_rm))
+    adj: list[list[int]] = [[] for _ in survivors]
+    i = 0
+    for u in survivors:
+        a = new_id[u]
+        for v in sorted(g.rotation[u]):
+            b = new_id[v]
+            if v > u and b >= 0:
+                if i not in dropped:
+                    adj[a].append(b)
+                    adj[b].append(a)
+                i += 1
 
     n_add = int(add_edge_frac * m)
     attempts = 0
@@ -168,12 +222,13 @@ def perturb(
             continue
         if len(adj[u]) >= MAX_ROAD_DEGREE or len(adj[v]) >= MAX_ROAD_DEGREE:
             continue
-        adj[u].add(v)
-        adj[v].add(u)
+        adj[u].append(v)
+        adj[v].append(u)
         added += 1
 
     coords = tuple(g.coords[v] for v in survivors)
     rotation = rotation_from_coords(coords, adj)
+    del adj  # freed before the graph copies its coordinates
     evolved = EmbeddedGraph(rotation, coords, d_max=g.d_max)
     return evolved, GroundTruth({v: new_id[v] for v in survivors})
 

@@ -154,12 +154,8 @@ def emit_erg(g: EmbeddedGraph) -> str:
     """Deterministic inverse of parse_erg: vertices ascending, rotations as stored."""
     lines = [ERG_HEADER, f"n {g.vertex_count}"]
     if g.coords is not None:
-        for v, c in enumerate(g.coords):
-            if c is not None:
-                lines.append(f"v {v} {c[0]!r} {c[1]!r}")
-    for v, rot in enumerate(g.rotation):
-        if rot:
-            lines.append("a " + " ".join(str(x) for x in (v, *rot)))
+        lines += [f"v {v} {c[0]!r} {c[1]!r}" for v, c in enumerate(g.coords) if c is not None]
+    lines += [f"a {v} {' '.join(map(str, rot))}" for v, rot in enumerate(g.rotation) if rot]
     return "\n".join(lines) + "\n"
 
 
@@ -214,11 +210,13 @@ def rotation_from_coords(coords, neighbor_lists) -> tuple[tuple[int, ...], ...]:
     """Sort each vertex's neighbors by compass bearing (clockwise from north).
 
     Bearing ties break by ascending neighbor id so construction stays
-    deterministic.
+    deterministic.  ``bearing_degrees`` is called once per dart.
     """
     rotation = []
     for src, nbrs in zip(coords, neighbor_lists):
-        rotation.append(tuple(sorted(nbrs, key=lambda u: (bearing_degrees(src, coords[u]), u))))
+        darts = [(bearing_degrees(src, coords[u]), u) for u in nbrs]
+        darts.sort()
+        rotation.append(tuple([dart[1] for dart in darts]))
     return tuple(rotation)
 
 

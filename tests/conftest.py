@@ -297,6 +297,15 @@ def edge_count(g: EmbeddedGraph) -> int:
     return sum(map(len, g.rotation)) // 2
 
 
+def reference_rotation_from_coords(coords, neighbor_lists):
+    """Each vertex's neighbours sorted by (bearing, id), the sort key built
+    per neighbour; the reference for ``ingest.rotation_from_coords``."""
+    return tuple(
+        tuple(sorted(nbrs, key=lambda u: (ingest.bearing_degrees(src, coords[u]), u)))
+        for src, nbrs in zip(coords, neighbor_lists)
+    )
+
+
 def rebuilt_index(mt1, mt2, keep, retired_labels, max_product) -> SeedIndex:
     """A fresh index over the vertices v of side s where keep(s, v) holds,
     with every label in retired_labels retired; mt1 and mt2 are whole

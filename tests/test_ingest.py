@@ -4,7 +4,7 @@ import tempfile
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roadmatch import ingest
@@ -21,6 +21,7 @@ from roadmatch.ingest import (
     load_pair,
     parse_erg,
     parse_segments,
+    rotation_from_coords,
 )
 
 from conftest import (
@@ -28,6 +29,7 @@ from conftest import (
     edge_count,
     embedded_graphs,
     forced_worker,
+    reference_rotation_from_coords,
     segments_text,
 )
 
@@ -246,6 +248,46 @@ class TestBuildFromSegments:
         assert build_graph_from_segments(moved).rotation == (
             build_graph_from_segments(segments).rotation
         )
+
+
+@st.composite
+def neighbourhoods(draw):
+    """(coords, neighbour lists): points at whole degrees either side of
+    the antimeridian, in a box small enough that many neighbours of a
+    vertex lie on one ray from it, and for each vertex any other vertices
+    as its neighbours, in any order."""
+    lons = list(range(176, 180)) + list(range(-180, -176))
+    points = st.tuples(st.sampled_from(lons), st.integers(-2, 2)).map(
+        lambda p: (float(p[0]), float(p[1]))
+    )
+    coords = draw(st.lists(points, min_size=1, max_size=10))
+    ids = range(len(coords))
+    nbrs = []
+    for v in ids:
+        others = draw(st.permutations([u for u in ids if u != v]))
+        nbrs.append(others[: draw(st.integers(0, len(others)))])
+    return coords, nbrs
+
+
+class TestRotationFromCoords:
+    @given(neighbourhoods())
+    @example(
+        # Vertex 0's neighbours 4, 1 and 2 lie due east of it on one ray,
+        # 1 and 2 across the antimeridian, so they go by id; 3 lies
+        # north-east.
+        ([(179.0, 0.0), (-179.0, 0.0), (-178.0, 0.0), (-179.0, 2.0), (180.0, 0.0)],
+         [[4, 3, 2, 1], [], [], [], []]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, case):
+        coords, nbrs = case
+        assert rotation_from_coords(coords, nbrs) == reference_rotation_from_coords(coords, nbrs)
+
+    def test_equal_bearings_break_by_id(self):
+        coords = [(0.0, 0.0), (2.0, 2.0), (1.0, 1.0), (0.0, 1.0), (-179.0, 0.0), (179.0, 0.0)]
+        assert rotation_from_coords(coords, [[4, 2, 1, 3], [], [], [], [], []])[0] == (3, 1, 2, 4)
+        # Across the antimeridian, due east and due west of vertex 5.
+        assert rotation_from_coords(coords, [[], [], [], [], [], [0, 4]])[5] == (4, 0)
 
 
 # --- malformed input ----------------------------------------------------
