@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable
 
 from .errors import ConfigurationError, InputError
 from .generator import check_fractions, gen_irregular_grid, perturb
-from .ingest import emit_erg, load_graph, load_pair
+from .ingest import erg_lines, load_graph, load_pair
 from .labeling import DEFAULT_K, check_k, label_nodes
 from .matcher import MatchResult, check_match_args, match
 from .metrics import (
@@ -44,11 +45,17 @@ def _add_format(p):
 
 
 def _write(path: str | None, text: str) -> None:
+    _write_lines(path, (text,))
+
+
+def _write_lines(path: str | None, lines: Iterable[str]) -> None:
+    """Write the strings ``lines`` to the file at path, or to stdout for
+    None or "-", each as it comes."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
 
 
 def format_matching(result: MatchResult) -> str:
@@ -136,7 +143,7 @@ def _check_flags(args) -> None:
 
 def _cmd_gen(args) -> int:
     g = gen_irregular_grid(args.rows, args.cols, args.irregularity, args.rng_seed)
-    _write(args.output, emit_erg(g))
+    _write_lines(args.output, erg_lines(g))
     return 0
 
 
@@ -145,7 +152,7 @@ def _cmd_perturb(args) -> int:
     evolved, gt = perturb(
         g, args.remove_vertices, args.remove_edges, args.add_edges, args.rng_seed
     )
-    _write(args.output, emit_erg(evolved))
+    _write_lines(args.output, erg_lines(evolved))
     if args.truth:
         lines = [f"t {old} {new}" for old, new in sorted(gt.mapping.items())]
         _write(args.truth, "\n".join(lines) + "\n")

@@ -15,6 +15,13 @@ a segment file's are dropped once they have given the rotations).
 ``match``, ``tune-k``, ``oracle`` and ``label`` read without them;
 ``validate`` and ``perturb`` keep them.
 
+A parsed rotation system names each vertex id with one int object:
+reading a number makes a fresh int for every mention of a neighbour,
+and ``parse_erg`` keeps one per id instead, from a list that grows to
+the largest id the file names.  ``emit_erg``
+writes a graph back; ``erg_lines`` gives the same text a line at a
+time, for writers that need not hold it whole.
+
 ``load_pair`` reads the two snapshots of a pair.  When the second file
 holds at least ``PARSE_WORKER_MIN_BYTES`` and ``worker.job`` can fork (two
 usable CPUs among its conditions), a worker forked from this process
@@ -22,9 +29,11 @@ reads and parses the second file while this process parses the first,
 sends the graph back as ``load_graph`` would return it, so with no
 coordinates unless they are asked for, and is reaped as soon as it is
 received; otherwise both are parsed here, one after the other.  The
-graphs and the errors are the same either way: the first file's error
-wins, and the second file's is raised only once the first has parsed.
-Labeling is no part of it: a pair command labels the graphs it holds
+second graph's vertex ids are shared again here (``share_ids``), since
+unpickling makes an int for every mention.  The graphs and the errors
+are the same either way: the first file's error wins, and the second
+file's is raised only once the first has parsed.  Labeling is no part
+of it: a pair command labels the graphs it holds
 (``labeling.labeling_job``).
 """
 
@@ -34,6 +43,7 @@ import math
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import worker
 from .errors import InputError
@@ -69,12 +79,14 @@ def parse_erg(text: str, coords: bool = True) -> EmbeddedGraph:
     With ``coords`` false the graph has no coordinates, and none is stored
     while parsing, but the document is checked as it would be with them:
     each ``v`` line's id and numbers, then, after the rotation checks, the
-    coordinate rule (``graph.lonlat_ok``) at the lowest vertex id.
+    coordinate rule (``graph.lonlat_ok``) at the lowest vertex id.  Every
+    mention of a vertex id in the rotations is one int object.
     """
     n = None
     kept: dict[int, tuple[float, float]] = {}
     bad = None  # (id, (lon, lat)) of the lowest invalid coordinates not kept
     adjacency: dict[int, tuple[int, ...]] = {}
+    ids: list[int] = []  # ids[u] is u, the one int object the rotations use
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -124,10 +136,15 @@ def parse_erg(text: str, coords: bool = True) -> EmbeddedGraph:
                     raise InputError(f"line {lineno}: undeclared vertex {vid}")
                 if vid in adjacency:
                     raise InputError(f"line {lineno}: duplicate adjacency for vertex {vid}")
-                nbrs = tuple(int(p) for p in parts[2:])
-                for u in nbrs:
-                    if not 0 <= u < n:
+                nbrs = tuple(map(int, parts[2:]))
+                if nbrs:
+                    top = max(nbrs)
+                    if top >= n or min(nbrs) < 0:
+                        u = next(u for u in nbrs if not 0 <= u < n)
                         raise InputError(f"line {lineno}: undeclared vertex {u} in adjacency")
+                    if top >= len(ids):
+                        ids += range(len(ids), top + 1)
+                    nbrs = _picked(ids, nbrs)
                 adjacency[vid] = nbrs
             else:
                 raise InputError(f"line {lineno}: unknown record '{tag}'")
@@ -150,13 +167,39 @@ def parse_erg(text: str, coords: bool = True) -> EmbeddedGraph:
     return g
 
 
+def _picked(ids: list[int], nbrs: tuple[int, ...]) -> tuple[int, ...]:
+    """The items of ``ids`` at the positions nbrs, at least one, as a tuple."""
+    # One position would give its item bare rather than in a tuple.
+    return itemgetter(*nbrs)(ids) if len(nbrs) > 1 else (ids[nbrs[0]],)
+
+
+def share_ids(rotation: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The rotation system ``rotation`` with each vertex id one int object.
+
+    Unpickling makes a fresh int for every mention of a vertex, as
+    parsing would; shared, a vertex costs one int however many rotations
+    name it.  ``parse_erg`` shares its ids the same way as it reads them.
+    """
+    ids = list(range(len(rotation)))
+    return tuple([_picked(ids, rot) if rot else rot for rot in rotation])
+
+
+def erg_lines(g: EmbeddedGraph) -> Iterator[str]:
+    """The ERG document of g, a line at a time, each with its newline, so
+    that a writer never holds the whole document; ``emit_erg`` joins them."""
+    yield f"{ERG_HEADER}\nn {g.vertex_count}\n"
+    if g.coords is not None:
+        for v, c in enumerate(g.coords):
+            if c is not None:
+                yield f"v {v} {c[0]!r} {c[1]!r}\n"
+    for v, rot in enumerate(g.rotation):
+        if rot:
+            yield f"a {v} {' '.join(map(str, rot))}\n"
+
+
 def emit_erg(g: EmbeddedGraph) -> str:
     """Deterministic inverse of parse_erg: vertices ascending, rotations as stored."""
-    lines = [ERG_HEADER, f"n {g.vertex_count}"]
-    if g.coords is not None:
-        lines += [f"v {v} {c[0]!r} {c[1]!r}" for v, c in enumerate(g.coords) if c is not None]
-    lines += [f"a {v} {' '.join(map(str, rot))}" for v, rot in enumerate(g.rotation) if rot]
-    return "\n".join(lines) + "\n"
+    return "".join(erg_lines(g))
 
 
 # --- segment format -----------------------------------------------------
@@ -286,8 +329,9 @@ def load_pair(
     When the second file holds at least ``PARSE_WORKER_MIN_BYTES`` bytes,
     a worker process (when ``worker.job`` can fork one) reads and parses
     the second file while this one parses the first; it is killed and
-    reaped once its graph is received.  Errors are those of the two
-    ``load_graph`` calls made in order: the second file's ``InputError``
+    reaped once its graph is received.  Either way the second graph's
+    vertex ids are shared again (``share_ids``).  Errors are those of the
+    two ``load_graph`` calls made in order: the second file's ``InputError``
     or ``OSError`` is raised only once the first file has parsed cleanly.
     """
     try:
@@ -296,4 +340,7 @@ def load_pair(
         big = False  # parsing it raises the error, in order
     with worker.job(_snapshot_job, path2, fmt, coords, in_worker=big) as second:
         g1 = load_graph(path1, fmt, coords)
-        return g1, second.receive()
+        g2 = second.receive()
+    # From a worker, unpickling made an int for every mention of a vertex id.
+    g2.rotation = share_ids(g2.rotation)
+    return g1, g2

@@ -29,9 +29,11 @@ from conftest import (
     edge_count,
     embedded_graphs,
     forced_worker,
+    no_worker,
     reference_rotation_from_coords,
     segments_text,
 )
+from test_labeling import scattered_graphs
 
 TRIANGLE = """\
 ERG 1
@@ -136,6 +138,57 @@ class TestEmitErg:
             mp.setattr(ingest, "MAX_VERTICES", g.vertex_count - 1)
             with pytest.raises(InputError, match="line 2: .* above the limit"):
                 parse_erg(text)
+
+
+def shifted(g: EmbeddedGraph, shift: int) -> EmbeddedGraph:
+    """g with every vertex id raised by ``shift``, isolated vertices below:
+    ids past 256, which CPython does not keep one int object for."""
+    return EmbeddedGraph(((),) * shift + tuple(tuple(u + shift for u in rot) for rot in g.rotation))
+
+
+def assert_ids_shared(g: EmbeddedGraph) -> None:
+    """Every mention of a vertex id in g's rotation is the same int object."""
+    seen: dict[int, int] = {}
+    for rot in g.rotation:
+        for u in rot:
+            assert seen.setdefault(u, u) is u
+
+
+class TestSharedIds:
+    """A parsed graph names each vertex id with one int object, however it
+    reached this process."""
+
+    @given(scattered_graphs(), st.integers(300, 1000))
+    @settings(max_examples=30, deadline=None)
+    def test_parse_erg(self, g, shift):
+        g = shifted(g, shift)
+        for coords in (True, False):
+            got = parse_erg(emit_erg(g), coords)
+            assert got == g
+            assert_ids_shared(got)
+
+    @pytest.mark.usefixtures("deadline")
+    @given(scattered_graphs(), scattered_graphs(), st.integers(300, 1000), st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_load_pair(self, g1, g2, shift, in_worker):
+        graphs = shifted(g1, shift), shifted(g2, shift + 7)
+        with tempfile.TemporaryDirectory() as d:
+            paths = [os.path.join(d, name) for name in ("g1.erg", "g2.erg")]
+            for path, g in zip(paths, graphs):
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(emit_erg(g))
+            if in_worker:
+                with forced_worker() as started:
+                    got = load_pair(*paths)
+                assert len(started) == 1
+            else:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(os, "fork", no_worker)
+                    got = load_pair(*paths)
+        assert got == graphs
+        for g in got:
+            assert_ids_shared(g)
+        assert_no_children()
 
 
 class TestSegments:

@@ -70,8 +70,25 @@ def in_worker(monkeypatch, job):
 
 
 def tables(g1, g2, k):
-    """What ``label_pair(g1, g2, k)`` returns: the two master tables."""
-    return label_nodes(g1, k)[0], label_nodes(g2, k)[0]
+    """What ``label_pair(g1, g2, k)`` returns: the two master tables of
+    ``label_nodes``, cut to the labels present in both."""
+    mt1, mt2 = label_nodes(g1, k)[0], label_nodes(g2, k)[0]
+    return (
+        {lab: verts for lab, verts in mt1.items() if lab in mt2},
+        {lab: verts for lab, verts in mt2.items() if lab in mt1},
+    )
+
+
+def kill_first(started):
+    """A stand-in for ``seed_index.labels_by_depth`` that kills the last
+    worker started, then labels as the real one does."""
+    real = seed_index.labels_by_depth
+
+    def labels_after_kill(*args, **kwargs):
+        started[-1].kill()
+        yield from real(*args, **kwargs)
+
+    return labels_after_kill
 
 
 def snapshot_pair(seed, rows=6, cols=6):
@@ -81,12 +98,15 @@ def snapshot_pair(seed, rows=6, cols=6):
 
 
 class TestSameResults:
-    @given(scattered_graphs(), scattered_graphs(), st.integers(2, 5))
-    @settings(max_examples=25, deadline=None)
-    def test_label_pair_equals_label_nodes(self, g1, g2, k):
-        with forced_worker() as started:
+    @given(scattered_graphs(), scattered_graphs(), st.integers(0, 5), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_label_pair_equals_label_nodes(self, g1, g2, k, in_worker):
+        with forced_worker() as started, pytest.MonkeyPatch.context() as mp:
+            if not in_worker:
+                mp.setattr(os, "fork", no_fork)
             got = label_pair(g1, g2, k)
-        assert len(started) == 1 and started[0].returncode is not None
+        assert len(started) == in_worker
+        assert all(child.returncode is not None for child in started)
         assert got == tables(g1, g2, k)
 
     def test_label_pair_on_snapshots(self):
@@ -287,7 +307,11 @@ class TestPairWorker:
         # process's own labeling of g1 is stubbed so that g2's error is the
         # one raised.
         g1, g2, p1, p2 = snapshot_files
-        monkeypatch.setattr(seed_index, "label_nodes", lambda g, k: ({}, []))
+
+        def depths(g, k, last=None):
+            yield []
+
+        monkeypatch.setattr(seed_index, "labels_by_depth", depths)
         with pytest.raises(InputError) as in_process:
             label_pair(g1, g2, -1)
         with forced_worker() as started:
@@ -316,21 +340,7 @@ class TestPairWorker:
         with forced_worker() as started:
             h1, h2 = load_pair(p1, p2)
             in_worker(monkeypatch, until_killed)
-            if tune:
-                real = seed_index.labels_by_depth
-
-                def labels_after_kill(*args, **kwargs):
-                    started[-1].kill()
-                    yield from real(*args, **kwargs)
-
-                monkeypatch.setattr(seed_index, "labels_by_depth", labels_after_kill)
-            else:
-
-                def label_after_kill(g, k):
-                    started[-1].kill()
-                    return label_nodes(g, k)
-
-                monkeypatch.setattr(seed_index, "label_nodes", label_after_kill)
+            monkeypatch.setattr(seed_index, "labels_by_depth", kill_first(started))
             with pytest.raises(InternalError, match="exit status -9"):
                 if tune:
                     auto_tune_k(h1, h2, 1, 6)
@@ -434,17 +444,14 @@ def _second_labeling_error(paths, tmp_path, monkeypatch, started):
 
 
 def _killed(paths, tmp_path, monkeypatch, started):
-    def label_after_kill(g, k):
-        started[-1].kill()  # the labeling worker
-        return label_nodes(g, k)
-
-    monkeypatch.setattr(seed_index, "label_nodes", label_after_kill)
+    # The last worker started is the labeling worker.
+    monkeypatch.setattr(seed_index, "labels_by_depth", kill_first(started))
     in_worker(monkeypatch, until_killed)
 
 
 def _interrupted(module, name):
     def patch(paths, tmp_path, monkeypatch, started):
-        def interrupt(*args):
+        def interrupt(*args, **kwargs):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(module, name, interrupt)
@@ -461,7 +468,7 @@ def _interrupted(module, name):
         (_second_labeling_error, 1, 2),
         (_killed, InternalError, 2),
         (_interrupted(ingest, "load_graph"), KeyboardInterrupt, 1),
-        (_interrupted(seed_index, "label_nodes"), KeyboardInterrupt, 2),
+        (_interrupted(seed_index, "labels_by_depth"), KeyboardInterrupt, 2),
     ],
     ids=["normal", "first-malformed", "second-malformed", "second-labeling-error",
          "killed", "interrupt-first-parse", "interrupt-first-labeling"],

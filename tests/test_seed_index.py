@@ -272,14 +272,21 @@ class TestAutoTuneK:
         # The product stays 4 at every k, so k=1 is chosen after k=4 was
         # tried.  No index may be built over a product above the bound, so
         # the chosen k is not labeled again and the report has no tables.
-        def fail(*args):
-            raise AssertionError("labeled again after the scan")
+        # This process labels through one driver, started once for g1.
+        real, calls = seed_index.labels_by_depth, []
 
-        monkeypatch.setattr(seed_index, "label_nodes", fail)
+        def depths(*args, **kwargs):
+            calls.append(args)
+            if len(calls) > 1:
+                raise AssertionError("labeled again after the scan")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(seed_index, "labels_by_depth", depths)
         g = path_graph(3)
         report = auto_tune_k(g, g, 1, 4)
         assert not report.bounded and report.k == 1
         assert report.tables is None
+        assert len(calls) == 1
 
 
 def compatible_pairwise(labels1, labels2):
