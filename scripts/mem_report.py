@@ -17,11 +17,12 @@ through ``roadmatch.cli.dispatch``:
    takes a snapshot; no thread is started, so the match forks its
    workers as it does untraced, and they run untraced.
 
-The defaults are the recipe of the benchmark's ``irregular-k4-40k`` pair
-(a 200 x 200 grid, k = 4), without its random renumbering.  Usage:
+The pair is the recipe of the benchmark's ``irregular-k4-40k`` pair
+(by default its 200 x 200 grid, k = 4), without its random renumbering.
+Usage:
 
     PYTHONPATH=src python3 scripts/mem_report.py
-    PYTHONPATH=src python3 scripts/mem_report.py --rows 60 --cols 60 --top 5
+    PYTHONPATH=src python3 scripts/mem_report.py --rows 60 --cols 60
 """
 
 import argparse
@@ -36,6 +37,14 @@ import tracemalloc
 from roadmatch import cli, worker
 
 MIB = 1024 * 1024
+
+# The irregular-k4-40k recipe: the grid's irregularity and seed, the
+# perturbation's fractions (its seed is the next one), the match's flags.
+IRREGULARITY = 0.15
+REMOVE_VERTICES, ADD_EDGES = 0.02, 0.01
+RNG_SEED = 9
+MATCH_FLAGS = ["--k", "4", "--max-product", "4096"]
+TOP = 12  # allocation sites listed
 
 
 def maxrss_mb() -> float:
@@ -129,14 +138,6 @@ def main():
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--rows", type=int, default=200)
     ap.add_argument("--cols", type=int, default=200)
-    ap.add_argument("--irregularity", type=float, default=0.15)
-    ap.add_argument("--remove-vertices", type=float, default=0.02)
-    ap.add_argument("--add-edges", type=float, default=0.01)
-    ap.add_argument("--rng-seed", type=int, default=9,
-                    help="generator seed; perturb uses the next one")
-    ap.add_argument("--k", type=int, default=4)
-    ap.add_argument("--max-product", type=int, default=4096)
-    ap.add_argument("--top", type=int, default=12, help="allocation sites to list")
     args = ap.parse_args()
 
     # A forked worker runs untraced, as it does in a real run.
@@ -145,16 +146,15 @@ def main():
         p1, p2, out = (os.path.join(d, name) for name in ("g1.erg", "g2.erg", "m.txt"))
         roadmatch = [sys.executable, "-m", "roadmatch.cli"]
         subprocess.run([*roadmatch, "gen", "grid", "--rows", str(args.rows),
-                        "--cols", str(args.cols), "--irregularity", str(args.irregularity),
-                        "--rng-seed", str(args.rng_seed), "-o", p1], check=True)
+                        "--cols", str(args.cols), "--irregularity", str(IRREGULARITY),
+                        "--rng-seed", str(RNG_SEED), "-o", p1], check=True)
         subprocess.run([*roadmatch, "perturb", p1, "--remove-vertices",
-                        str(args.remove_vertices), "--add-edges", str(args.add_edges),
-                        "--rng-seed", str(args.rng_seed + 1), "-o", p2], check=True)
-        flags = ["--k", str(args.k), "--max-product", str(args.max_product)]
-        argv = ["match", p1, p2, *flags, "-o", out]
+                        str(REMOVE_VERTICES), "--add-edges", str(ADD_EDGES),
+                        "--rng-seed", str(RNG_SEED + 1), "-o", p2], check=True)
+        argv = ["match", p1, p2, *MATCH_FLAGS, "-o", out]
         print(f"pair: {args.rows} x {args.cols} grid, files of "
               f"{os.path.getsize(p1) / MIB:.2f} and {os.path.getsize(p2) / MIB:.2f} MiB")
-        print(f"match: {' '.join(flags)}")
+        print(f"match: {' '.join(MATCH_FLAGS)}")
 
         before = maxrss_mb()
         with WorkerPeaks() as workers:
@@ -179,8 +179,8 @@ def main():
         tracemalloc.Filter(False, tracemalloc.__file__),
         tracemalloc.Filter(False, "<frozen importlib._bootstrap*>"),
     ])
-    print(f"top {args.top} allocation sites in that snapshot:")
-    for stat in snapshot.statistics("lineno")[: args.top]:
+    print(f"top {TOP} allocation sites in that snapshot:")
+    for stat in snapshot.statistics("lineno")[:TOP]:
         print(f"  {stat.size / MIB:7.2f} MiB {stat.count:9d} blocks  {site(stat)}")
 
 

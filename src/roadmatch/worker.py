@@ -57,6 +57,8 @@ def usable_cpus() -> int:
 class _InProcess:
     """Runs the job in this process, a reply at a time, when it is asked."""
 
+    forked = False
+
     def __init__(self, replies: Iterator):
         self._replies = replies
         self._command = None
@@ -75,6 +77,8 @@ class _Worker:
     """The job in a forked child, spoken to through pickles on two pipes.
     ``close`` kills and reaps the child: by then it has sent all it was
     asked for, or it is not wanted any more."""
+
+    forked = True
 
     def __init__(self, func: Callable[..., Iterator], args: tuple):
         self._name = f"{func.__module__}.{func.__qualname__}"
@@ -186,9 +190,10 @@ def job(func: Callable[..., Iterator], *args, in_worker: bool):
     other conditions above hold; yields its peer.
 
     ``peer.receive()`` returns the job's next reply and ``peer.send(command)``
-    passes the command the job gets back from its next ``yield``.  Start the
-    job, do this process's own work, then receive: the two run at the same
-    time.  Without a worker, or when no child can be forked, the job runs in
+    passes the command the job gets back from its next ``yield``;
+    ``peer.forked`` tells whether a child runs the job, so that every
+    reply is a copy unpickled here.  Start the job, do this process's own
+    work, then receive: the two run at the same time.  Without a worker, or when no child can be forked, the job runs in
     this process as its replies are received, with the same results.
     """
     peer = None
