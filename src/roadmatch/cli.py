@@ -17,7 +17,7 @@ from collections.abc import Iterable
 
 from .errors import ConfigurationError, InputError
 from .generator import check_fractions, gen_irregular_grid, perturb
-from .ingest import erg_lines, load_graph, load_pair
+from .ingest import erg_lines, load_graph, load_pair, read_utf8
 from .labeling import DEFAULT_K, check_k, label_nodes
 from .matcher import MatchResult, check_match_args, match
 from .metrics import (
@@ -248,13 +248,11 @@ def _cmd_validate(args) -> int:
     # Before anything is labeled or printed.
     if args.hist and (g1.coords is None or g2.coords is None):
         raise InputError("histogram requires coordinates on both graphs")
-    with open(args.matching, encoding="utf-8") as fh:
-        pairs, _, _, stats = parse_matching(fh.read())
+    pairs, _, _, stats = parse_matching(read_utf8(args.matching))
     _check_pairs(pairs, g1.vertex_count, g2.vertex_count)
     # Score the labeling the matching was made with unless told otherwise.
     k = args.k if args.k is not None else int(stats.get("k", DEFAULT_K))
-    mt1, mt2 = label_pair(g1, g2, k)
-    ratio = approximation_ratio(mt1, mt2, g1.vertex_count, g2.vertex_count)
+    ratio = approximation_ratio(*label_pair(g1, g2, k))
     print(f"approximation_ratio: {ratio:.4f}")
     if g1.coords is not None and g2.coords is not None:
         rep = threshold_ratio(pairs, g1.coords, g2.coords, args.threshold_miles)

@@ -5,7 +5,8 @@ the rotation system verbatim, and a geographic segment format from which
 rotations are derived by clockwise bearing sort.  Polyline inputs are first
 collapsed to their endpoints so curved roads do not introduce chains of
 degree-2 vertices.  A file must be UTF-8 text; any other is an
-``InputError`` naming the file.
+``InputError`` naming the file and the byte (``read_utf8``, which also
+reads matching files).  One leading byte-order mark is dropped.
 
 Matching is topological, so most commands never read a coordinate.  The
 readers take ``coords``: when it is false, every coordinate is still
@@ -296,14 +297,23 @@ def build_graph_from_segments(s: SegmentSet) -> EmbeddedGraph:
     return EmbeddedGraph(rotation, tuple(coords))
 
 
-def load_graph(path: str, fmt: str = "erg", coords: bool = True) -> EmbeddedGraph:
-    """The graph in the file at path, in format fmt, with its coordinates
-    only if ``coords``; the same InputError either way."""
+def read_utf8(path: str) -> str:
+    """The text of the file at path without one leading byte-order mark;
+    InputError naming the file and the offset of the first byte that is
+    not UTF-8, counted from the start of the file, a mark included."""
     with open(path, "rb") as fh:
-        try:
-            text = fh.read().decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise InputError(f"{path}: not UTF-8 text at byte {e.start}") from None
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 text at byte {e.start}") from None
+    return text.removeprefix("\ufeff")
+
+
+def load_graph(path: str, fmt: str = "erg", coords: bool = True) -> EmbeddedGraph:
+    """The graph in the file at path (``read_utf8``), in format fmt, with
+    its coordinates only if ``coords``; the same InputError either way."""
+    text = read_utf8(path)
     if fmt == "erg":
         return parse_erg(text, coords)
     if fmt == "segments":

@@ -77,7 +77,7 @@ a keep-set.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Generator, Iterable, MutableSequence, Sequence
+from collections.abc import Generator, MutableSequence, Sequence
 from itertools import accumulate, count, islice
 from operator import itemgetter
 
@@ -326,15 +326,6 @@ def check_k(k: int) -> None:
         raise InputError(f"label depth k must be >= 0, got {k}")
 
 
-def master_table(labels: Iterable[tuple[int, Label]]) -> MasterTable:
-    """Group vertex ids by label, from (vertex, label) pairs in ascending
-    vertex id; each entry list is in ascending id."""
-    table: MasterTable = {}
-    for v, lab in labels:
-        table.setdefault(lab, []).append(v)
-    return table
-
-
 def label_nodes(g: EmbeddedGraph, k: int) -> tuple[MasterTable, list[Label]]:
     """Label every vertex and group vertices by identical label.
 
@@ -345,7 +336,10 @@ def label_nodes(g: EmbeddedGraph, k: int) -> tuple[MasterTable, list[Label]]:
     degree-only labels.
     """
     labels = next(labels_by_depth(g, k, last=k))
-    return master_table(enumerate(labels)), labels
+    table: MasterTable = {}
+    for v, lab in enumerate(labels):
+        table.setdefault(lab, []).append(v)
+    return table, labels
 
 
 def labels_by_depth(

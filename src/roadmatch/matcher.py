@@ -389,18 +389,19 @@ def match(
     t0 = time.perf_counter()
     if auto_k:
         report = auto_tune_k(g1, g2, max_product, k_max)
-        if report.tables is None:
+        if report.labels is None:
             raise ConfigurationError(
                 f"no k in [1, {k_max}] meets the bound {max_product}: the smallest max label "
                 f"product is {report.max_product}, at k={report.k}; raise the bound (see tune-k)"
             )
-        k = report.k
-        mt1, mt2 = report.tables
+        k, labels = report.k, report.labels
+        del report
     else:
-        mt1, mt2 = label_pair(g1, g2, k)
+        labels = label_pair(g1, g2, k)
     label_time = time.perf_counter() - t0
     # Raises ConfigurationError when a label's product is over the bound.
-    idx = SeedIndex(mt1, mt2, g1.vertex_count, g2.vertex_count, max_product)
+    idx = SeedIndex(*labels, max_product)
+    del labels  # the flood reads the index alone
     seed_time = time.perf_counter() - t0
     state = flood_match(g1, g2, idx, rng_seed)
     match_time = time.perf_counter() - t0 - seed_time

@@ -2,16 +2,19 @@
 threshold ratio, and the distance histogram of a matching's pairs.
 
 The matcher itself never looks at geometry; these metrics use coordinates,
-when present, to audit the quality of a topology-only matching.
+when present, to audit the quality of a topology-only matching.  The
+approximation ratio alone reads no coordinate: it counts the two graphs'
+per-vertex label lists (``seed_index.label_pair``) itself.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InputError
-from .labeling import MasterTable
+from .labeling import Label
 
 EARTH_RADIUS_KM = 6371.0088  # IUGG mean radius
 KM_PER_MILE = 1.609344
@@ -30,18 +33,18 @@ def haversine_km(p: tuple[float, float], q: tuple[float, float]) -> float:
     return 2 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(s)))
 
 
-def approximation_ratio(
-    mt1: MasterTable, mt2: MasterTable, n1_total: int, n2_total: int
-) -> float:
-    """Cross-graph same-label pair count over the smaller graph's size.
+def approximation_ratio(labels1: list[Label | None], labels2: list[Label | None]) -> float:
+    """Cross-graph same-label pair count over the smaller graph's size,
+    from the per-vertex label lists of the two graphs (None: no label).
 
     Small is good: it means the labeling leaves few ambiguous seed
     candidates.
     """
-    if n1_total == 0 or n2_total == 0:
+    if not labels1 or not labels2:
         raise InputError("approximation ratio undefined for empty graphs")
-    a = sum(len(v1) * len(mt2[lab]) for lab, v1 in mt1.items() if lab in mt2)
-    return a / min(n1_total, n2_total)
+    counts2 = Counter(labels2)
+    pairs = sum(n * counts2[lab] for lab, n in Counter(labels1).items() if lab is not None)
+    return pairs / min(len(labels1), len(labels2))
 
 
 @dataclass

@@ -13,37 +13,36 @@ on ids, and error messages show a label as a tuple of its degrees.
 Building the index checks the product bound at a fixed k; under auto-k the
 tuner's report does (``TuneReport.bounded``).
 
+A label reaches the index in one form: the per-vertex label list of each
+graph, as ``labeling.label_nodes`` gives it, with None for a vertex that
+has no label.  The index finds the shared labels and, in one pass per
+side, each vertex's label id and the vertices of each shared label.
+
 ``label_pair`` labels both snapshots at a fixed k through the one driver
 (``labeling.labels_by_depth``), the second in a worker process while
-this one labels the first, when that pays (``labeling.labeling_job``).
-It returns their master tables cut to the labels present in both graphs
-(``shared_tables``), so no full table is built: on the benchmark's
-40k-vertex pair at k = 4 the two graphs share 2,348 of about 40k labels
-each, and a full table would take 5.6 MiB besides keeping every label.
-The worker sends its label list, and G2's table is cut from it here.
+this one labels the first, when that pays (``labeling.labeling_job``),
+and returns the two label lists.
 ``auto_tune_k`` picks the label depth k: it walks both graphs' labels at
 k = 1, 2, ... through one driver each (``labeling.labels_by_depth``), the
 second in lockstep in the worker, and counts each side's labels itself at
 each k.  After each k both drivers go on labeling only the vertices whose
 labels can still be shared, found by one sorted scan over both graphs'
-counts (``_compatible``) and sent back as keep-sets.  At the chosen k the
-tables are cut from the two last label lists by the same
-``shared_tables``.  The index, ``metrics.approximation_ratio`` and the
-index's over-bound error read only the shared labels; the index takes
-the two graphs' vertex counts, so tables cut down to those labels do.
+counts (``_compatible``) and sent back as keep-sets.  Its report carries
+the two last label lists, those of the chosen k.  The index,
+``auto_tune_k`` and ``metrics.approximation_ratio`` are the only places
+that find the labels both graphs share.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from collections.abc import Set
 from itertools import islice
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, InputError, InternalError
 from .graph import EmbeddedGraph
-from .labeling import Label, MasterTable, labeling_job, labels_by_depth, master_table
+from .labeling import Label, labeling_job, labels_by_depth
 
 DEFAULT_MAX_PRODUCT = 24
 DEFAULT_K_MAX = 12
@@ -67,27 +66,32 @@ def check_tune_args(max_product: int, k_max: int) -> None:
 
 class SeedIndex:
     def __init__(
-        self, mt1: MasterTable, mt2: MasterTable, n1: int, n2: int, max_product: int
+        self, labels1: list[Label | None], labels2: list[Label | None], max_product: int
     ):
-        """Index the labels of mt1 and mt2, tables over graphs of n1 and n2
-        vertices; a table may leave out any label the other lacks."""
+        """Index the labels that the per-vertex label lists of two graphs
+        share; a vertex whose entry is None has no label."""
         check_max_product(max_product)
         self.max_product = max_product
         # Only a label with vertices on both sides can seed, and counts only
         # fall, so no other label can ever become cross-present.  Ids follow
         # label order, which keeps pop_min_label's tie-break on the labels.
-        self.labels: list[Label] = sorted(
-            lab for lab in mt1.keys() & mt2.keys() if mt1[lab] and mt2[lab]
-        )
+        shared = set(labels1).intersection(labels2)
+        shared.discard(None)
+        self.labels: list[Label] = sorted(shared)
+        ids = {lab: lid for lid, lab in enumerate(self.labels)}
         # Per side: label id -> set of that side's still-unmatched vertices.
         self.members: tuple[list[set[int]], list[set[int]]] = (
-            [set(mt1[lab]) for lab in self.labels],
-            [set(mt2[lab]) for lab in self.labels],
+            [set() for _ in self.labels], [set() for _ in self.labels]
         )
         # Per side, by vertex id: its label id, UNINDEXED or REMOVED.
         self.label_of: tuple[list[int], list[int]] = (
-            _label_map(n1, self.members[0]), _label_map(n2, self.members[1])
+            [UNINDEXED] * len(labels1), [UNINDEXED] * len(labels2)
         )
+        for labels, label_of, members in zip((labels1, labels2), self.label_of, self.members):
+            for v, lab in enumerate(labels):
+                if lab in ids:
+                    label_of[v] = lid = ids[lab]
+                    members[lid].add(v)
         products = [len(a) * len(b) for a, b in zip(*self.members)]
         # Largest n1*n2 over labels present on both sides, as built.
         self.largest_product = max(products, default=0)
@@ -165,41 +169,17 @@ class SeedIndex:
             self._reindex(lid)
 
 
-def _label_map(n: int, members: list[set[int]]) -> list[int]:
-    """Flat map from each of n vertex ids to the id of its indexed label,
-    or UNINDEXED; only the indexed labels' vertices are visited."""
-    label_of = [UNINDEXED] * n
-    for lid, verts in enumerate(members):
-        for v in verts:
-            label_of[v] = lid
-    return label_of
-
-
-def shared_tables(
-    labels1: list[Label | None], labels2: list[Label | None], shared: Set[Label]
-) -> tuple[MasterTable, MasterTable]:
-    """The master tables of two per-vertex label lists, cut to the labels
-    in ``shared``: those present in both graphs, the only ones that can
-    seed."""
-    return (
-        master_table((v, lab) for v, lab in enumerate(labels1) if lab in shared),
-        master_table((v, lab) for v, lab in enumerate(labels2) if lab in shared),
-    )
-
-
 def label_pair(
     g1: EmbeddedGraph, g2: EmbeddedGraph, k: int
-) -> tuple[MasterTable, MasterTable]:
-    """The master tables of ``label_nodes(g1, k)`` and ``label_nodes(g2, k)``,
-    computed at once and cut to the labels present in both graphs.
+) -> tuple[list[Label], list[Label]]:
+    """``(label_nodes(g1, k)[1], label_nodes(g2, k)[1])``, computed at once.
 
     g2 is labeled in a worker process while this one labels g1, when that
     pays (``labeling.labeling_job``).  The results are the same either way.
     """
     with labeling_job(g2, k, last=k) as second:
         labels1 = next(labels_by_depth(g1, k, last=k))
-        labels2 = second.receive()
-    return shared_tables(labels1, labels2, set(labels1).intersection(labels2))
+        return labels1, second.receive()
 
 
 def _compatible(counts1: Counter, counts2: Counter) -> tuple[set[Label], set[Label]]:
@@ -252,8 +232,9 @@ class TuneReport:
     max_product: int
     bounded: bool  # whether max_product <= requested bound
     per_k: list[tuple[int, int]]
-    # The chosen k's master tables cut to the labels in both graphs; None if unbounded with p > 0.
-    tables: tuple[MasterTable, MasterTable] | None = None
+    # Both graphs' label lists at the chosen k, None at each vertex no
+    # longer labeled there; None if unbounded with p > 0.
+    labels: tuple[list[Label | None], list[Label | None]] | None = None
 
 
 def auto_tune_k(
@@ -269,9 +250,9 @@ def auto_tune_k(
     Scans k ascending (monotonicity of the max product is not guaranteed:
     small symmetric components can hold a floor).  If no k qualifies,
     returns the k minimizing p among those with p > 0, smallest k on ties,
-    flagged as unbounded and without tables; if no k has a shared label,
-    k = 1 with p = 0 and empty tables.  A bounded report's tables hold only
-    the labels present in both graphs, the only ones that can seed.
+    flagged as unbounded and without label lists; if no k has a shared
+    label, k = 1 with p = 0 and lists of None.  A bounded report's lists
+    are the chosen k's: every label both graphs share there is in them.
 
     A depth-(k+1) label extends the depth-k one, and labels carry no level
     boundaries, so two vertices of different graphs can share a deeper
@@ -289,10 +270,10 @@ def auto_tune_k(
     are walked again at the next k.  Both sides' labels are counted here
     for that k's max product.  g2's driver runs in lockstep in a worker
     process when that pays (``labeling.labeling_job``): at each k it sends
-    its label list and waits for its keep-set.  At the chosen k, both
-    tables are cut from the last label lists, and the job is left without
-    a further command.  The results equal labeling both graphs from
-    scratch at every k.
+    its label list and waits for its keep-set.  At the chosen k, the two
+    last label lists go in the report, and the job is left without a
+    further command.  The shared labels and their vertices equal those of
+    labeling both graphs from scratch at every k.
     """
     check_tune_args(max_product, k_max)
     per_k = []
@@ -307,9 +288,7 @@ def auto_tune_k(
             p = max((counts1[lab] * counts2[lab] for lab in shared), default=0)
             per_k.append((k, p))
             if 0 < p <= max_product:
-                del counts1, counts2
-                tables = shared_tables(labels1, labels2, shared)
-                return TuneReport(k, p, True, per_k, tables)
+                return TuneReport(k, p, True, per_k, (labels1, labels2))
             keep1, keep2 = _compatible(counts1, counts2)
             # Freed before the next labels arrive.
             del counts1, counts2, shared, labels2
@@ -319,4 +298,5 @@ def auto_tune_k(
             labels1 = first.send(keep1)
         first.close()  # frees the kernel
     p, k = min(((p, k) for k, p in per_k if p), default=(0, 1))
-    return TuneReport(k, p, False, per_k, None if p else ({}, {}))
+    labels = None if p else ([None] * g1.vertex_count, [None] * g2.vertex_count)
+    return TuneReport(k, p, False, per_k, labels)

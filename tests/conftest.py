@@ -2,7 +2,7 @@ import contextlib
 import os
 import random
 import signal
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import strategies as st
@@ -140,16 +140,19 @@ def reference_validate(g) -> None:
                 raise InputError(f"vertex {v} has invalid coordinates {c}")
 
 
-def max_cross_product(mt1, mt2) -> int:
-    """Largest n1(L)*n2(L) over labels present in both tables; 0 if none."""
-    return max((len(v1) * len(mt2[lab]) for lab, v1 in mt1.items() if lab in mt2), default=0)
+def max_cross_product(labels1, labels2) -> int:
+    """Largest n1(L)*n2(L) over the labels L of both per-vertex label
+    lists, None not a label; 0 if none."""
+    counts2 = Counter(labels2)
+    return max((n * counts2[lab] for lab, n in Counter(labels1).items() if lab is not None),
+               default=0)
 
 
 def index_state(idx: SeedIndex):
     """A seed index's state keyed by label, for comparing two indexes.
 
-    Label ids depend on which labels are cross-present in the tables an
-    index was built from, so indexes over different tables compare by
+    Label ids depend on which labels are cross-present in the label lists
+    an index was built from, so indexes over different lists compare by
     label.  Covers the labels that still have vertices on both sides: their
     vertex sets, product (None once retired) and retirement, and the labels
     holding each product.  Such a label is retired exactly when it is out
@@ -306,16 +309,18 @@ def reference_rotation_from_coords(coords, neighbor_lists):
     )
 
 
-def rebuilt_index(mt1, mt2, keep, retired_labels, max_product) -> SeedIndex:
+def rebuilt_index(labels1, labels2, keep, retired_labels, max_product) -> SeedIndex:
     """A fresh index over the vertices v of side s where keep(s, v) holds,
-    with every label in retired_labels retired; mt1 and mt2 are whole
-    master tables, so they list every vertex once."""
-    tables = [
-        {lab: [v for v in verts if keep(side, v)] for lab, verts in mt.items()}
-        for side, mt in enumerate((mt1, mt2))
-    ]
-    sizes = [sum(map(len, mt.values())) for mt in (mt1, mt2)]
-    fresh = SeedIndex(tables[0], tables[1], *sizes, max_product)
+    with every label in retired_labels retired; labels1 and labels2 are
+    the graphs' per-vertex label lists, each other vertex's entry is
+    replaced by None."""
+    fresh = SeedIndex(
+        *(
+            [lab if keep(side, v) else None for v, lab in enumerate(labels)]
+            for side, labels in enumerate((labels1, labels2))
+        ),
+        max_product,
+    )
     for lid, lab in enumerate(fresh.labels):
         if lab in retired_labels:
             fresh.retire_label(lid)

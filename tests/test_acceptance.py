@@ -171,11 +171,10 @@ def test_a7_k_trend():
     g2, _ = perturb(g1, 0.05, 0.0, 0.02, 78)
     stats = {}
     for k in (1, 8):
-        mt1, _ = label_nodes(g1, k)
-        mt2, _ = label_nodes(g2, k)
+        labels1, labels2 = label_nodes(g1, k)[1], label_nodes(g2, k)[1]
         stats[k] = (
-            approximation_ratio(mt1, mt2, g1.vertex_count, g2.vertex_count),
-            max_cross_product(mt1, mt2),
+            approximation_ratio(labels1, labels2),
+            max_cross_product(labels1, labels2),
         )
     ok = stats[8][0] <= stats[1][0] and stats[8][1] <= stats[1][1]
     report(
@@ -195,9 +194,9 @@ def test_a8_pop_min_differential():
     while steps < 10**4:
         g1 = gen_irregular_grid(rng.randint(3, 6), rng.randint(3, 6), 0.1, rng.randrange(10**6))
         g2, _ = perturb(g1, 0.1, 0.05, 0.05, rng.randrange(10**6))
-        mt1, _ = label_nodes(g1, 1)
-        mt2, _ = label_nodes(g2, 1)
-        idx = SeedIndex(mt1, mt2, g1.vertex_count, g2.vertex_count, 10**6)
+        mt1, labels1 = label_nodes(g1, 1)
+        mt2, labels2 = label_nodes(g2, 1)
+        idx = SeedIndex(labels1, labels2, 10**6)
         left = [set(range(g1.vertex_count)), set(range(g2.vertex_count))]
         retired = set()
         while left[0] and left[1]:
@@ -277,14 +276,13 @@ def test_a10_haversine_references():
 def test_a11_rollback_exactness():
     # 100 random trials each restore the state exactly before run_trial
     # returns, and committing each trial's journal leaves the seed index
-    # equal to one rebuilt from the tables reduced to the unmatched vertices.
+    # equal to one rebuilt from the label lists cut to the unmatched vertices.
     rng = random.Random(11)
     g1 = gen_irregular_grid(5, 6, 0.3, 20)
     g2, _ = perturb(g1, 0.1, 0.05, 0.0, 21)
-    mt1, _ = label_nodes(g1, 1)
-    mt2, _ = label_nodes(g2, 1)
+    labels1, labels2 = label_nodes(g1, 1)[1], label_nodes(g2, 1)[1]
     state = MatchState(g1, g2)
-    idx = SeedIndex(mt1, mt2, g1.vertex_count, g2.vertex_count, 10**6)
+    idx = SeedIndex(labels1, labels2, 10**6)
     failures = 0
     commit_failures = 0
     for _ in range(100):
@@ -312,7 +310,9 @@ def test_a11_rollback_exactness():
         committed, committed_idx = deepcopy((state, idx))
         committed.commit(journal, committed_idx)
         matched = (committed.matched1, committed.matched2)
-        fresh = rebuilt_index(mt1, mt2, lambda side, v: matched[side][v] is None, set(), 10**6)
+        fresh = rebuilt_index(
+            labels1, labels2, lambda side, v: matched[side][v] is None, set(), 10**6
+        )
         commit_failures += index_state(committed_idx) != index_state(fresh)
     report(
         "A11 rollback exactness",

@@ -315,6 +315,24 @@ class TestErrors:
         assert f"matching file's k must be a non-negative integer, got {value}" in err
         assert "Traceback" not in err and out == ""
 
+    def test_validate_refuses_a_matching_file_not_utf8(self, tmp_path, capsys):
+        g, m = tmp_path / "g.erg", tmp_path / "m.txt"
+        g.write_text(emit_erg(path_graph(3)))
+        m.write_bytes(b"m 0 0\n\xff\n")
+        code, out, err = run(capsys, "validate", str(m), str(g), str(g))
+        assert (code, out, err) == (1, "", f"error: {m}: not UTF-8 text at byte 6\n")
+
+    def test_validate_reads_a_matching_file_with_a_byte_order_mark(self, tmp_path, capsys):
+        g, plain, marked = tmp_path / "g.erg", tmp_path / "m.txt", tmp_path / "bom.txt"
+        g.write_text(emit_erg(gen_irregular_grid(5, 5, 0.2, 1)))
+        assert dispatch(["match", str(g), str(g), "--k", "2", "--max-product", "1000",
+                         "-o", str(plain)]) == 0
+        marked.write_text("\ufeff" + plain.read_text(encoding="utf-8"), encoding="utf-8")
+        capsys.readouterr()
+        outputs = [run(capsys, "validate", str(m), str(g), str(g)) for m in (plain, marked)]
+        assert outputs[0][0] == 0 and "approximation_ratio: " in outputs[0][1]
+        assert outputs[1] == outputs[0]
+
     @pytest.mark.parametrize(
         "records,message",
         [

@@ -21,6 +21,7 @@ from roadmatch.ingest import (
     load_pair,
     parse_erg,
     parse_segments,
+    read_utf8,
     rotation_from_coords,
 )
 
@@ -556,3 +557,30 @@ class TestWithoutCoords:
         bare = g.without_coords()
         assert bare.rotation is g.rotation and bare.d_max == g.d_max
         assert bare.coords is None and g.coords == ((1.0, 2.0), None)
+
+
+class TestByteOrderMark:
+    """``read_utf8`` drops one leading byte-order mark (U+FEFF) from every
+    file it reads, after decoding, so byte offsets still count it."""
+
+    @pytest.mark.parametrize("fmt", ["erg", "segments"])
+    def test_graph_reads_as_without(self, tmp_path, fmt):
+        g = gen_irregular_grid(5, 6, 0.2, 1)
+        text = emit_erg(g) if fmt == "erg" else segments_text(g)
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        assert load_graph(str(marked), fmt) == load_graph(str(plain), fmt)
+
+    def test_only_one_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "g.erg"
+        path.write_text("\ufeff\ufeffERG 1\nn 0\n", encoding="utf-8")
+        with pytest.raises(InputError, match="line 1: expected 'ERG 1' header"):
+            load_graph(str(path))
+
+    def test_offset_counts_the_mark(self, tmp_path):
+        path = tmp_path / "g.erg"
+        path.write_bytes(b"\xef\xbb\xbfERG 1\n\xff")
+        with pytest.raises(InputError) as info:
+            read_utf8(str(path))
+        assert str(info.value) == f"{path}: not UTF-8 text at byte 9"

@@ -39,9 +39,7 @@ from conftest import (
 
 
 def make_state_and_index(g1, g2, k=2, bound=10**6):
-    mt1, _ = label_nodes(g1, k)
-    mt2, _ = label_nodes(g2, k)
-    idx = SeedIndex(mt1, mt2, g1.vertex_count, g2.vertex_count, bound)
+    idx = SeedIndex(label_nodes(g1, k)[1], label_nodes(g2, k)[1], bound)
     return MatchState(g1, g2), idx
 
 
@@ -707,11 +705,11 @@ def reference_match(g1, g2, k, max_product, rng_seed):
 
 def rebuilt_state_index(idx, state, k):
     """A fresh index over the state's unmatched vertices, idx's retirements applied."""
-    mt1, _ = label_nodes(state.g1, k)
-    mt2, _ = label_nodes(state.g2, k)
+    labels1, labels2 = label_nodes(state.g1, k)[1], label_nodes(state.g2, k)[1]
     matched = (state.matched1, state.matched2)
     return rebuilt_index(
-        mt1, mt2, lambda side, v: matched[side][v] is None, retired_labels(idx), idx.max_product
+        labels1, labels2, lambda side, v: matched[side][v] is None, retired_labels(idx),
+        idx.max_product,
     )
 
 
@@ -756,9 +754,7 @@ class TestMatchAgainstReference:
                 ref_pairs, ref_u1, ref_u2, ref_state, counts = reference_match(
                     g1, g2, k, 10**6, seed
                 )
-                mt1, _ = label_nodes(g1, k)
-                mt2, _ = label_nodes(g2, k)
-                idx = SeedIndex(mt1, mt2, g1.vertex_count, g2.vertex_count, 10**6)
+                idx = SeedIndex(label_nodes(g1, k)[1], label_nodes(g2, k)[1], 10**6)
                 states.clear()
                 stale_pops.clear()
                 monkeypatch.setattr(SeedIndex, "pop_min_label", checked_pop)

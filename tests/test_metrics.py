@@ -46,24 +46,28 @@ class TestHaversine:
 
 class TestApproximationRatio:
     def test_identical_unique_labels(self):
-        mt = {(1, 2): [0], (2, 1, 1): [1], (1, 3): [2]}
-        assert approximation_ratio(mt, mt, 3, 3) == 1.0
+        labels = [(1, 2), (2, 1, 1), (1, 3)]
+        assert approximation_ratio(labels, labels) == 1.0
 
     def test_disjoint_labels(self):
-        assert approximation_ratio({(1,): [0]}, {(2,): [0]}, 1, 1) == 0.0
+        assert approximation_ratio([(1,)], [(2,)]) == 0.0
 
     def test_ambiguous_labels_inflate_ratio(self):
-        mt1 = {(2, 2, 2): [0, 1, 2, 3]}
-        assert approximation_ratio(mt1, mt1, 4, 4) == 4.0
+        labels = [(2, 2, 2)] * 4
+        assert approximation_ratio(labels, labels) == 4.0
 
     def test_divides_by_smaller_graph(self):
-        mt1 = {(1,): [0, 1]}
-        mt2 = {(1,): [0]}
-        assert approximation_ratio(mt1, mt2, 2, 1) == 2.0
+        assert approximation_ratio([(1,), (1,)], [(1,)]) == 2.0
+
+    def test_unlabeled_vertices_pair_with_none(self):
+        # A vertex the tuner stopped labeling has None; it is counted in
+        # its graph's size but pairs with nothing, None on the other side
+        # included.
+        assert approximation_ratio([None, (1,), None], [None, (1,)]) == 0.5
 
     def test_empty_graph_rejected(self):
         with pytest.raises(InputError):
-            approximation_ratio({}, {(1,): [0]}, 0, 1)
+            approximation_ratio([], [(1,)])
 
 
 KM_PER_DEG = math.pi * EARTH_RADIUS_KM / 180  # at the equator

@@ -120,6 +120,37 @@ def test_benchmark_workloads_run_at_toy_size(tmp_path, monkeypatch):
         assert roadmatch.verify_conformal(g1, g2, pairs)[0], wl.name
 
 
+def test_benchmark_tracer_targets(monkeypatch):
+    # The names perfbench/spans.py patches and finds gone.  A target that
+    # disappears blinds its per-layer readings while every other test
+    # passes, so a change that loses or restores one updates this list.
+    name = "perfbench_spans"
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # nothing written there
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer(True)
+    tracer.install()
+    try:
+        assert tracer.missing == [
+            "roadmatch.matcher.label_nodes",
+            "roadmatch.seed_index.label_nodes",
+            "roadmatch.matcher.max_cross_product",
+            "roadmatch.matcher.build_seed_index",
+            "roadmatch.matcher.MatchState.abort_trial",
+            "roadmatch.seed_index.SeedIndex.remove_vertex",
+            "roadmatch.seed_index.SeedIndex.add_vertex",
+            "roadmatch.veb.VebTree.insert",
+            "roadmatch.veb.VebTree.delete",
+            "roadmatch.veb.VebTree.min",
+            "roadmatch.veb.VebTree.contains",
+            "roadmatch.matcher.pair_admissible",
+            "roadmatch.matcher.MatchState.commit_trial",
+        ]
+    finally:
+        tracer.uninstall()
+
+
 def test_readme_library_example_runs():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme[readme.index("## Library") :]

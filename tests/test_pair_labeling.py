@@ -30,13 +30,13 @@ from roadmatch.errors import ConfigurationError, InputError, InternalError
 from roadmatch.generator import gen_irregular_grid, perturb
 from roadmatch.graph import EmbeddedGraph
 from roadmatch.ingest import emit_erg, load_graph, load_pair
-from roadmatch.labeling import label_nodes, labels_by_depth
+from roadmatch.labeling import labels_by_depth
 from roadmatch.matcher import match
 from roadmatch.seed_index import auto_tune_k, label_pair
 
 from conftest import assert_no_children, forced_worker, no_fork, no_worker
 from test_labeling import scattered_graphs
-from test_seed_index import relabeling_tune
+from test_seed_index import cut, labels_for, relabeling_tune
 
 pytestmark = pytest.mark.usefixtures("deadline")
 
@@ -69,16 +69,6 @@ def in_worker(monkeypatch, job):
     monkeypatch.setattr(labeling, "labels_by_depth", depths)
 
 
-def tables(g1, g2, k):
-    """What ``label_pair(g1, g2, k)`` returns: the two master tables of
-    ``label_nodes``, cut to the labels present in both."""
-    mt1, mt2 = label_nodes(g1, k)[0], label_nodes(g2, k)[0]
-    return (
-        {lab: verts for lab, verts in mt1.items() if lab in mt2},
-        {lab: verts for lab, verts in mt2.items() if lab in mt1},
-    )
-
-
 def kill_first(started):
     """A stand-in for ``seed_index.labels_by_depth`` that kills the last
     worker started, then labels as the real one does."""
@@ -107,7 +97,7 @@ class TestSameResults:
             got = label_pair(g1, g2, k)
         assert len(started) == in_worker
         assert all(child.returncode is not None for child in started)
-        assert got == tables(g1, g2, k)
+        assert got == labels_for(g1, g2, k)
 
     def test_label_pair_on_snapshots(self):
         g1, g2 = snapshot_pair(3, 10, 12)
@@ -115,7 +105,7 @@ class TestSameResults:
             with forced_worker() as started:
                 got = label_pair(g1, g2, k)
             assert len(started) == 1
-            assert got == tables(g1, g2, k)
+            assert got == labels_for(g1, g2, k)
 
     @given(scattered_graphs(), scattered_graphs(), st.integers(1, 30), st.integers(2, 6))
     @settings(max_examples=25, deadline=None)
@@ -123,14 +113,14 @@ class TestSameResults:
         with forced_worker() as started:
             report = auto_tune_k(g1, g2, bound, k_max)
         assert started
-        assert report == relabeling_tune(g1, g2, bound, k_max)
+        assert cut(report) == relabeling_tune(g1, g2, bound, k_max)
 
     def test_tune_bounded(self):
         g1, g2 = snapshot_pair(0)
         with forced_worker() as started:
             report = auto_tune_k(g1, g2, 1, 6)
         assert report.bounded and report.k == 3 and len(started) == 1
-        assert report == relabeling_tune(g1, g2, 1, 6)
+        assert cut(report) == relabeling_tune(g1, g2, 1, 6)
 
     def test_tune_unbounded(self):
         # Two stray edges on each side, four vertices labeled (1, 1), hold
@@ -142,7 +132,7 @@ class TestSameResults:
         assert not report.bounded and report.k == 2
         assert [p for _, p in report.per_k] == [36, 16, 16, 16]
         assert len(started) == 1
-        assert report == relabeling_tune(g1, g2, 1, 4)
+        assert cut(report) == relabeling_tune(g1, g2, 1, 4)
 
     def test_match_when_unbounded(self, tmp_path, capsys):
         # The same pair under match --auto-k: no index is built, and the
@@ -188,12 +178,12 @@ class TestInProcess:
         with monkeypatch.context() as mp:
             mp.setattr(os, "fork", no_worker)
             for k in (0, 1, 3):
-                assert label_pair(g1, g2, k) == tables(g1, g2, k)
-            assert auto_tune_k(g1, g2, 24, 1) == relabeling_tune(g1, g2, 24, 1)
+                assert label_pair(g1, g2, k) == labels_for(g1, g2, k)
+            assert cut(auto_tune_k(g1, g2, 24, 1)) == relabeling_tune(g1, g2, 24, 1)
         with forced_worker() as started:
             for k in (0, 1):
-                assert label_pair(g1, g2, k) == tables(g1, g2, k)
-            assert auto_tune_k(g1, g2, 24, 1) == relabeling_tune(g1, g2, 24, 1)
+                assert label_pair(g1, g2, k) == labels_for(g1, g2, k)
+            assert cut(auto_tune_k(g1, g2, 24, 1)) == relabeling_tune(g1, g2, 24, 1)
         assert len(started) == 3
 
 @pytest.fixture
@@ -239,7 +229,7 @@ class TestPairWorker:
             assert_one_at_a_time(started, 1)
             got = label_pair(h1, h2, k)
         assert_one_at_a_time(started, 2)
-        assert got == tables(g1, g2, k)
+        assert got == labels_for(g1, g2, k)
 
     @pytest.mark.parametrize("bound, k_max", [(1, 6), (24, 4), (10**6, 1)])
     def test_tune_equals_relabeling(self, snapshot_files, bound, k_max):
@@ -247,7 +237,7 @@ class TestPairWorker:
         with forced_worker() as started:
             report = auto_tune_k(*load_pair(p1, p2), bound, k_max)
         assert_one_at_a_time(started, 2)
-        assert report == relabeling_tune(g1, g2, bound, k_max)
+        assert cut(report) == relabeling_tune(g1, g2, bound, k_max)
 
     def test_one_worker_at_a_time(self, snapshot_files, tmp_path, capsys):
         # Each command that labels forks the parse worker, then the
@@ -327,10 +317,10 @@ class TestPairWorker:
         with forced_worker() as started, pytest.MonkeyPatch.context() as mp:
             mp.setattr(os, "fork", no_fork)
             for k in (1, 3):
-                assert label_pair(*load_pair(p1, p2), k) == tables(g1, g2, k)
+                assert label_pair(*load_pair(p1, p2), k) == labels_for(g1, g2, k)
             report = auto_tune_k(*load_pair(p1, p2), 1, 6)
         assert started == []
-        assert report == relabeling_tune(g1, g2, 1, 6)
+        assert cut(report) == relabeling_tune(g1, g2, 1, 6)
 
     @pytest.mark.parametrize("tune", [False, True], ids=["label_pair", "tune"])
     def test_killed(self, snapshot_files, monkeypatch, tune):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 
@@ -23,17 +24,27 @@ from conftest import index_state, max_cross_product, path_graph, rebuilt_index
 from test_labeling import scattered_graphs
 
 
-def tables_for(g1, g2, k):
-    return label_nodes(g1, k)[0], label_nodes(g2, k)[0]
+def labels_for(g1, g2, k):
+    """Both graphs' per-vertex label lists at depth k."""
+    return label_nodes(g1, k)[1], label_nodes(g2, k)[1]
 
 
-def shared_tables(mt1, mt2):
-    """Both master tables cut down to the labels present in both."""
-    shared = mt1.keys() & mt2.keys()
-    return (
-        {lab: verts for lab, verts in mt1.items() if lab in shared},
-        {lab: verts for lab, verts in mt2.items() if lab in shared},
+def shared_only(labels1, labels2):
+    """Both label lists with None at each vertex whose label the other
+    list lacks: an index built from them equals one built from the
+    whole lists."""
+    shared = set(labels1).intersection(labels2)
+    return tuple(
+        [lab if lab in shared else None for lab in labels] for labels in (labels1, labels2)
     )
+
+
+def cut(report):
+    """The tuner's report with its label lists, if any, cut to the labels
+    both share (``shared_only``)."""
+    if report.labels is None:
+        return report
+    return dataclasses.replace(report, labels=shared_only(*report.labels))
 
 
 def graph_of(n, edges):
@@ -52,27 +63,25 @@ def lid_of(idx, label):
 
 class TestBuild:
     def test_two_path3_graphs_k1(self):
-        mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
-        idx = SeedIndex(mt1, mt2, 3, 3, 24)
+        idx = SeedIndex(*labels_for(path_graph(3), path_graph(3), 1), 24)
         assert idx.product[lid_of(idx, (1, 2))] == 4
         assert idx.product[lid_of(idx, (2, 1, 1))] == 1
         assert min(idx.bucket) == 1
 
     def test_one_sided_label_not_indexed(self):
-        mt1, mt2 = tables_for(path_graph(3), path_graph(2), 1)
-        idx = SeedIndex(mt1, mt2, 3, 2, 24)
+        idx = SeedIndex(*labels_for(path_graph(3), path_graph(2), 1), 24)
         # (2,1,1) only occurs in the path of 3; (1,1) only in the path of 2.
         assert idx.labels == []
         assert not idx.bucket
         assert idx.label_of == ([UNINDEXED] * 3, [UNINDEXED] * 2)
 
-    def test_label_with_empty_list_not_indexed(self):
-        mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
-        mt2[bytes((2, 1, 1))] = []  # its vertex 1 is in no list of g2's table
-        idx = SeedIndex(mt1, mt2, 3, 3, 24)
+    def test_unlabeled_vertex_not_indexed(self):
+        labels1, labels2 = labels_for(path_graph(3), path_graph(3), 1)
+        labels2[1] = None  # g2's vertex 1 has no label, so (2, 1, 1) is g1's alone
+        idx = SeedIndex(labels1, labels2, 24)
         assert [tuple(lab) for lab in idx.labels] == [(1, 2)]
-        # g2's vertex 1 is in no list of its table, but the index is sized
-        # from the vertex counts, so it is unindexed like g1's vertex 1.
+        # Both vertex 1s are unindexed: g1's has a label g2 lacks, and
+        # g2's has none.
         assert idx.label_of[0][1] == idx.label_of[1][1] == UNINDEXED
         # An unindexed vertex is only marked removed.
         idx.remove_pairs([(1, 0)])
@@ -85,69 +94,61 @@ class TestBuild:
             idx.remove_pairs([(2, 1)])
 
     def test_product_exceeding_bound_names_label(self):
-        mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
         with pytest.raises(ConfigurationError, match=r"\(1, 2\)"):
-            SeedIndex(mt1, mt2, 3, 3, 3)
+            SeedIndex(*labels_for(path_graph(3), path_graph(3), 1), 3)
 
     def test_unique_common_label_min_product_one(self):
-        mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
-        idx = SeedIndex(mt1, mt2, 3, 3, 24)
+        idx = SeedIndex(*labels_for(path_graph(3), path_graph(3), 1), 24)
         assert min(idx.bucket) == 1
 
 
 class TestPopMinLabel:
     def test_single_label(self):
-        mt1, mt2 = tables_for(path_graph(2), path_graph(2), 1)
-        idx = SeedIndex(mt1, mt2, 2, 2, 24)
+        idx = SeedIndex(*labels_for(path_graph(2), path_graph(2), 1), 24)
         lid = idx.pop_min_label(random.Random(0))
         assert tuple(idx.labels[lid]) == (1, 1)
 
     def test_prefers_smaller_product(self):
-        mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
-        idx = SeedIndex(mt1, mt2, 3, 3, 24)
+        idx = SeedIndex(*labels_for(path_graph(3), path_graph(3), 1), 24)
         lid = idx.pop_min_label(random.Random(0))
         assert tuple(idx.labels[lid]) == (2, 1, 1)
 
     def test_tie_break_is_seeded_deterministic(self):
-        mt1, mt2 = tables_for(path_graph(2), path_graph(2), 1)
-        mt1[bytes((9, 9))] = [99]
-        mt2[bytes((9, 9))] = [99]  # second label with product 1
-        idx_of = lambda: SeedIndex(mt1, mt2, 100, 100, 24)  # noqa: E731
+        labels1, labels2 = labels_for(path_graph(2), path_graph(2), 1)
+        extra = [None] * 97 + [bytes((9, 9))]  # second label with product 1
+        labels1 += extra
+        labels2 += extra
+        idx_of = lambda: SeedIndex(labels1, labels2, 24)  # noqa: E731
         picks = {idx_of().pop_min_label(random.Random(5)) for _ in range(5)}
         assert len(picks) == 1
 
     def test_empty_index_signals_exhaustion(self):
-        mt1, mt2 = tables_for(path_graph(3), path_graph(2), 1)
-        idx = SeedIndex(mt1, mt2, 3, 2, 24)
+        idx = SeedIndex(*labels_for(path_graph(3), path_graph(2), 1), 24)
         assert idx.pop_min_label(random.Random(0)) is None
 
 
 class TestRemoveVertex:
     def test_product_recomputed(self):
-        mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
-        idx = SeedIndex(mt1, mt2, 3, 3, 24)
+        idx = SeedIndex(*labels_for(path_graph(3), path_graph(3), 1), 24)
         lid = lid_of(idx, (1, 2))
         idx.remove_pairs([(0, 1)])  # counts of (1, 2): (2, 2) -> (1, 2)
         assert idx.product[lid] == 2
 
     def test_last_vertex_unindexes_label(self):
-        mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
-        idx = SeedIndex(mt1, mt2, 3, 3, 24)
+        idx = SeedIndex(*labels_for(path_graph(3), path_graph(3), 1), 24)
         lid = lid_of(idx, (2, 1, 1))
         idx.remove_pairs([(1, 0)])
         assert lid not in idx.product
         assert 1 not in idx.bucket
 
     def test_double_removal_is_internal_error(self):
-        mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
-        idx = SeedIndex(mt1, mt2, 3, 3, 24)
+        idx = SeedIndex(*labels_for(path_graph(3), path_graph(3), 1), 24)
         idx.remove_pairs([(0, 0)])
         with pytest.raises(InternalError):
             idx.remove_pairs([(0, 2)])
 
     def test_batch_removal_checks_each_vertex(self):
-        mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
-        idx = SeedIndex(mt1, mt2, 3, 3, 24)
+        idx = SeedIndex(*labels_for(path_graph(3), path_graph(3), 1), 24)
         with pytest.raises(InternalError):
             idx.remove_pairs([(0, 0), (0, 2)])  # vertex 0 of g1 twice
         with pytest.raises(InternalError):
@@ -156,12 +157,13 @@ class TestRemoveVertex:
             idx.remove_pairs([(-1, 1)])
 
     def test_removals_match_fresh_rebuild(self):
-        # Any removal sequence must equal building from reduced tables.
+        # Any removal sequence must equal building from the label lists cut
+        # to the vertices left.
         rng = random.Random(11)
         g1 = gen_irregular_grid(4, 5, 0.2, 1)
         g2, _ = perturb(g1, 0.1, 0.05, 0.05, 2)
-        mt1, mt2 = tables_for(g1, g2, 2)
-        idx = SeedIndex(mt1, mt2, g1.vertex_count, g2.vertex_count, 10**6)
+        labels1, labels2 = labels_for(g1, g2, 2)
+        idx = SeedIndex(labels1, labels2, 10**6)
         left = [list(range(g1.vertex_count)), list(range(g2.vertex_count))]
         for side in left:
             rng.shuffle(side)
@@ -170,7 +172,7 @@ class TestRemoveVertex:
             pairs = [(left[0].pop(), left[1].pop()) for _ in range(n)]
             idx.remove_pairs(pairs)
             fresh = rebuilt_index(
-                mt1, mt2, lambda side, v: v in left[side], set(), 10**6
+                labels1, labels2, lambda side, v: v in left[side], set(), 10**6
             )
             assert index_state(idx) == index_state(fresh)
         assert not idx.product
@@ -178,8 +180,7 @@ class TestRemoveVertex:
 
 class TestRetireLabel:
     def test_retired_label_stays_out(self):
-        mt1, mt2 = tables_for(path_graph(3), path_graph(3), 1)
-        idx = SeedIndex(mt1, mt2, 3, 3, 24)
+        idx = SeedIndex(*labels_for(path_graph(3), path_graph(3), 1), 24)
         lid = lid_of(idx, (1, 2))
         idx.retire_label(lid)
         assert lid not in idx.product
@@ -188,8 +189,7 @@ class TestRetireLabel:
         assert lid not in idx.product
 
     def test_retired_label_stays_out_after_batch_removal(self):
-        mt1, mt2 = tables_for(path_graph(4), path_graph(4), 1)
-        idx = SeedIndex(mt1, mt2, 4, 4, 24)
+        idx = SeedIndex(*labels_for(path_graph(4), path_graph(4), 1), 24)
         lid = lid_of(idx, (1, 2))
         idx.retire_label(lid)
         idx.remove_pairs([(0, 0)])
@@ -224,12 +224,14 @@ class TestAutoTuneK:
             values = [p for _, p in report.per_k]
             assert values == sorted(values, reverse=True)
 
-    def test_tables_returned_match_chosen_k(self):
+    def test_labels_returned_match_chosen_k(self):
+        # Against itself a graph shares every label, so the tuner keeps
+        # labeling every vertex.
         g = gen_irregular_grid(5, 5, 0.3, 9)
         report = auto_tune_k(g, g, 24, 8)
-        mt1, _ = label_nodes(g, report.k)
-        assert report.tables[0] == mt1
-        assert max_cross_product(*report.tables) == report.max_product
+        labels = label_nodes(g, report.k)[1]
+        assert report.labels == (labels, labels)
+        assert max_cross_product(*report.labels) == report.max_product
 
     def test_k_without_shared_label_does_not_qualify(self):
         # At k=1 the leaves of both paths read (1, 2), product 4; at k=2 no
@@ -239,7 +241,7 @@ class TestAutoTuneK:
         report = auto_tune_k(path_graph(3), path_graph(4), 1, 3)
         assert report.per_k == [(1, 4), (2, 0)]
         assert (report.k, report.max_product, report.bounded) == (1, 4, False)
-        assert report.tables is None
+        assert report.labels is None
 
     def test_scan_passes_a_k_without_shared_label_when_one_label_is_a_prefix(self):
         # Every degree is 3, so a label is its ball size written in 3s.
@@ -257,7 +259,7 @@ class TestAutoTuneK:
         report = auto_tune_k(cube, other, 64, 12)
         assert report.per_k == [(1, 144), (2, 0), (3, 64)]
         assert (report.k, report.max_product, report.bounded) == (3, 64, True)
-        assert report == relabeling_tune(cube, other, 64, 12)
+        assert cut(report) == relabeling_tune(cube, other, 64, 12)
         result = match(cube, other, auto_k=True, max_product=64)
         assert (result.stats.k, len(result.pairs)) == (3, 6)
 
@@ -266,12 +268,12 @@ class TestAutoTuneK:
         report = auto_tune_k(g1, g2, 24, 3)
         assert report.per_k == [(1, 0)]
         assert (report.k, report.max_product, report.bounded) == (1, 0, False)
-        assert report.tables == ({}, {})
+        assert report.labels == ([None] * 3, [None] * 2)
 
     def test_unbounded_report_labels_nothing_again(self, monkeypatch):
         # The product stays 4 at every k, so k=1 is chosen after k=4 was
         # tried.  No index may be built over a product above the bound, so
-        # the chosen k is not labeled again and the report has no tables.
+        # the chosen k is not labeled again and the report has no labels.
         # This process labels through one driver, started once for g1.
         real, calls = seed_index.labels_by_depth, []
 
@@ -285,7 +287,7 @@ class TestAutoTuneK:
         g = path_graph(3)
         report = auto_tune_k(g, g, 1, 4)
         assert not report.bounded and report.k == 1
-        assert report.tables is None
+        assert report.labels is None
         assert len(calls) == 1
 
 
@@ -315,25 +317,25 @@ def relabeling_tune(g1, g2, max_product, k_max):
     A k qualifies, and the unbounded fallback considers it, only when some
     label is shared (max product > 0).  The scan stops at the first k with
     none at which no label of one graph is a proper prefix of a label of
-    the other; with none at any k, k = 1 and empty tables.  A bounded
-    report's tables hold the labels present in both graphs; an unbounded
-    one with a shared label has none.
+    the other; with none at any k, k = 1 and lists of None.  A bounded
+    report's lists are those of the chosen k cut to the labels present in
+    both graphs (``shared_only``), as ``cut`` gives the tuner's; an
+    unbounded one with a shared label has none.
     """
     per_k = []
     best = None  # (max product, k)
     for k in range(1, k_max + 1):
-        mt1, _ = label_nodes(g1, k)
-        mt2, _ = label_nodes(g2, k)
-        p = max_cross_product(mt1, mt2)
+        labels1, labels2 = labels_for(g1, g2, k)
+        p = max_cross_product(labels1, labels2)
         per_k.append((k, p))
         if p and (best is None or p < best[0]):
             best = (p, k)
         if 0 < p <= max_product:
-            return TuneReport(k, p, True, per_k, shared_tables(mt1, mt2))
-        if not p and not prefix_across_pairwise(mt1, mt2):
+            return TuneReport(k, p, True, per_k, shared_only(labels1, labels2))
+        if not p and not prefix_across_pairwise(set(labels1), set(labels2)):
             break
     if best is None:
-        return TuneReport(1, 0, False, per_k, shared_tables(*tables_for(g1, g2, 1)))
+        return TuneReport(1, 0, False, per_k, shared_only(*labels_for(g1, g2, 1)))
     p, k = best
     return TuneReport(k, p, False, per_k, None)
 
@@ -350,7 +352,7 @@ class TestTuneAgainstRelabeling:
     @given(scattered_graphs(), scattered_graphs(), st.integers(1, 30), st.integers(1, 6))
     @settings(max_examples=150)
     def test_equal_report(self, g1, g2, bound, k_max):
-        assert auto_tune_k(g1, g2, bound, k_max) == relabeling_tune(g1, g2, bound, k_max)
+        assert cut(auto_tune_k(g1, g2, bound, k_max)) == relabeling_tune(g1, g2, bound, k_max)
 
     @given(
         st.integers(3, 8), st.integers(3, 8), st.integers(0, 2**16),
@@ -360,10 +362,10 @@ class TestTuneAgainstRelabeling:
     def test_equal_report_on_snapshot_pairs(self, rows, cols, seed, bound, k_max):
         # Isolated vertices hold a floor under the product of scattered
         # graphs, so they almost never meet the bound past k=1; two
-        # snapshots of a grid often do, which checks tables grown past k=1.
+        # snapshots of a grid often do, which checks labels grown past k=1.
         g1 = gen_irregular_grid(rows, cols, 0.2, seed)
         g2, _ = perturb(g1, 0.05, 0.0, 0.02, seed + 1)
-        assert auto_tune_k(g1, g2, bound, k_max) == relabeling_tune(g1, g2, bound, k_max)
+        assert cut(auto_tune_k(g1, g2, bound, k_max)) == relabeling_tune(g1, g2, bound, k_max)
 
     def test_equal_report_when_no_vertex_is_dropped(self):
         # A perfect grid against itself shares every label at every k, so
@@ -373,7 +375,7 @@ class TestTuneAgainstRelabeling:
         report = auto_tune_k(g, g, 1, 9)
         assert [k for k, _ in report.per_k] == list(range(1, 10))
         assert min(p for _, p in report.per_k) >= 16
-        assert report == relabeling_tune(g, g, 1, 9)
+        assert cut(report) == relabeling_tune(g, g, 1, 9)
 
     @given(scattered_graphs())
     @settings(max_examples=100)
