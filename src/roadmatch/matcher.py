@@ -8,8 +8,10 @@ seed check and can beat the label's best trial so far: a seed s1 with a
 matched neighbour is paired only with the seeds adjacent to that
 neighbour's image, and a pair is skipped once either seed's component
 among unmatched vertices is no larger than the best trial, which it could
-at most tie (ties keep the earliest trial).  An alignment is one way of
-lining up the seeds' neighbours: starts at offsets i and j pair
+at most tie (ties keep the earliest trial), or once the best trial is not
+empty and the pair's trial cannot admit a second pair
+(`second_pair_partners`).  An alignment is one way of lining up the
+seeds' neighbours: starts at offsets i and j pair
 rotation1[i + t] with rotation2[j + t], so it is fixed by (j - i) mod deg,
 and two start pairs with the same alignment differ only in which neighbour
 pair is queued first.  Each alignment runs once, from the first start pair
@@ -140,6 +142,37 @@ def first_matched_neighbor(state: MatchState, v1: int) -> tuple[int, int] | None
         if w is not None:
             return i1, w
     return None
+
+
+def second_pair_partners(state: MatchState, s1: int) -> set[int] | None:
+    """The G2 seeds whose trial with s1 can admit a second pair, or None
+    when any seed can.
+
+    A trial's first pair after its seed pair is an aligned neighbour pair
+    (a, b), checked with only the seed pair added to the state.
+    `admissible_at` rejects it unless b is unmatched, has a's degree and
+    is adjacent to the image of every matched neighbour of a; s1's image
+    s2 is adjacent to b by construction.  So s2 must be a neighbour of
+    such a b, for some unmatched neighbour a of s1.  When such an a has
+    no matched neighbour besides s1, every b of its degree next to s2
+    passes this far, and the answer is None.  Reads the state without
+    writing it; s1 must be unmatched.
+    """
+    matched1, matched2 = state.matched1, state.matched2
+    rot1, rot2 = state.g1.rotation, state.g2.rotation
+    partners: set[int] = set()
+    for a in rot1[s1]:
+        if matched1[a] is not None:
+            continue
+        images = [w for w in map(matched1.__getitem__, rot1[a]) if w is not None]
+        if not images:
+            return None
+        d = len(rot1[a])
+        for b in rot2[images[0]]:
+            rb = rot2[b]
+            if matched2[b] is None and len(rb) == d and all(w in rb for w in images):
+                partners.update(rb)
+    return partners
 
 
 def component_at_most(
@@ -277,10 +310,13 @@ def flood_match(
     s1 has none and fails unless s2 is adjacent to that neighbour's image.
     Once a trial has matched anything, both seeds' components among the
     vertices unmatched at the pop must be larger than the best trial, since
-    a trial stays inside them.  Both rules are exact: the matching, the
-    pops and the retired labels are those of visiting every pair.  Start offsets are looked up
-    only for visited pairs that pass the check, in one memo per call keyed
-    by neighbour degrees (``labeling.depth_one_at``).  A start pair whose
+    a trial stays inside them, and s2 must be one of s1's
+    `second_pair_partners`, since a trial that admits only its seed pair
+    cannot beat it.  All three rules are exact: the matching, the pops
+    and the retired labels are those of visiting every pair.  Start
+    offsets are looked up only for visited pairs that pass the check, in
+    one memo per call keyed by neighbour degrees
+    (``labeling.depth_one_at``).  A start pair whose
     alignment its seed pair has already flooded is skipped, as the paper
     floods once per orientation.  Its flood would queue the same neighbour
     pairs in another order, which now and then admits a different set.
@@ -322,15 +358,24 @@ def flood_match(
             offsets1 = None
             rot1 = g1.rotation[s1]
             d = len(rot1) or 1
+            partners = None
+            looked = False  # partners read for s1
             for s2 in candidates:
-                # A trial's vertices are connected through vertices unmatched
-                # at the pop, so a seed whose component there is no larger
-                # than best can only tie it, and ties keep the earliest trial.
-                if best and (
-                    component_at_most(sizes1, g1.rotation, state.matched1, s1, len(best))
-                    or component_at_most(sizes2, g2.rotation, state.matched2, s2, len(best))
-                ):
-                    continue
+                if best:
+                    # A trial that admits only its seed pair cannot beat a
+                    # non-empty best.
+                    if not looked:
+                        partners, looked = second_pair_partners(state, s1), True
+                    if partners is not None and s2 not in partners:
+                        continue
+                    # A trial's vertices are connected through vertices
+                    # unmatched at the pop, so a seed whose component there
+                    # is no larger than best can only tie it, and ties keep
+                    # the earliest trial.
+                    if component_at_most(
+                        sizes1, g1.rotation, state.matched1, s1, len(best)
+                    ) or component_at_most(sizes2, g2.rotation, state.matched2, s2, len(best)):
+                        continue
                 if anchor is not None and not admissible_at(
                     state, s1, s2, i1, g2.rotation[s2].index(w)
                 ):

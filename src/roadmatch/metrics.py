@@ -67,6 +67,15 @@ def check_bucket_km(bucket_km: float) -> None:
         raise InputError(f"bucket width must be finite and > 0 km, got {bucket_km}")
 
 
+def _pair_coords(pairs, coords1, coords2):
+    """Each pair's two coordinates, or None where either side has none; a
+    None table has no coordinates at all."""
+    for v, w in pairs:
+        c1 = coords1[v] if coords1 is not None else None
+        c2 = coords2[w] if coords2 is not None else None
+        yield None if c1 is None or c2 is None else (c1, c2)
+
+
 def threshold_ratio(
     pairs,
     coords1,
@@ -75,20 +84,18 @@ def threshold_ratio(
 ) -> ThresholdReport:
     """Fraction of matched pairs within threshold_miles of each other.
 
-    Pairs missing coordinates on either side are excluded and counted.
-    InputError unless the threshold is finite and >= 0.
+    Pairs missing coordinates on either side, or with a None table, are
+    excluded and counted.  InputError unless the threshold is finite and >= 0.
     """
     check_threshold_miles(threshold_miles)
     limit_km = threshold_miles * KM_PER_MILE
     within = total = excluded = 0
-    for v, w in pairs:
-        c1 = coords1[v] if coords1 is not None else None
-        c2 = coords2[w] if coords2 is not None else None
-        if c1 is None or c2 is None:
+    for ends in _pair_coords(pairs, coords1, coords2):
+        if ends is None:
             excluded += 1
             continue
         total += 1
-        if haversine_km(c1, c2) <= limit_km:
+        if haversine_km(*ends) <= limit_km:
             within += 1
     ratio = within / total if total else 0.0
     return ThresholdReport(ratio, within, total, excluded)
@@ -102,18 +109,18 @@ def pair_distance_histogram(
 ) -> list[tuple[float, int]]:
     """Distance histogram over a matching's pairs.
 
-    Pairs missing coordinates on either side are left out, as in
-    ``threshold_ratio``, so the counts sum to its ``total``.  Returns
-    (bucket lower edge in km, count) rows, suitable for CSV output.  Ideal
+    Pairs missing coordinates on either side, or with a None table, are
+    left out, as in ``threshold_ratio``, so the counts sum to its
+    ``total``.  Returns (bucket lower edge in km, count) rows, suitable
+    for CSV output.  Ideal
     matchings put all mass in the first bucket.  InputError unless the
     bucket width is finite and > 0.
     """
     check_bucket_km(bucket_km)
     counts: dict[int, int] = {}
-    for v, w in pairs:
-        c1, c2 = coords1[v], coords2[w]
-        if c1 is None or c2 is None:
+    for ends in _pair_coords(pairs, coords1, coords2):
+        if ends is None:
             continue
-        b = int(haversine_km(c1, c2) // bucket_km)
+        b = int(haversine_km(*ends) // bucket_km)
         counts[b] = counts.get(b, 0) + 1
     return [(b * bucket_km, counts[b]) for b in sorted(counts)]

@@ -734,6 +734,7 @@ class TestMatchAgainstReference:
                 states.append(self)
 
         stale_pops = []
+        seeds2 = []  # the popped label's G2 seeds
         pop = SeedIndex.pop_min_label
 
         def checked_pop(idx, rng):
@@ -741,11 +742,25 @@ class TestMatchAgainstReference:
             (state,) = states
             rebuilt = rebuilt_state_index(idx, state, k)
             stale_pops.append(index_state(idx) != index_state(rebuilt))
-            return pop(idx, rng)
+            lid = pop(idx, rng)
+            seeds2[:] = [] if lid is None else idx.vertices(1, lid)
+            return lid
+
+        partners_of = matcher.second_pair_partners
+
+        def counted_partners(state, s1):
+            # Seed pairs of the label that the second-pair rule drops.
+            partners = partners_of(state, s1)
+            if partners is not None:
+                totals["dropped"] += sum(s2 not in partners for s2 in seeds2)
+            return partners
 
         monkeypatch.setattr(matcher, "MatchState", RecordedState)
+        monkeypatch.setattr(matcher, "second_pair_partners", counted_partners)
         rng = random.Random(3)
-        totals = {"pairs": 0, "retired": 0, "inadmissible": 0, "repeats": 0, "ties": 0}
+        totals = {
+            "pairs": 0, "retired": 0, "inadmissible": 0, "repeats": 0, "ties": 0, "dropped": 0
+        }
         for rows, cols, irregularity, k in self.CASES:
             for _ in range(3):
                 seed = rng.randrange(10**6)
@@ -789,12 +804,12 @@ class TestSeedPairRules:
         assert (res.pairs, res.unmatched1, res.unmatched2) == (ref_pairs, ref_u1, ref_u2)
 
     def test_anchored_rule_drops_only_inadmissible_seed2s(self, monkeypatch):
-        # With the component bound off, a seed s1 with a matched neighbour
-        # is checked only against the seeds adjacent to the first such
-        # neighbour's image, and every seed2 it is not checked against fails
-        # pair_admissible; a seed without one is flooded against all
-        # unchecked.  Seed checks are the admissible_at calls made outside
-        # run_trial.
+        # With the component bound and the second-pair rule off, a seed s1
+        # with a matched neighbour is checked only against the seeds
+        # adjacent to the first such neighbour's image, and every seed2 it
+        # is not checked against fails pair_admissible; a seed without one
+        # is flooded against all unchecked.  Seed checks are the
+        # admissible_at calls made outside run_trial.
         g1 = gen_irregular_grid(12, 12, 0.02, 4)
         g2, _ = perturb(g1, 0.03, 0.02, 0.03, 5)
         states, pops = [], []
@@ -845,10 +860,56 @@ class TestSeedPairRules:
         monkeypatch.setattr(matcher, "admissible_at", recorded_check)
         monkeypatch.setattr(matcher, "run_trial", recorded_trial)
         monkeypatch.setattr(matcher, "component_at_most", lambda *args: False)
+        monkeypatch.setattr(matcher, "second_pair_partners", lambda *args: None)
         match(g1, g2, k=1, max_product=10**6)
         assert dropped and not dropped & (checked | flooded)
         assert unanchored <= flooded and not unanchored & checked
         assert checked and flooded - unanchored <= checked  # anchored seeds are checked
+
+    @staticmethod
+    def check_second_pair_rule(rng, g1, g2):
+        # Over a grown conformal matching, a seed pair that passes the seed
+        # check as flood_match makes it, with s2 outside s1's partners,
+        # admits only itself under every rotation of s2's neighbours.
+        # Returns the number of such pairs flooded.
+        state = grow_against_reference(rng, g1, g2, rng.randint(0, g1.vertex_count))
+        m1, m2 = state.matched1, state.matched2
+        flooded = 0
+        for s1 in range(g1.vertex_count):
+            if m1[s1] is not None:
+                continue
+            partners = matcher.second_pair_partners(state, s1)
+            if partners is None:
+                continue
+            anchor = matcher.first_matched_neighbor(state, s1)
+            r1 = g1.rotation[s1]
+            for s2 in range(g2.vertex_count):
+                r2 = g2.rotation[s2]
+                if m2[s2] is not None or len(r2) != len(r1) or s2 in partners:
+                    continue
+                if anchor is not None:
+                    i1, w = anchor
+                    if w not in r2 or not admissible_at(state, s1, s2, i1, r2.index(w)):
+                        continue
+                for j in range(len(r2) or 1):
+                    assert run_trial(state, s1, s2, r1, r2[j:] + r2[:j], []) == 1, (s1, s2, j)
+                flooded += 1
+        return flooded
+
+    def test_second_pair_rule_on_grids(self):
+        rng = random.Random(5)
+        flooded = 0
+        for _ in range(40):
+            rows, cols = rng.randint(3, 8), rng.randint(3, 8)
+            g1 = gen_irregular_grid(rows, cols, rng.choice((0.0, 0.03, 0.1)), rng.randrange(10**6))
+            g2 = g1 if rng.random() < 0.3 else perturb(g1, 0.1, 0.05, 0.1, rng.randrange(10**6))[0]
+            flooded += self.check_second_pair_rule(rng, g1, g2)
+        assert flooded
+
+    @given(re_embedded_pairs(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_second_pair_rule_on_embedded_graphs(self, pair, rng):
+        self.check_second_pair_rule(rng, *pair)
 
     @staticmethod
     def triangle_and_square():
@@ -932,15 +993,17 @@ class TestPinnedMatchings:
         ("autok", dict(auto_k=True, max_product=24), 3, 0,
          "5ee952eb108b78eb7a4bef3855b6628ede2222e8174fe9ae84f1d3a65432121c"),
     ]
-    # Trials run, by (pair, k), recorded once the seed loop skipped pairs
-    # that cannot beat the label's best trial; flooding every pair of tied
-    # starts ran 1126, 11, 1, 3294 and 32, and flooding every seed pair
-    # once per alignment 498, 5, 1, 1006 and 32.
+    # Trials run, by (pair, k), recorded once the seed loop also skipped
+    # pairs whose trial cannot admit a second pair; flooding every pair of
+    # tied starts ran 1126, 11, 1, 3294 and 32, flooding every seed pair
+    # once per alignment 498, 5, 1, 1006 and 32, and skipping only the
+    # pairs whose seed components cannot beat the label's best trial 282,
+    # 5, 1, 836 and 32.
     TRIALS = {
-        ("irregular", 1): 282,
+        ("irregular", 1): 106,
         ("irregular", 2): 5,
         ("irregular", 3): 1,
-        ("lattice", 1): 836,
+        ("lattice", 1): 675,
         ("lattice-k3", 3): 32,
         ("autok", 3): 1,
     }

@@ -147,6 +147,12 @@ class TestPairDistanceHistogram:
         assert rows == [(0.0, 1)]
         assert threshold_ratio(pairs, coords1, coords2).total == 1
 
+    def test_missing_table_skipped(self):
+        coords = [(0.0, 0.0)]
+        for coords1, coords2 in ((None, coords), (coords, None), (None, None)):
+            assert pair_distance_histogram([(0, 0)], coords1, coords2) == []
+            assert threshold_ratio([(0, 0)], coords1, coords2).total == 0
+
     def test_bad_bucket_width(self):
         for width in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(InputError, match="bucket width must be finite and > 0 km"):
